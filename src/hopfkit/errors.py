@@ -34,6 +34,10 @@ class NonConfluentRules(HopfkitError):
     """An overlap ambiguity g_k g_j g_i reduces to two distinct normal forms."""
 
 
+class RewriteLimitExceeded(HopfkitError):
+    """Normalizing a word took more rewrite steps than the engine allows."""
+
+
 class RelationNotPreserved(HopfkitError):
     """A generator table does not kill a defining relation.
 
@@ -51,6 +55,14 @@ class NotInvertible(HopfkitError):
 
 class StarUndefined(HopfkitError):
     """Involution requested on a structure that only carries tau."""
+
+
+class AntipodeNotInvertible(HopfkitError):
+    """S(S^-1 g) != g for a generator g, with S^-1 = * S *; args carry g."""
+
+
+class CounitLawViolated(HopfkitError):
+    """(eps x id) Delta g != g or (id x eps) Delta g != g; args carry g."""
 
 
 class NotCoalgebraMorphism(HopfkitError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import StarUndefined
+from .errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
 from .ncalg import AlgebraElement, Morphism, Presentation, as_tensor, tensor_map
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, W, ZERO, scalar
@@ -67,7 +67,9 @@ class HopfStructure:
                                          name=f"Sinv[{name}]")
             for g in pres.generators:
                 e = pres.gen(g)
-                assert self.antipode.apply(self.antipode_inv.apply(e)) == e, g
+                if self.antipode.apply(self.antipode_inv.apply(e)) != e:
+                    raise AntipodeNotInvertible(
+                        f"{name}: S(S^-1 {g}) != {g}")
 
         # counit law on generators, both sides
         for g in pres.generators:
@@ -75,7 +77,8 @@ class HopfStructure:
             d = self.delta.apply(e)
             left = tensor_map([self.epsilon, None], d)
             right = tensor_map([None, self.epsilon], d)
-            assert left == e and right == e, f"counit law fails on {g}"
+            if left != e or right != e:
+                raise CounitLawViolated(f"{name}: counit law fails on {g}")
 
     # -- coalgebra operations ------------------------------------------
 

@@ -25,6 +25,7 @@ from .errors import (
     NotInvertible,
     PresentationMismatch,
     RelationNotPreserved,
+    RewriteLimitExceeded,
     UnknownGenerator,
 )
 from .scalars import ONE, Scalar, ZERO, scalar
@@ -163,7 +164,8 @@ class Presentation:
         while stack:
             steps += 1
             if steps > _MAX_REWRITE_STEPS:
-                raise RuntimeError(f"{self.name}: rewriting did not terminate")
+                raise RewriteLimitExceeded(
+                    f"{self.name}: rewriting did not terminate")
             coeff, word = stack.pop()
             if coeff.is_zero():
                 continue

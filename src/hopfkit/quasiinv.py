@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotGroupLike, NotInvertible, NotTauReal
+from .errors import NotGroupLike, NotInvertible, NotTauReal, StarUndefined
 from .hopf import builtin
 from .ncalg import AlgebraElement
 from .pairing import engine as pairing_engine
@@ -358,7 +358,7 @@ class ChiFractionModule(ChiModule):
         return ChiFraction(ChiElement())
 
     def star(self, f):
-        raise NotImplementedError("no involution needed on fractions")
+        raise StarUndefined("no involution on the fraction-field target")
 
     def act_mono(self, umon, f, side="left"):
         a, _ell, c, d = umon

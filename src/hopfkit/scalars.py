@@ -5,12 +5,20 @@ w, m, u, with Gaussian-rational coefficients.  Everything is exact: no
 floats anywhere.  The canonical form (gcd cleared, denominator monic
 under graded-lex with w > m > u) makes equality a plain structural check.
 
+Each coefficient is a GaussRat (a + b*i)/d: Gaussian-integer numerator
+over one positive integer denominator, all Python ints, reduced so that
+gcd(a, b, d) == 1.  Arithmetic on it runs on machine integers with at
+most one gcd per result.  Every Scalar whose denominator is the constant
+1 holds the module's P_ONE object itself, so the field operations test
+for it by identity.
+
 Conjugation sends i to -i and fixes w, m, u.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZero
 
@@ -20,58 +28,110 @@ _ZERO_EXP = (0, 0, 0)
 
 
 class GaussRat:
-    """Gaussian rational re + im*i, both parts exact Fractions."""
+    """Gaussian rational (a + b*i)/d on machine integers.
 
-    __slots__ = ("re", "im")
+    a, b, d are Python ints with d > 0 and gcd(a, b, d) == 1, so equal
+    values have equal fields; zero is (0, 0, 1).  Construct from real and
+    imaginary parts, each an int or a Fraction: GaussRat(re, im).  The
+    read-only properties re and im give them back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators, gcd(a, b, d) is 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other):
         if not isinstance(other, GaussRat):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            return _reduce(self.a + other.a, self.b + other.b, d)
+        e = other.d
+        return _reduce(self.a * e + other.a * d, self.b * e + other.b * d,
+                       d * e)
 
     def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
+        d = self.d
+        if d == other.d:
+            return _reduce(self.a - other.a, self.b - other.b, d)
+        e = other.d
+        return _reduce(self.a * e - other.a * d, self.b * e - other.b * d,
+                       d * e)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        a, b = self.re, self.im
-        c, d = other.re, other.im
+        a, b = self.a, self.b
+        c, e = other.a, other.b
         if not b:
-            return GaussRat(a * c, a * d if d else b)
-        if not d:
-            return GaussRat(a * c, b * c)
-        return GaussRat(a * c - b * d, a * d + b * c)
+            return _reduce(a * c, a * e, self.d * other.d)
+        if not e:
+            return _reduce(a * c, b * c, self.d * other.d)
+        return _reduce(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other):
         if not other:
             raise DivisionByZero("division by zero Gaussian rational")
-        n = other.re * other.re + other.im * other.im
-        a, b, c, d = self.re, self.im, other.re, -other.im
-        return GaussRat((a * c - b * d) / n, (a * d + b * c) / n)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, f = self.a, self.b, other.d
+        c, e = other.a, other.b
+        return _reduce((a * c + b * e) * f, (b * c - a * e) * f,
+                       self.d * (c * c + e * e))
 
     def conjugate(self):
-        return GaussRat(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return _format_gauss(self, bare=True)
+
+
+_new_gauss = object.__new__
+
+
+def _make(a, b, d):
+    """GaussRat from fields already in canonical form."""
+    r = _new_gauss(GaussRat)
+    r.a, r.b, r.d = a, b, d
+    return r
+
+
+def _reduce(a, b, d):
+    """GaussRat (a + b*i)/d for d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
 
 
 GR_ZERO = GaussRat(0)
@@ -192,9 +252,6 @@ class Poly:
 
     def degree(self, var):
         return max((e[var] for e in self.terms), default=0)
-
-    def total_degree(self):
-        return max((e[0] + e[1] + e[2] for e in self.terms), default=0)
 
     def __str__(self):
         return _format_poly(self)
@@ -357,7 +414,12 @@ def poly_gcd(a, b):
 
 
 class Scalar:
-    """Element of Q(i)(w, m, u) in canonical reduced form."""
+    """Element of Q(i)(w, m, u) in canonical reduced form num/den.
+
+    num and den are Polys with gcd 1 and den monic.  A constant
+    denominator is always the shared P_ONE object, never an equal copy:
+    `x.den is P_ONE` holds exactly when x is a polynomial.
+    """
 
     __slots__ = ("num", "den")
 
@@ -383,7 +445,8 @@ class Scalar:
         den, lc = den.monic()
         if lc != GR_ONE:
             num = num.scale(GR_ONE / lc)
-        self.num, self.den = num, den
+        self.num = num
+        self.den = P_ONE if den.is_const() else den
 
     # -- constructors -------------------------------------------------
 
@@ -407,10 +470,6 @@ class Scalar:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def is_rational(self):
-        """True when the value is a plain Gaussian rational."""
-        return self.den == P_ONE and self.num.is_const()
-
     # -- field operations ---------------------------------------------
 
     def __eq__(self, other):
@@ -427,7 +486,7 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == P_ONE and other.den == P_ONE:
+        if self.den is P_ONE and other.den is P_ONE:
             return Scalar(self.num + other.num, P_ONE, _reduced=True)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
@@ -453,7 +512,7 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == P_ONE and other.den == P_ONE:
+        if self.den is P_ONE and other.den is P_ONE:
             return Scalar(self.num * other.num, P_ONE, _reduced=True)
         return Scalar(self.num * other.num, self.den * other.den)
 
@@ -489,13 +548,14 @@ class Scalar:
         return ONE / self
 
     def conjugate(self):
-        num = self.num.conjugate()
-        den = self.den.conjugate()
-        # den stays monic: its leading coefficient 1 is real
-        return Scalar(num, den, _reduced=True)
+        den = self.den
+        if den is not P_ONE:
+            # den stays monic: its leading coefficient 1 is real
+            den = den.conjugate()
+        return Scalar(self.num.conjugate(), den, _reduced=True)
 
     def __str__(self):
-        if self.den == P_ONE:
+        if self.den is P_ONE:
             return _format_poly(self.num)
         return f"({_format_poly(self.num)})/({_format_poly(self.den)})"
 
@@ -553,8 +613,12 @@ def conjugate(a: Scalar) -> Scalar:
 # -- printing ----------------------------------------------------------
 
 
-def _format_fraction(f):
-    return str(f)
+def _format_ratio(n, d):
+    """n/d in lowest terms, printed as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _format_gauss(c, bare=False):
@@ -562,16 +626,18 @@ def _format_gauss(c, bare=False):
 
     bare=True allows an unparenthesized mixed value (used by str()).
     """
-    if not c.im:
-        return _format_fraction(c.re)
-    if not c.re:
-        if c.im == 1:
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _format_ratio(a, d)
+    if not a:
+        # gcd(b, d) == 1 here, so b/d is +-1 only when b == +-d
+        if b == d:
             return "i"
-        if c.im == -1:
+        if b == -d:
             return "-i"
-        return f"{_format_fraction(c.im)}*i"
-    s = f"{_format_fraction(c.re)} + {_format_fraction(c.im)}*i" if c.im > 0 \
-        else f"{_format_fraction(c.re)} - {_format_fraction(-c.im)}*i"
+        return f"{_format_ratio(b, d)}*i"
+    s = f"{_format_ratio(a, d)} + {_format_ratio(b, d)}*i" if b > 0 \
+        else f"{_format_ratio(a, d)} - {_format_ratio(-b, d)}*i"
     return s if bare else f"({s})"
 
 

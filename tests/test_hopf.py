@@ -1,9 +1,9 @@
 import pytest
 
-from hopfkit.errors import StarUndefined
+from hopfkit.errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
 from hopfkit.hopf import HopfStructure, builtin, verify_hopf
-from hopfkit.ncalg import as_tensor, tensor_map
-from hopfkit.scalars import I, W
+from hopfkit.ncalg import Presentation, as_tensor, tensor_map
+from hopfkit.scalars import I, ONE, W, ZERO
 
 UQ = builtin("uq-g1")
 FQ = builtin("fq-g1")
@@ -114,3 +114,29 @@ def test_group_likes():
     assert UQ.is_group_like(p.gen("K", -2))
     assert not UQ.is_group_like(p.gen("B"))
     assert not UQ.is_group_like(p.gen("K") + p.one())
+
+
+def _line_structure(eps_z=ZERO, star_scale=1):
+    """C[z] with z primitive, S z = -z and z* = star_scale * z."""
+    p = Presentation("line", ("z",), (False,), {})
+    z, one = p.gen("z"), p.one()
+    return HopfStructure("line", p, [t2(z, one) + t2(one, z)], [eps_z],
+                         antipode_table=[-z], star_table=[z * star_scale])
+
+
+def test_line_structure_builds():
+    line = _line_structure()
+    z = line.pres.gen("z")
+    assert line.apply_antipode(z) == -z
+
+
+def test_counit_law_violation_is_a_hopfkit_error():
+    # eps z = 1 gives (eps x id) Delta z = 1 + z
+    with pytest.raises(CounitLawViolated, match="counit law fails on z"):
+        _line_structure(eps_z=ONE)
+
+
+def test_antipode_without_inverse_is_a_hopfkit_error():
+    # z* = 2z makes * S * send z to -4z, which S does not undo
+    with pytest.raises(AntipodeNotInvertible):
+        _line_structure(star_scale=2)

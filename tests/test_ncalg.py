@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+from hopfkit import ncalg
 from hopfkit.errors import (
     NegativePowerOfNonInvertible,
     NotInvertible,
     PresentationMismatch,
     RelationNotPreserved,
+    RewriteLimitExceeded,
     UnknownGenerator,
 )
 from hopfkit.hopf import algebra_presentation, builtin
-from hopfkit.ncalg import Morphism, linear_solve
+from hopfkit.ncalg import Morphism, Presentation, linear_solve
 from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
 
 UQ = algebra_presentation("uq-g1")
@@ -74,6 +76,15 @@ def test_unknown_generator():
 def test_negative_power_of_non_invertible():
     with pytest.raises(NegativePowerOfNonInvertible):
         FQ.element([(ONE, [("v", -1)])])
+
+
+def test_rewrite_limit_is_a_hopfkit_error(monkeypatch):
+    # two commuting letters: sorting b a b a takes more than three steps
+    p = Presentation("ab", ("a", "b"), (False, False),
+                     {(1, 1, 0, 1): [(ONE, ((0, 1), (1, 1)))]})
+    monkeypatch.setattr(ncalg, "_MAX_REWRITE_STEPS", 3)
+    with pytest.raises(RewriteLimitExceeded, match="ab: rewriting"):
+        p.element([(ONE, [("b", 1), ("a", 1), ("b", 1), ("a", 1)])])
 
 
 def test_presentation_mismatch():

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfkit.errors import NotGroupLike, NotInvertible, NotTauReal
+from hopfkit.errors import NotGroupLike, NotInvertible, NotTauReal, StarUndefined
 from hopfkit.hopf import algebra_presentation, builtin
 from hopfkit.quasiinv import (
     ChiElement,
     ChiFraction,
+    ChiFractionModule,
     ChiModule,
     chi_from_h0,
     chi_to_h0,
@@ -247,6 +248,11 @@ def test_fraction_field_basics():
     num = chi(2) - chi(0)
     den = chi(1) - chi(0)
     assert ChiFraction(num, den) == ChiFraction.from_chi(chi(1) + chi(0))
+
+
+def test_fraction_module_has_no_star():
+    with pytest.raises(StarUndefined):
+        ChiFractionModule().star(ChiFraction.one())
 
 
 def test_d0_of_non_invertible_sample():

@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfkit import scalars
 from hopfkit.errors import DivisionByZero
-from hopfkit.scalars import GaussRat, I, M, ONE, Poly, Scalar, U, W, ZERO, arith, conjugate, poly_gcd, scalar
+from hopfkit.ncalg import format_element
+from hopfkit.parser import parse
+from hopfkit.scalars import GaussRat, I, M, ONE, P_ONE, Poly, Scalar, U, W, ZERO, arith, conjugate, poly_gcd, scalar
 
 
 def test_integer_add():
@@ -128,3 +131,150 @@ def test_reduction_is_canonical(a, b):
     if not a.is_zero():
         doubled = Scalar(q.num + q.num, q.den + q.den)
         assert doubled == q
+
+
+# -- GaussRat against a reference pair of Fractions ----------------------
+
+gauss_parts = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def assert_canonical(g):
+    assert type(g.a) is int and type(g.b) is int and type(g.d) is int
+    assert g.d > 0
+    assert math.gcd(g.a, g.b, g.d) == 1
+    if not g:
+        assert (g.a, g.b, g.d) == (0, 0, 1)
+
+
+def assert_matches(g, re, im):
+    assert_canonical(g)
+    assert (g.re, g.im) == (re, im)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    fresh = GaussRat(re, im)
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauss_parts, gauss_parts, gauss_parts, gauss_parts)
+def test_gauss_rat_matches_fraction_pairs(p, q, r, s):
+    x, y = GaussRat(p, q), GaussRat(r, s)
+    assert_matches(x, p, q)
+    assert_matches(x + y, p + r, q + s)
+    assert_matches(x - y, p - r, q - s)
+    assert_matches(x * y, p * r - q * s, p * s + q * r)
+    assert_matches(-x, -p, -q)
+    assert_matches(x.conjugate(), p, -q)
+    assert (x == y) == ((p, q) == (r, s))
+    assert bool(x) == bool(p or q)
+    if r or s:
+        n = r * r + s * s
+        assert_matches(x / y, (p * r + q * s) / n, (q * r - p * s) / n)
+    else:
+        with pytest.raises(DivisionByZero):
+            x / y
+
+
+def test_gauss_rat_zero_and_integer_forms():
+    for zero in (GaussRat(), GaussRat(0, 0), GaussRat(Fraction(0, 5)),
+                 GaussRat(Fraction(1, 3)) - GaussRat(Fraction(1, 3)),
+                 GaussRat(0, Fraction(2, 7)) * GaussRat(0)):
+        assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+    half_i = GaussRat(Fraction(2, 4), Fraction(-3, 6))
+    assert (half_i.a, half_i.b, half_i.d) == (1, -1, 2)
+    assert repr(half_i) == "GaussRat(Fraction(1, 2), Fraction(-1, 2))"
+
+
+# -- the shared unit denominator -------------------------------------------
+
+
+def test_unit_denominator_is_shared():
+    x = (ONE + I) * W - scalar(Fraction(1, 3)) * M
+    assert x.den is P_ONE
+    assert conjugate(x).den is P_ONE
+    assert (-x).den is P_ONE
+    assert ((W * W - M * M) / (W - M)).den is P_ONE
+    assert ((ONE / W) * W).den is P_ONE
+    assert conjugate(I / (W + M)).den is not P_ONE
+
+
+# -- printed form ------------------------------------------------------------
+
+HALF = scalar(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("value, text", [
+    (ONE / (W * M), "(1)/(w*m)"),
+    (-I * HALF, "-1/2*i"),
+    ((scalar(Fraction(3, 4)) - I * HALF) * W, "(3/4 - 1/2*i)*w"),
+    (ONE / (W + M), "(1)/(w + m)"),
+    (I / (2 * W), "(1/2*i)/(w)"),
+    (scalar(Fraction(-7, 3)) + I * 5, "(-7/3 + 5*i)"),
+    ((W * W - 3 * I * M * U + scalar(Fraction(5, 6))) / (2 * W + I * M),
+     "(1/2*w^2 - 3/2*i*m*u + 5/12)/(w + 1/2*i*m)"),
+    (conjugate((ONE + I) / (W - I * U)), "((1 - 1*i))/(w + i*u)"),
+])
+def test_scalar_printed_form(value, text):
+    assert str(value) == text
+
+
+@pytest.mark.parametrize("expr, algebra, text", [
+    ("i*(K - K^-1)/(2*w)", "uq-g1", "(-1/2*i)/(w)*K^-1 + (1/2*i)/(w)*K"),
+    ("mu*x + (1/2 - i/3)*v^2*t/(w+m)", "fq-g1",
+     "mu*x + (((1/2 - 1/3*i))/(w + m))*t*v^2"),
+    ("v0*v1", "h0-irr", "(1)/(w*m)*v1 + (-1)/(w*m)*v0"),
+    ("(3/4)*muh*xh - i*th/(w*m*u)", "fq-j", "(-i)/(w*m*u)*th + 3/4*muh*xh"),
+    ("B*B*K^-1 - (2 - 5*i)/7*M*T", "uq-g1",
+     "K^-1*B^2 + ((-2/7 + 5/7*i))*M*T - 2*i*w*M*K^-1*B - w^2*M^2*K^-1"),
+])
+def test_element_printed_form(expr, algebra, text):
+    assert format_element(parse(expr, algebra)) == text
+
+
+# -- Scalar against sympy.cancel ---------------------------------------------
+
+
+@st.composite
+def small_polys(draw, min_terms):
+    """A polynomial in w, m, u with min_terms to 3 terms, as a Scalar.
+
+    Exponents stay at most 1: the primitive-PRS gcd takes minutes on some
+    three-term denominators of degree 2 in each symbol.
+    """
+    out = ZERO
+    for _ in range(draw(st.integers(min_terms, 3))):
+        c = scalar(draw(small_rationals)) + scalar(draw(small_rationals)) * I
+        for sym in (W, M, U):
+            c = c * sym ** draw(st.integers(0, 1))
+        out = out + c
+    return out
+
+
+@st.composite
+def multiterm_fractions(draw):
+    num = draw(small_polys(1))
+    den = draw(small_polys(2))
+    assume(not den.is_zero())
+    return num / den
+
+
+def _to_sympy(x, sympy):
+    w, m, u = sympy.symbols("w m u")
+
+    def poly(p):
+        return sum((sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d))
+                   * w ** e[0] * m ** e[1] * u ** e[2]
+                   for e, c in p.terms.items())
+
+    return poly(x.num) / poly(x.den)
+
+
+@settings(max_examples=20, deadline=None)
+@given(multiterm_fractions(), multiterm_fractions())
+def test_field_ops_match_sympy_cancel(a, b):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = _to_sympy(a, sympy), _to_sympy(b, sympy)
+    assert sympy.cancel(_to_sympy(a + b, sympy) - (sa + sb)) == 0
+    assert sympy.cancel(_to_sympy(a * b, sympy) - sa * sb) == 0
+    if not b.is_zero():
+        assert sympy.cancel(_to_sympy(a / b, sympy) - sa / sb) == 0
