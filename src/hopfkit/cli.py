@@ -7,6 +7,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -44,9 +46,8 @@ def _merge(reports, suite_name, params):
     out = CheckReport(suite_name, params=params)
     for rep in reports:
         prefix = rep.preset or rep.suite
-        for c in rep.checks:
-            c.id = f"{prefix}::{c.id}"
-            out.checks.append(c)
+        out.checks.extend(dataclasses.replace(c, id=f"{prefix}::{c.id}")
+                          for c in rep.checks)
         out.params.update({f"{prefix}.{k}": v for k, v in rep.params.items()})
     return out.finalize()
 
@@ -159,12 +160,22 @@ SUITES = {
 }
 
 
+def _check_sizes(cfg):
+    """Reject a negative window or degree: it gives an empty, vacuous run."""
+    for key in ("window", "degree"):
+        value = cfg.get(key)
+        if value is not None and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
+
+
 def run_suite(name: str, config: dict | None = None) -> CheckReport:
     """Run one registered verification suite with the given configuration."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
                            + ", ".join(sorted(SUITES)))
-    return SUITES[name](dict(config or {}))
+    cfg = dict(config or {})
+    _check_sizes(cfg)
+    return SUITES[name](cfg)
 
 
 def load_config(path: str) -> dict:
@@ -190,17 +201,25 @@ def load_config(path: str) -> dict:
                 cfg[key] = int(cfg[key])
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer") from exc
+    _check_sizes(cfg)
     return cfg
 
 
-def _emit(payload: dict, out_path: str | None):
+def _open_out(path: str | None):
+    """The --out file opened for writing, or a context yielding None."""
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8")
+
+
+def _emit(payload: dict, out):
+    """Print payload as JSON, and write the same text to out if given."""
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(payload, indent=2)
     print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        out.write(text + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -215,11 +234,12 @@ def _cmd_verify(args) -> int:
     elif "suites" in cfg and args.suite == "config":
         names = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
     status = 0
-    for name in names:
-        rep = run_suite(name, cfg)
-        _emit(rep.to_dict(), args.out or cfg.get("output"))
-        if not rep.passed:
-            status = 1
+    with _open_out(args.out or cfg.get("output")) as out:
+        for name in names:
+            rep = run_suite(name, cfg)
+            _emit(rep.to_dict(), out)
+            if not rep.passed:
+                status = 1
     return status
 
 
@@ -238,6 +258,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_matrix(args) -> int:
     window = args.window
+    _check_sizes({"window": window})
     basis = list(range(-window, window + 1))
     cols = []
     for l in basis:
@@ -245,18 +266,20 @@ def _cmd_matrix(args) -> int:
         cols.append({out: str(c) for out, c in sorted(image.coeffs.items())})
     matrix = [[cols[j].get(out, "0") for j in range(len(basis))]
               for out in basis]
-    _emit({
-        "operator": args.op,
-        "window": window,
-        "basis": [f"phi*chi^{l}" for l in basis],
-        "matrix": matrix,
-    }, args.out)
+    with _open_out(args.out) as out:
+        _emit({
+            "operator": args.op,
+            "window": window,
+            "basis": [f"phi*chi^{l}" for l in basis],
+            "matrix": matrix,
+        }, out)
     return 0
 
 
 def _cmd_homogeneous_space(args) -> int:
     if args.preset != "galilei":
         raise ConfigError(f"unknown preset {args.preset!r}")
+    _check_sizes({"degree": args.degree})
     basis = homogeneous_space(galilei_subgroup(), args.degree, args.side)
     for b in basis:
         print(print_element(b))
@@ -265,6 +288,7 @@ def _cmd_homogeneous_space(args) -> int:
 
 def _cmd_induce(args) -> int:
     cfg = {"window": args.window, "degree": args.degree}
+    _check_sizes(cfg)
     if args.generic:
         if args.corep != "trivial":
             raise ConfigError(f"unknown corepresentation {args.corep!r}")
@@ -275,7 +299,8 @@ def _cmd_induce(args) -> int:
         if args.suite not in ("relations", "unitarity", "jform", "intertwiner"):
             raise UnknownSuite(f"unknown induce suite {args.suite!r}")
         rep = run_suite(args.suite, cfg)
-    _emit(rep.to_dict(), args.out)
+    with _open_out(args.out) as out:
+        _emit(rep.to_dict(), out)
     return 0 if rep.passed else 1
 
 

@@ -325,6 +325,9 @@ class AlgebraElement:
 
     def scale(self, c):
         c = scalar(c)
+        if c is ONE:
+            # elements are never mutated, so the unscaled one can be shared
+            return self
         if c.is_zero():
             return AlgebraElement(self.pres, {})
         return AlgebraElement(self.pres, {m: k * c for m, k in self.terms.items()})
@@ -442,6 +445,8 @@ class TensorElement:
 
     def scale(self, c):
         c = scalar(c)
+        if c is ONE:
+            return self
         if c.is_zero():
             return TensorElement(self.spaces, {})
         return TensorElement(self.spaces, {k: v * c for k, v in self.terms.items()})

@@ -85,6 +85,7 @@ class PairEngine:
             "N": u.gen("K") * u.gen("B"),
         }, kind="hom", name="dual->uq")
         self._row_cache = {}
+        self._dual_cache = {}
         self._delta_index = {}
 
     # -- closed formula -------------------------------------------------
@@ -104,7 +105,15 @@ class PairEngine:
     # -- recursive evaluation -------------------------------------------
 
     def dual_words(self, X: AlgebraElement):
-        """X rewritten in the dual basis, as (coeff, letter tuple) pairs."""
+        """X rewritten in the dual basis, as (coeff, letter tuple) pairs.
+
+        Memoized on X's presentation and terms: the suites pair and act
+        with the same few window elements many times over.
+        """
+        key = (X.pres, frozenset(X.terms.items()))
+        hit = self._dual_cache.get(key)
+        if hit is not None:
+            return hit
         e = self.to_dual.apply(X)
         out = []
         for mon, c in e.terms.items():
@@ -114,6 +123,8 @@ class PairEngine:
                        + ("T",) * gp
                        + ("N",) * dp)
             out.append((c, letters))
+        out = tuple(out)
+        self._dual_cache[key] = out
         return out
 
     @staticmethod
@@ -306,38 +317,45 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
                law=f"both evaluations agree on {total} basis pairs",
                witness=first_witness or "")
 
-    xs = [uq.pres.monomial(m) for m in uq.pres.monomials_up_to(law_degree)]
-    fs = [fq.pres.monomial(m) for m in fq.pres.monomials_up_to(law_degree + 1)]
-    small_fs = [fq.pres.monomial(m) for m in fq.pres.monomials_up_to(law_degree)]
-    for X in xs:
+    # window elements with their labels, each printed once per report
+    def window(pres, degree):
+        elements = map(pres.monomial, pres.monomials_up_to(degree))
+        return [(e, str(e)) for e in elements]
+
+    xs = window(uq.pres, law_degree)
+    fs = window(fq.pres, law_degree + 1)
+    small_fs = window(fq.pres, law_degree)
+    for X, xl in xs:
         dX = uq.delta.apply(X).terms
-        for a in fs:
+        for a, al in fs:
             amon = next(iter(a.terms))
-            for Y in xs:
+            for Y, yl in xs:
                 want = ZERO
                 for (m1, m2), c in fq.delta._mono_image(amon).terms.items():
                     want = want + c * eng.pair(X, fq.pres.monomial(m1)) \
                         * eng.pair(Y, fq.pres.monomial(m2))
-                rep.record(f"product-coproduct[{X}|{Y}|{a}]",
+                rep.record(f"product-coproduct[{xl}|{yl}|{al}]",
                            eng.pair(X * Y, a) == want,
                            law="<XY, a> = sum <X, a_(1)> <Y, a_(2)>",
-                           witness=f"{X}, {Y}, {a}")
-            rep.record(f"antipode-transpose[{X}|{a}]",
+                           witness=lambda: f"{xl}, {yl}, {al}")
+            rep.record(f"antipode-transpose[{xl}|{al}]",
                        eng.pair(uq.antipode.apply(X), a)
                        == eng.pair(X, fq.antipode.apply(a)),
-                       law="<S X, a> = <X, S a>", witness=f"{X}, {a}")
-            rep.record(f"star-transpose[{X}|{a}]",
+                       law="<S X, a> = <X, S a>",
+                       witness=lambda: f"{xl}, {al}")
+            rep.record(f"star-transpose[{xl}|{al}]",
                        eng.pair(uq.star.apply(X), a)
                        == eng.pair(X, fq.tau.apply(a)).conjugate(),
-                       law="<X*, a> = conj(<X, tau(a)>)", witness=f"{X}, {a}")
-        for a in small_fs:
-            for b in small_fs:
+                       law="<X*, a> = conj(<X, tau(a)>)",
+                       witness=lambda: f"{xl}, {al}")
+        for a, al in small_fs:
+            for b, bl in small_fs:
                 want = ZERO
                 for (m1, m2), c in dX.items():
                     want = want + c * eng.pair(uq.pres.monomial(m1), a) \
                         * eng.pair(uq.pres.monomial(m2), b)
-                rep.record(f"coproduct-product[{X}|{a}|{b}]",
+                rep.record(f"coproduct-product[{xl}|{al}|{bl}]",
                            eng.pair(X, a * b) == want,
                            law="<X, ab> = sum <X_(1), a> <X_(2), b>",
-                           witness=f"{X}, {a}, {b}")
+                           witness=lambda: f"{xl}, {al}, {bl}")
     return rep.finalize()

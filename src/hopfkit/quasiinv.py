@@ -582,18 +582,18 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
                       params={"degree": degree, "side": side})
     rep.record("unit", phi(uq.pres.one()) == phi.module.one(),
                law="phi[1] = 1", witness="1")
-    window = uq.pres.monomials_up_to(degree)
+    # each window element is printed once, not once per check id
+    window = map(uq.pres.monomial, uq.pres.monomials_up_to(degree))
+    window = [(X, str(X)) for X in window]
     defect = d1_defect if side == "left" else d1_right_defect
-    for mx in window:
-        X = uq.pres.monomial(mx)
-        for my in window:
-            Y = uq.pres.monomial(my)
+    for X, xl in window:
+        for Y, yl in window:
             ok = defect(phi, X, Y).is_zero()
-            rep.record(f"cocycle[{X}|{Y}]", ok,
+            rep.record(f"cocycle[{xl}|{yl}]", ok,
                        law="phi[XY] = sum X_(1).phi[Y] phi[X_(2)]"
                        if side == "left" else
                        "psi[XY] = sum psi[Y_(1)] psi[X].Y_(2)",
-                       witness=f"{X} | {Y}")
+                       witness=lambda: f"{xl} | {yl}")
     return rep.finalize()
 
 
@@ -625,11 +625,12 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
                       params={"degree": degree, "window": window, "side": side})
     h.reality_report(window, rep)
     xs = uq.pres.monomials_up_to(degree)
-    basis = m.basis(window)
+    basis = [(a, str(a)) for a in m.basis(window)]
     for mx in xs:
         X = uq.pres.monomial(mx)
+        xl = str(X)
         dX = uq.delta.apply(X).terms
-        for a in basis:
+        for a, al in basis:
             if form == "def" and side == "left":
                 lhs = h(m.act(X, a))
                 rhs = ZERO
@@ -655,9 +656,9 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
                     lhs = lhs + c * h(m.mul(phi.of_mono(m1),
                                             m.act_mono(m2, a, side="right")))
                 rhs = h(m.mul(a, m.star(phi(star_u.apply(X)))))
-            rep.record(f"cell[{X}|{a}]", lhs == rhs,
+            rep.record(f"cell[{xl}|{al}]", lhs == rhs,
                        law=f"quasi-invariance ({form}, {side})",
-                       witness=f"X={X}, a={a}")
+                       witness=lambda: f"X={xl}, a={al}")
     return rep.finalize()
 
 
@@ -763,5 +764,6 @@ def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
                 Y = uq.pres.monomial(my)
                 ok = d1_defect(w, X, Y).is_zero()
                 rep.record(f"d1d0[{xi}|{X}|{Y}]", ok,
-                           law="d1 o d0 = 0", witness=f"xi={xi}, {X}|{Y}")
+                           law="d1 o d0 = 0",
+                           witness=lambda: f"xi={xi}, {X}|{Y}")
     return rep.finalize()

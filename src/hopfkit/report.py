@@ -24,19 +24,29 @@ class CheckReport:
     checks: list[CheckEntry] = field(default_factory=list)
 
     def record(self, check_id, ok, law="", witness=None):
-        """Append a pass/fail entry; a failing entry must carry a witness."""
-        status = "pass" if ok else "fail"
-        if not ok and witness is None:
+        """Append a pass/fail entry; a failing entry must carry a witness.
+
+        witness is a string, or a zero-argument callable returning one.
+        A passing entry keeps no witness, so the callable is called only
+        when the check fails, and then at once, inside this call: a
+        closure over loop variables sees their current values.
+        """
+        if ok:
+            self.checks.append(CheckEntry(check_id, "pass", law))
+            return
+        if callable(witness):
+            witness = witness()
+        if witness is None:
             witness = "(no witness supplied)"
-        self.checks.append(CheckEntry(check_id, status, law,
-                                      witness if not ok else None))
+        self.checks.append(CheckEntry(check_id, "fail", law, witness))
 
     def skip(self, check_id, law=""):
         self.checks.append(CheckEntry(check_id, "skipped", law))
 
     @property
     def passed(self):
-        return all(c.status != "fail" for c in self.checks)
+        """True when no check failed; a report with no checks proves nothing."""
+        return bool(self.checks) and all(c.status != "fail" for c in self.checks)
 
     @property
     def counts(self):

@@ -12,6 +12,13 @@ most one gcd per result.  Every Scalar whose denominator is the constant
 1 holds the module's P_ONE object itself, so the field operations test
 for it by identity.
 
+Multiplication skips work whose answer is known: x * ONE and ONE * x
+return x itself (after coercing an int, Fraction or GaussRat operand),
+a product with a zero numerator returns the shared ZERO, and a product
+of two single-term polynomials is one exponent add and one coefficient
+product.  Values are never mutated after construction, so handing back
+an operand is safe.
+
 Conjugation sends i to -i and fixes w, m, u.
 """
 
@@ -214,6 +221,12 @@ class Poly:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return Poly({})
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # Q(i) is a field, so the one coefficient product is nonzero
+            (e1, c1), = self.terms.items()
+            (e2, c2), = other.terms.items()
+            return Poly({(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]):
+                         c1 * c2})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -473,6 +486,8 @@ class Scalar:
     # -- field operations ---------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -512,6 +527,12 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
+        if not self.num.terms or not other.num.terms:
+            return ZERO
         if self.den is P_ONE and other.den is P_ONE:
             return Scalar(self.num * other.num, P_ONE, _reduced=True)
         return Scalar(self.num * other.num, self.den * other.den)

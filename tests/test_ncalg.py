@@ -191,3 +191,11 @@ def test_linear_solve_window_overflow():
     from hopfkit.errors import WindowOverflow
     with pytest.raises(WindowOverflow):
         linear_solve([{"x": ONE, "q": ONE}], ["x", "y"])
+
+
+def test_scale_by_one_is_identity():
+    a = UQ.gen("B") * UQ.gen("T") * IW + UQ.gen("K", -2)
+    assert a.scale(ONE) == a
+    t = a.tensor(FQ.gen("v") + FQ.one())
+    assert t.scale(ONE) == t
+    assert a.scale(ZERO).is_zero() and t.scale(ZERO).is_zero()

@@ -1,7 +1,7 @@
 import itertools
 
 from hopfkit.hopf import builtin
-from hopfkit.pairing import act, dual_basis_element, engine, pair, pair_closed
+from hopfkit.pairing import PairEngine, act, dual_basis_element, engine, pair, pair_closed
 from hopfkit.scalars import I, ONE, W, ZERO, scalar
 
 UQ = builtin("uq-g1")
@@ -170,3 +170,20 @@ def test_act_module_algebra_law_on_products():
                     want = want + act(UQ.pres.monomial(m1), a) \
                         * act(UQ.pres.monomial(m2), b) * c
                 assert act(X, a * b) == want, (X, a, b)
+
+
+def test_dual_words_memo(monkeypatch):
+    eng = PairEngine()
+    X = uq("B") * uq("T") + uq("M") * 2 * I
+    words = eng.dual_words(X)
+    rebuilt = {(ls.count("I"), ls.count("K") - ls.count("Kinv"),
+                ls.count("T"), ls.count("N")): c for c, ls in words}
+    assert rebuilt == eng.to_dual.apply(X).terms
+
+    def no_apply(e):
+        raise AssertionError("dual_words converted a memoized element again")
+
+    monkeypatch.setattr(eng.to_dual, "apply", no_apply)
+    again = uq("B") * uq("T") + uq("M") * 2 * I
+    assert eng.dual_words(again) == words
+    assert eng.pair(again, fq("v")) == pair(X, fq("v"))

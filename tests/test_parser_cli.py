@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hopfkit.cli import load_config, main, run_suite
+from hopfkit.cli import _merge, load_config, main, run_suite
 from hopfkit.errors import (
     ConfigError,
     ExprSyntaxError,
@@ -13,6 +13,7 @@ from hopfkit.errors import (
 )
 from hopfkit.hopf import algebra_presentation
 from hopfkit.parser import parse, print_element
+from hopfkit.report import CheckReport
 from hopfkit.scalars import I, ONE, W, scalar
 
 
@@ -165,3 +166,69 @@ def test_cli_induce(capsys):
     assert main(["induce", "--generic", "--corep", "trivial",
                  "--degree", "2"]) == 0
     capsys.readouterr()
+
+
+def test_record_calls_witness_only_on_failure():
+    def never():
+        raise AssertionError("witness built for a passing check")
+
+    rep = CheckReport("s")
+    rep.record("ok", True, witness=never)
+    rep.record("bad", False, witness=lambda: "a | b")
+    rep.record("plain", False, witness="c")
+    rep.record("none", False)
+    assert [c.witness for c in rep.checks] == [None, "a | b", "c",
+                                               "(no witness supplied)"]
+
+
+def test_empty_report_does_not_pass():
+    rep = CheckReport("empty")
+    assert not rep.passed
+    assert rep.to_dict()["status"] == "fail"
+    rep.record("one", True)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "unitarity", "--window", "-3"],
+    ["verify", "hopf-axioms", "--degree", "-1"],
+    ["matrix", "--op", "B", "--window", "-1"],
+    ["homogeneous-space", "--degree", "-2"],
+    ["induce", "--generic", "--degree", "-1"],
+])
+def test_negative_sizes_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_size_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "neg.conf"
+    cfg.write_text("suites = unitarity\nwindow = -3\n")
+    with pytest.raises(ConfigError):
+        load_config(str(cfg))
+    with pytest.raises(ConfigError):
+        run_suite("unitarity", {"window": -3})
+    assert main(["verify", "config", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_out_file_holds_every_report(tmp_path, capsys):
+    out_file = tmp_path / "all.json"
+    cfg = tmp_path / "two.conf"
+    cfg.write_text("suites = jform, intertwiner\nwindow = 1\n")
+    assert main(["verify", "config", "--config", str(cfg),
+                 "--out", str(out_file)]) == 0
+    stdout = capsys.readouterr().out
+    assert out_file.read_text() == stdout
+    suites = [json.loads(chunk)["suite"]
+              for chunk in stdout.replace("}\n{", "}\0{").split("\0")]
+    assert suites == ["jform", "intertwiner"]
+
+
+def test_merge_leaves_its_inputs_alone():
+    rep = CheckReport("s", preset="p")
+    rep.record("a", True)
+    first = _merge([rep], "m", {})
+    second = _merge([rep], "m", {})
+    assert [c.id for c in rep.checks] == ["a"]
+    assert [c.id for c in first.checks] == [c.id for c in second.checks] == ["p::a"]

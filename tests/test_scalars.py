@@ -278,3 +278,41 @@ def test_field_ops_match_sympy_cancel(a, b):
     assert sympy.cancel(_to_sympy(a * b, sympy) - sa * sb) == 0
     if not b.is_zero():
         assert sympy.cancel(_to_sympy(a / b, sympy) - sa / sb) == 0
+
+
+# -- known-answer short-circuits -------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0, 3, Fraction(1, 2), scalars.GR_I])
+def test_one_times_coerced_operand(value):
+    # the operand is coerced before the unit short-circuit returns it
+    assert ONE * value == scalar(value)
+
+
+def test_one_times_zero_and_foreign_types():
+    assert ONE * 0 == ZERO and 0 * ONE == ZERO
+    with pytest.raises(TypeError):
+        ONE * "x"
+    with pytest.raises(TypeError):
+        "x" * ONE
+
+
+@pytest.mark.parametrize("x", [W * M + I, ONE / (W + M), I / (2 * W)])
+def test_unit_and_zero_products(x):
+    assert x * ONE is x
+    assert ONE * x is x
+    for z in (x * ZERO, ZERO * x, x * scalar(0), x * (W - W)):
+        assert z.is_zero() and z == ZERO and z.den is P_ONE
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_parts, gauss_parts, gauss_parts, gauss_parts,
+       st.tuples(*[st.integers(0, 3)] * 3), st.tuples(*[st.integers(0, 3)] * 3))
+def test_single_term_product_matches_general(p, q, r, s, e1, e2):
+    assume((p or q) and (r or s))
+    x, y = Poly({e1: GaussRat(p, q)}), Poly({e2: GaussRat(r, s)})
+    # a second term in y, too high to collide, sends the product through
+    # the general double loop
+    general = x * Poly({e2: GaussRat(r, s), (4, 4, 4): GaussRat(1)})
+    e = tuple(a + b for a, b in zip(e1, e2))
+    assert x * y == Poly({e: general.terms[e]})
