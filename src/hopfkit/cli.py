@@ -17,7 +17,6 @@ from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report
 from .errors import ConfigError, HopfkitError, UnknownSuite
 from .hopf import BUILTIN_NAMES, builtin, verify_hopf
 from .induce import (
-    GalileiVector,
     galilei_rep,
     ind_generic_report,
     intertwiner_report,
@@ -29,6 +28,7 @@ from .induce import (
 from .parser import parse, print_element
 from .pairing import engine, pairing_report
 from .quasiinv import (
+    chi,
     cocycle_check,
     coboundary_vanishing_report,
     essential_invariance_decide,
@@ -262,8 +262,8 @@ def _cmd_matrix(args) -> int:
     basis = list(range(-window, window + 1))
     cols = []
     for l in basis:
-        image = galilei_rep(args.op, GalileiVector.basis(l))
-        cols.append({out: str(c) for out, c in sorted(image.coeffs.items())})
+        image = galilei_rep(args.op, chi(l))
+        cols.append({out: str(c) for (out,), c in image.terms.items()})
     matrix = [[cols[j].get(out, "0") for j in range(len(basis))]
               for out in basis]
     with _open_out(args.out) as out:
@@ -366,9 +366,6 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (ConfigError, UnknownSuite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HopfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

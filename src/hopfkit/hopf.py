@@ -20,15 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
-from .ncalg import AlgebraElement, Morphism, Presentation, as_tensor, tensor_map
+from .ncalg import AlgebraElement, Morphism, Presentation, tensor_map
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, W, ZERO, scalar
 
 IW = I * W  # the deformation parameter
-
-
-def _t2(a, b):
-    return as_tensor(a).tensor(as_tensor(b))
 
 
 class HopfStructure:
@@ -113,7 +109,7 @@ class HopfStructure:
         return self.tau.apply(e)
 
     def is_group_like(self, e):
-        return self.delta.apply(e) == _t2(e, e) and not e.is_zero()
+        return self.delta.apply(e) == e.tensor(e) and not e.is_zero()
 
     def __repr__(self):
         return f"HopfStructure({self.name})"
@@ -270,10 +266,10 @@ def _build_uq():
     Mg, Kg, Kinv, Tg, Bg = p.gen("M"), p.gen("K"), p.gen("K", -1), p.gen("T"), p.gen("B")
     one = p.one()
     delta = [
-        _t2(Mg, Kg) + _t2(Kinv, Mg),
-        _t2(Kg, Kg),
-        _t2(Tg, one) + _t2(one, Tg),
-        _t2(Bg, Kg) + _t2(Kinv, Bg),
+        Mg.tensor(Kg) + Kinv.tensor(Mg),
+        Kg.tensor(Kg),
+        Tg.tensor(one) + one.tensor(Tg),
+        Bg.tensor(Kg) + Kinv.tensor(Bg),
     ]
     eps = [ZERO, ONE, ZERO, ZERO]
     antipode = [-Mg, Kinv, -Tg, -Bg + Mg * IW]
@@ -287,10 +283,10 @@ def _build_fq():
     one = p.one()
     half = scalar(Fraction(1, 2))
     delta = [
-        _t2(mu, one) + _t2(one, mu) + _t2(v, x) + _t2(v * v, t) * half,
-        _t2(x, one) + _t2(one, x) + _t2(v, t),
-        _t2(t, one) + _t2(one, t),
-        _t2(v, one) + _t2(one, v),
+        mu.tensor(one) + one.tensor(mu) + v.tensor(x) + (v * v).tensor(t) * half,
+        x.tensor(one) + one.tensor(x) + v.tensor(t),
+        t.tensor(one) + one.tensor(t),
+        v.tensor(one) + one.tensor(v),
     ]
     eps = [ZERO, ZERO, ZERO, ZERO]
     antipode = [-mu + v * x - (v * v * t) * half, -x + t * v, -t, -v]
@@ -302,7 +298,7 @@ def _build_fqj():
     p = _fqj_presentation()
     gens = [p.gen(g) for g in p.generators]
     one = p.one()
-    delta = [_t2(g, one) + _t2(one, g) for g in gens]  # all primitive
+    delta = [g.tensor(one) + one.tensor(g) for g in gens]  # all primitive
     eps = [ZERO, ZERO, ZERO]
     antipode = [-g for g in gens]
     star = list(gens)  # all real
@@ -330,11 +326,6 @@ def builtin(name: str) -> HopfStructure:
         else:
             raise KeyError(f"no built-in Hopf structure named {name!r}")
     return _CACHE[name]
-
-
-def h0_star(e: AlgebraElement) -> AlgebraElement:
-    """Involution of h0-irr: v0 and v1 are real."""
-    return AlgebraElement(e.pres, {m: c.conjugate() for m, c in e.terms.items()})
 
 
 BUILTIN_NAMES = ("uq-g1", "fq-g1", "fq-j", "h0-irr")

@@ -10,19 +10,22 @@ rho~(X) A = sum X_(1).A_i phi[X_(2)] together with the left sesquilinear
 form <A, B>_L = sum A_i* B_i, which always lands in the homogeneous
 space.  The right case mirrors everything.
 
-The Galilei layer works on vectors supported on the basis {phi chi^l}
-with the opaque prefix phi obeying a single contraction used by forms,
-phi* phi = chi, so (phi chi^l)*(phi chi^n) = chi^(l+n+1).  The closed
-operator table
+The Galilei layer works on vectors sum a_l phi chi^l with the opaque
+prefix phi obeying a single contraction used by forms, phi* phi = chi,
+so (phi chi^l)*(phi chi^n) = chi^(l+n+1).  Such a vector is stored as
+the Laurent element x = sum a_l chi^l of LAURENT and read as phi * x;
+galilei_label prints it on the phi chi^l basis.  The closed operator
+table
 
     K^(+-1): phi chi^l -> phi chi^(l+-1)
     B:       phi chi^l -> iwm (l + 1/2) phi chi^l
     T:       phi chi^l -> phi chi^l (u - (2 - chi - chi^-1)/(2 w^2 m))
     M:       m * id
 
-is implemented directly and cross-checked against the weight-driven
-construction: the module action with B acting diagonally as iwm*l
-reproduces the closed table through rho~(X) A = sum X_(1).A phi[X_(2)].
+is implemented as products in LAURENT (B as a diagonal map) and
+cross-checked against the weight-driven construction: the module action
+with B acting diagonally as iwm*l reproduces the closed table through
+rho~(X) A = sum X_(1).A phi[X_(2)].
 """
 
 from __future__ import annotations
@@ -30,14 +33,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
-from .errors import NotInvertible, SideMismatch
+from .errors import SideMismatch
 from .hopf import builtin
 from .ncalg import AlgebraElement, linear_solve, tensor_map
-from .quasiinv import ChiElement, Weight, galilei_weight, nu_w_functional
+from .quasiinv import (LAURENT, ChiModule, Weight, chi, galilei_weight,
+                       nu_w_functional)
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO, scalar
 
 IWM = I * W * SM
+HALF = scalar(Fraction(1, 2))
+CHI, CHI_INV = chi(1), chi(-1)
+# T acts as right multiplication by u - (2 - chi - chi^-1)/(2 w^2 m)
+T_FACTOR = chi(0, SU) - (chi(0, 2) - CHI - CHI_INV).scale(
+    ONE / (2 * W * W * SM))
 
 
 # -- corepresentations of the quotient ------------------------------------
@@ -62,7 +71,7 @@ class Corepresentation:
                 d = quo.delta.apply(self.matrix[i][j])
                 total = None
                 for k in range(self.n):
-                    piece = _t2(self.matrix[i][k], self.matrix[k][j])
+                    piece = self.matrix[i][k].tensor(self.matrix[k][j])
                     total = piece if total is None else total + piece
                 if d != total:
                     raise ValueError(f"matrix entry ({i},{j}) breaks the coaction")
@@ -78,11 +87,6 @@ class Corepresentation:
                 if quo.tau.apply(self.matrix[i][j]) != self.matrix[j][i]:
                     return False
         return True
-
-
-def _t2(a, b):
-    from .ncalg import as_tensor
-    return as_tensor(a).tensor(as_tensor(b))
 
 
 def trivial_corep(sub: CoisotropicSubgroup, side="right") -> Corepresentation:
@@ -203,16 +207,16 @@ def eq_sesq_defect(A: IndElement, rho: Corepresentation, i: int):
         for (m1, m2), c in d.terms.items():
             e1, e2 = amb.pres.monomial(m1), amb.pres.monomial(m2)
             if A.side == "left":
-                piece = _t2(pi.apply(sinv.apply(e1)) * rho.matrix[i][j],
-                            e2).scale(c)
+                piece = (pi.apply(sinv.apply(e1)) * rho.matrix[i][j]
+                         ).tensor(e2).scale(c)
             else:
-                piece = _t2(e1, rho.matrix[j][i] * pi.apply(sinv.apply(e2))
-                            ).scale(c)
+                piece = e1.tensor(rho.matrix[j][i] * pi.apply(sinv.apply(e2))
+                                  ).scale(c)
             total = piece if total is None else total + piece
     if A.side == "left":
-        rhs = _t2(pi.apply(amb.pres.one()), A.components[i])
+        rhs = pi.apply(amb.pres.one()).tensor(A.components[i])
     else:
-        rhs = _t2(A.components[i], pi.apply(amb.pres.one()))
+        rhs = A.components[i].tensor(pi.apply(amb.pres.one()))
     return total - rhs
 
 
@@ -246,164 +250,99 @@ def lambda_tilde_generic(X: AlgebraElement, A: IndElement, psi: Weight) -> IndEl
 # -- the Galilei representation space --------------------------------------
 
 
-class GalileiVector:
-    """Finitely supported vector on the basis {phi chi^l}.
-
-    The prefix phi is opaque; the only contraction ever used is
-    phi* phi = chi, inside the forms.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {l: c for l, c in (coeffs or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def basis(l, coeff=ONE):
-        return GalileiVector({l: scalar(coeff)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, GalileiVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for l, c in other.coeffs.items():
-            s = out.get(l)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(l, None)
-            else:
-                out[l] = s
-        return GalileiVector(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c):
-        c = scalar(c)
-        return GalileiVector({l: k * c for l, k in self.coeffs.items()})
-
-    def shift(self, d):
-        return GalileiVector({l + d: c for l, c in self.coeffs.items()})
-
-    def times_chi(self, x: ChiElement):
-        """Right action of the Laurent algebra: phi chi^l . chi^n."""
-        out = GalileiVector()
-        for n, cx in x.coeffs.items():
-            out = out + self.shift(n).scale(cx)
-        return out
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for l in sorted(self.coeffs):
-            c = str(self.coeffs[l])
-            mono = f"phi*chi^{l}"
-            bits.append(mono if c == "1" else f"({c})*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<H(m,u): {self}>"
+def galilei_label(A: AlgebraElement) -> str:
+    """The Galilei vector phi * A printed on the basis {phi chi^l}."""
+    if not A.terms:
+        return "0"
+    return " + ".join(f"phi*chi^{l}" if str(c) == "1" else f"({c})*phi*chi^{l}"
+                      for (l,), c in sorted(A.terms.items()))
 
 
-def star_pairing(A: GalileiVector, B: GalileiVector) -> ChiElement:
-    """(sum a_l phi chi^l)* (sum b_n phi chi^n) = sum conj(a_l) b_n chi^(l+n+1)."""
-    out = ChiElement()
-    for l, a in A.coeffs.items():
-        for n, b in B.coeffs.items():
-            out = out + ChiElement.chi(l + n + 1, a.conjugate() * b)
-    return out
+def star_pairing(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
+    """(phi A)* (phi B) = chi conj(A) B."""
+    return CHI * ChiModule().star(A) * B
 
 
-def galilei_rep(name: str, A: GalileiVector) -> GalileiVector:
+def galilei_rep(name: str, A: AlgebraElement) -> AlgebraElement:
     """Closed operator table of the unitarized representation."""
     if name == "K":
-        return A.shift(1)
+        return A * CHI
     if name in ("Kinv", "K^-1"):
-        return A.shift(-1)
+        return A * CHI_INV
     if name == "B":
-        half = scalar(Fraction(1, 2))
-        return GalileiVector({l: c * (IWM * (scalar(l) + half))
-                              for l, c in A.coeffs.items()})
+        return AlgebraElement(LAURENT, {(l,): c * (IWM * (scalar(l) + HALF))
+                                        for (l,), c in A.terms.items()})
     if name == "T":
-        coeff = ONE / (2 * W * W * SM)
-        return (A.scale(SU)
-                - (A.scale(2) - A.shift(1) - A.shift(-1)).scale(coeff))
+        return A * T_FACTOR
     if name == "M":
         return A.scale(SM)
     raise KeyError(f"no Galilei operator named {name!r}")
 
 
-def galilei_rep_element(X: AlgebraElement, A: GalileiVector) -> GalileiVector:
+def galilei_rep_element(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
     """Linear extension of the closed table to uq-g1 elements."""
-    out = GalileiVector()
+    out = LAURENT.zero()
     for (a, s, c, d), coeff in X.terms.items():
         v = A
         for _ in range(d):
             v = galilei_rep("B", v)
         for _ in range(c):
             v = galilei_rep("T", v)
-        v = v.shift(s)
+        v = v * chi(s)
         for _ in range(a):
             v = galilei_rep("M", v)
         out = out + v.scale(coeff)
     return out
 
 
-def galilei_module_action(X: AlgebraElement, A: GalileiVector) -> GalileiVector:
+def galilei_module_action(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
     """The underlying module structure: like the closed table but with B
     acting diagonally as iwm*l (no 1/2 shift); the weight supplies it."""
-    out = GalileiVector()
+    out = LAURENT.zero()
     for (a, s, c, d), coeff in X.terms.items():
         v = A
         for _ in range(d):
-            v = GalileiVector({l: k * (IWM * l) for l, k in v.coeffs.items()
-                               if l != 0})
+            v = AlgebraElement(LAURENT, {(l,): k * (IWM * l)
+                                         for (l,), k in v.terms.items() if l})
         for _ in range(c):
             v = galilei_rep("T", v)
-        v = v.shift(s)
+        v = v * chi(s)
         for _ in range(a):
             v = v.scale(SM)
         out = out + v.scale(coeff)
     return out
 
 
-def rho_from_weight(X: AlgebraElement, A: GalileiVector, phi: Weight) -> GalileiVector:
+def rho_from_weight(X: AlgebraElement, A: AlgebraElement, phi: Weight) -> AlgebraElement:
     """rho~(X) A = sum X_(1).A . phi[X_(2)] on the Galilei space."""
     uq = builtin("uq-g1")
-    out = GalileiVector()
+    out = LAURENT.zero()
     for (m1, m2), c in uq.delta.apply(X).terms.items():
         acted = galilei_module_action(uq.pres.monomial(m1), A)
-        out = out + acted.times_chi(phi.of_mono(m2)).scale(c)
+        out = out + (acted * phi.of_mono(m2)).scale(c)
     return out
 
 
-def minkowski_form(A: GalileiVector, B: GalileiVector) -> Scalar:
+def minkowski_form(A: AlgebraElement, B: AlgebraElement) -> Scalar:
     """<A, B> = nu_w(A* B) = sum conj(a_l) b_{-l-1}."""
     out = ZERO
-    for l, a in A.coeffs.items():
-        b = B.coeffs.get(-l - 1)
+    for (l,), a in A.terms.items():
+        b = B.terms.get((-l - 1,))
         if b is not None:
             out = out + a.conjugate() * b
     return out
 
 
-def j_structure(A: GalileiVector) -> GalileiVector:
+def j_structure(A: AlgebraElement) -> AlgebraElement:
     """j(phi chi^l) = phi chi^(-l-1); linear and involutive."""
-    return GalileiVector({-l - 1: c for l, c in A.coeffs.items()})
+    return AlgebraElement(LAURENT, {(-l - 1,): c for (l,), c in A.terms.items()})
 
 
-def scalar_product(A: GalileiVector, B: GalileiVector) -> Scalar:
+def scalar_product(A: AlgebraElement, B: AlgebraElement) -> Scalar:
     """(phi chi^l, phi chi^n) = delta_{l,n}, extended sesquilinearly."""
     out = ZERO
-    for l, a in A.coeffs.items():
-        b = B.coeffs.get(l)
+    for k, a in A.terms.items():
+        b = B.terms.get(k)
         if b is not None:
             out = out + a.conjugate() * b
     return out
@@ -411,22 +350,19 @@ def scalar_product(A: GalileiVector, B: GalileiVector) -> Scalar:
 
 def equivalence_intertwiner(xi, A):
     """F(A) = A xi, the unitary equivalence between weight-twisted reps."""
-    if isinstance(A, GalileiVector):
-        if not isinstance(xi, ChiElement):
-            raise NotInvertible("Galilei intertwiners take chi elements")
-        xi.inverse()  # raises NotInvertible unless xi is a unit
-        return A.times_chi(xi)
+    xi.inverse()  # raises NotInvertible unless xi is a unit
     if isinstance(A, IndElement):
-        xi.inverse()
         return A.times(xi)
-    raise TypeError(f"cannot intertwine {type(A).__name__}")
+    return A * xi
 
 
 # -- verification suites ----------------------------------------------------
 
 
 def galilei_basis(window):
-    return [GalileiVector.basis(l) for l in range(-window, window + 1)]
+    """(vector, label) pairs for phi chi^l, |l| <= window."""
+    return [(A, galilei_label(A))
+            for A in map(chi, range(-window, window + 1))]
 
 
 def relations_report(window: int = 5) -> CheckReport:
@@ -440,8 +376,7 @@ def relations_report(window: int = 5) -> CheckReport:
     B = lambda A: galilei_rep("B", A)
     T = lambda A: galilei_rep("T", A)
     Mop = lambda A: galilei_rep("M", A)
-    for A in galilei_basis(window):
-        label = str(A)
+    for A, label in galilei_basis(window):
         rep.record(f"KKinv[{label}]", K(Kinv(A)) == A and Kinv(K(A)) == A,
                    law="K K^-1 = 1 = K^-1 K", witness=label)
         lhs = K(B(Kinv(A)))
@@ -463,7 +398,7 @@ def relations_report(window: int = 5) -> CheckReport:
             rep.record(f"weight-consistency[{g}|{label}]",
                        rho_from_weight(X, A, phi) == galilei_rep_element(X, A),
                        law="closed table = sum X_(1).A phi[X_(2)]",
-                       witness=f"{g} on {label}")
+                       witness=lambda: f"{g} on {label}")
     return rep.finalize()
 
 
@@ -474,34 +409,35 @@ def unitarity_report(window: int = 5) -> CheckReport:
     basis = galilei_basis(window)
     ops = ("K", "Kinv", "B", "T", "M")  # all star-fixed
     for g in ops:
-        for A in basis:
-            for Bv in basis:
+        for A, al in basis:
+            for Bv, bl in basis:
                 lhs = minkowski_form(A, galilei_rep(g, Bv))
                 rhs = minkowski_form(galilei_rep(g, A), Bv)
-                rep.record(f"unitary[{g}|{A}|{Bv}]", lhs == rhs,
+                rep.record(f"unitary[{g}|{al}|{bl}]", lhs == rhs,
                            law="<A, rho(X) B> = <rho(X*) A, B>",
-                           witness=f"{g}: {A} | {Bv}")
-    for A in basis:
-        for Bv in basis:
-            rep.record(f"hermitian[{A}|{Bv}]",
+                           witness=lambda: f"{g}: {al} | {bl}")
+    for A, al in basis:
+        for Bv, bl in basis:
+            rep.record(f"hermitian[{al}|{bl}]",
                        minkowski_form(A, Bv) ==
                        minkowski_form(Bv, A).conjugate(),
-                       law="<A, B> = conj(<B, A>)", witness=f"{A} | {Bv}")
+                       law="<A, B> = conj(<B, A>)",
+                       witness=lambda: f"{al} | {bl}")
     return rep.finalize()
 
 
 def jform_report(window: int = 5) -> CheckReport:
     rep = CheckReport("jform", preset="galilei", params={"window": window})
     basis = galilei_basis(window)
-    for A in basis:
-        rep.record(f"j-involutive[{A}]", j_structure(j_structure(A)) == A,
-                   law="j o j = id", witness=str(A))
-        rep.record(f"scalar-diagonal[{A}]", scalar_product(A, A) == ONE,
-                   law="(a, a) = 1 on basis vectors", witness=str(A))
-        for Bv in basis:
-            rep.record(f"jform[{A}|{Bv}]",
+    for A, al in basis:
+        rep.record(f"j-involutive[{al}]", j_structure(j_structure(A)) == A,
+                   law="j o j = id", witness=al)
+        rep.record(f"scalar-diagonal[{al}]", scalar_product(A, A) == ONE,
+                   law="(a, a) = 1 on basis vectors", witness=al)
+        for Bv, bl in basis:
+            rep.record(f"jform[{al}|{bl}]",
                        minkowski_form(A, Bv) == scalar_product(j_structure(A), Bv),
-                       law="<a, b> = (j(a), b)", witness=f"{A} | {Bv}")
+                       law="<a, b> = (j(a), b)", witness=lambda: f"{al} | {bl}")
     return rep.finalize()
 
 
@@ -512,30 +448,33 @@ def intertwiner_report(window: int = 4) -> CheckReport:
     from .quasiinv import transform_weight
     rep = CheckReport("intertwiner", preset="galilei", params={"window": window})
     uq = builtin("uq-g1")
-    xi = ChiElement.chi(1)
+    xi = CHI
     phi2 = galilei_weight()
     phi1 = transform_weight(phi2, xi)
     nu = nu_w_functional()
     xi_inv = xi.inverse()
+    basis = galilei_basis(window)
 
     def F(A):
         return equivalence_intertwiner(xi, A)
 
     for g in ("M", "K", "T", "B"):
         X = uq.pres.gen(g)
-        for A in galilei_basis(window):
+        for A, al in basis:
             lhs = F(rho_from_weight(X, A, phi1))
             rhs = rho_from_weight(X, F(A), phi2)
-            rep.record(f"intertwine[{g}|{A}]", lhs == rhs,
-                       law="F rho_1(X) = rho_2(X) F", witness=f"{g} on {A}")
+            rep.record(f"intertwine[{g}|{al}]", lhs == rhs,
+                       law="F rho_1(X) = rho_2(X) F",
+                       witness=lambda: f"{g} on {al}")
     # h2(a) = h1((xi^-1)* a xi^-1) pulls the twisted form back to Minkowski
     h2 = nu.conjugated_by(xi_inv)
-    for A in galilei_basis(window):
-        for Bv in galilei_basis(window):
+    for A, al in basis:
+        for Bv, bl in basis:
             lhs = h2(star_pairing(F(A), F(Bv)))
-            rep.record(f"form-transport[{A}|{Bv}]",
+            rep.record(f"form-transport[{al}|{bl}]",
                        lhs == minkowski_form(A, Bv),
-                       law="<FA, FB>_2 = <A, B>", witness=f"{A} | {Bv}")
+                       law="<FA, FB>_2 = <A, B>",
+                       witness=lambda: f"{al} | {bl}")
     return rep.finalize()
 
 

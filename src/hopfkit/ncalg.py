@@ -270,7 +270,60 @@ class Presentation:
         return f"Presentation({self.name})"
 
 
-class AlgebraElement:
+class _Combination:
+    """Finite Scalar-linear combination of basis keys in one space.
+
+    The linear operations live here once.  A subclass stores `terms`
+    (key -> nonzero Scalar) beside its space tag, and supplies `_like`
+    (an element of the same space with the given terms), `_unit_key`,
+    `_check_same`, its product and its printing.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, _Combination):
+            other = self._like({self._unit_key(): ONE}).scale(other)
+        self._check_same(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            s = terms.get(key)
+            s = c if s is None else s + c
+            if s.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = scalar(c)
+        if c is ONE:
+            # elements are never mutated, so the unscaled one can be shared
+            return self
+        if c.is_zero():
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        # scalars commute with everything; true elements use __mul__
+        return self.scale(other)
+
+
+class AlgebraElement(_Combination):
     """Finite Scalar-linear combination of normal monomials."""
 
     __slots__ = ("pres", "terms")
@@ -279,8 +332,11 @@ class AlgebraElement:
         self.pres = pres
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return AlgebraElement(self.pres, terms)
+
+    def _unit_key(self):
+        return self.pres.one_mon
 
     def __bool__(self):
         return bool(self.terms)
@@ -298,40 +354,6 @@ class AlgebraElement:
             raise PresentationMismatch(
                 f"{self.pres.name} element combined with {other.pres.name}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.pres.one() * other
-        self._check_same(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = terms.get(mon)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(mon, None)
-            else:
-                terms[mon] = s
-        return AlgebraElement(self.pres, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, AlgebraElement) else -scalar(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return AlgebraElement(self.pres, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        c = scalar(c)
-        if c is ONE:
-            # elements are never mutated, so the unscaled one can be shared
-            return self
-        if c.is_zero():
-            return AlgebraElement(self.pres, {})
-        return AlgebraElement(self.pres, {m: k * c for m, k in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
@@ -347,10 +369,6 @@ class AlgebraElement:
                         else:
                             out[mon] = s
             return AlgebraElement(self.pres, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything; true elements use __mul__
         return self.scale(other)
 
     def __pow__(self, n):
@@ -395,7 +413,7 @@ def as_tensor(e):
     return TensorElement((e.pres,), {(m,): c for m, c in e.terms.items()})
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Finite linear combination of k-tuples of normal monomials."""
 
     __slots__ = ("spaces", "terms")
@@ -403,6 +421,12 @@ class TensorElement:
     def __init__(self, spaces, terms):
         self.spaces = tuple(spaces)
         self.terms = terms
+
+    def _like(self, terms):
+        return TensorElement(self.spaces, terms)
+
+    def _unit_key(self):
+        return tuple(p.one_mon for p in self.spaces)
 
     @staticmethod
     def one(spaces):
@@ -413,9 +437,6 @@ class TensorElement:
     def rank(self):
         return len(self.spaces)
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -424,32 +445,6 @@ class TensorElement:
     def _check_same(self, other):
         if self.spaces != other.spaces:
             raise PresentationMismatch("tensor slot presentations differ")
-
-    def __add__(self, other):
-        self._check_same(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return TensorElement(self.spaces, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.spaces, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = scalar(c)
-        if c is ONE:
-            return self
-        if c.is_zero():
-            return TensorElement(self.spaces, {})
-        return TensorElement(self.spaces, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -463,9 +458,6 @@ class TensorElement:
                          for s in range(len(self.spaces))]
                 _expand_slots(out, base, slots)
         return TensorElement(self.spaces, _strip_zeros(out))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def inverse(self):
         if len(self.terms) != 1:

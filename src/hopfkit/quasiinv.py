@@ -1,7 +1,7 @@
 """Quasi-invariant functionals, weight cocycles and the d0/d1 cohomology.
 
-The flagship instance: nu_w on the Laurent algebra spanned by {chi^l},
-quasi-invariant for the weight
+The flagship instance: nu_w on the Laurent algebra LAURENT, spanned by
+{chi^l}, quasi-invariant for the weight
 
     phi[X] = eps(X) + sum_{n>=1} c_n <X, v^n> chi^n,
     c_n = (wm/2)^n (2n-1)!!/n!,
@@ -9,21 +9,25 @@ quasi-invariant for the weight
 but not essentially invariant: the B-row of the coboundary system forces
 a_l (l - 1/2) = 0 for every l, so no invertible xi exists.
 
-Everything is phrased over a module *-algebra wrapper so the same check
-code drives three targets: the chi-basis algebra, its fraction field
-(needed for d1 d0 = 0 at non-invertible xi), and the v-polynomial
-homogeneous space inside fq-g1 with the regular action.  Left and right
-checks share code paths; the right fixture mirrors the action table.
+LAURENT is one more Presentation (a single invertible generator chi and
+no rules), so its elements are AlgebraElements and share the engine's
+arithmetic and product cache.  Everything is phrased over a module
+*-algebra wrapper so the same check code drives three targets: LAURENT,
+its fraction field (needed for d1 d0 = 0 at non-invertible xi), and the
+v-polynomial homogeneous space inside fq-g1 with the regular action.
+Left and right checks share code paths; the right fixture mirrors the
+action table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotGroupLike, NotInvertible, NotTauReal, StarUndefined
-from .hopf import builtin
-from .ncalg import AlgebraElement
+from .hopf import algebra_presentation, builtin
+from .ncalg import AlgebraElement, Morphism, Presentation
 from .pairing import engine as pairing_engine
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, W, ZERO, scalar
@@ -31,145 +35,42 @@ from .scalars import I, M as SM, ONE, Scalar, W, ZERO, scalar
 IWM = I * W * SM
 
 
-# -- the chi-basis Laurent algebra ---------------------------------------
+# -- the Laurent algebra in chi -------------------------------------------
+
+LAURENT = Presentation("chi", ("chi",), (True,), {})
 
 
-class ChiElement:
-    """Finitely supported map l -> Scalar over the basis {chi^l}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {l: c for l, c in (coeffs or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def chi(l=1, coeff=ONE):
-        return ChiElement({l: scalar(coeff)})
-
-    @staticmethod
-    def one():
-        return ChiElement({0: ONE})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, ChiElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for l, c in other.coeffs.items():
-            s = out.get(l)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(l, None)
-            else:
-                out[l] = s
-        return ChiElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ChiElement({l: -c for l, c in self.coeffs.items()})
-
-    def scale(self, c):
-        c = scalar(c)
-        if c.is_zero():
-            return ChiElement()
-        return ChiElement({l: k * c for l, k in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, ChiElement):
-            return self.scale(other)
-        out = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                l = l1 + l2
-                s = out.get(l)
-                s = c1 * c2 if s is None else s + c1 * c2
-                out[l] = s
-        return ChiElement(out)
-
-    __rmul__ = scale
-
-    def star(self):
-        # chi is real: conjugate coefficients only
-        return ChiElement({l: c.conjugate() for l, c in self.coeffs.items()})
-
-    def inverse(self):
-        if len(self.coeffs) != 1:
-            raise NotInvertible(
-                "only chi-monomials are invertible in the Laurent algebra")
-        (l, c), = self.coeffs.items()
-        return ChiElement({-l: ONE / c})
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for l in sorted(self.coeffs):
-            c = str(self.coeffs[l])
-            mono = "1" if l == 0 else ("chi" if l == 1 else f"chi^{l}")
-            if mono == "1":
-                bits.append(f"({c})" if (" " in c) else c)
-            elif c == "1":
-                bits.append(mono)
-            else:
-                bits.append(f"({c})*{mono}" if (" " in c) else f"{c}*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<chi: {self}>"
+def chi(l=1, coeff=ONE) -> AlgebraElement:
+    """The element coeff * chi^l of LAURENT."""
+    return LAURENT.monomial((l,)).scale(coeff)
 
 
-def chi_from_h0(e: AlgebraElement) -> ChiElement:
-    """Convert a v0/v1 polynomial to the chi basis.
-
-    v1 = (chi - 1)/(wm) and v0 = (1 - chi^-1)/(wm), so
-    v1^n -> ((chi - 1)/(wm))^n and v0^n -> ((1 - chi^-1)/(wm))^n.
-    """
+@functools.cache
+def _h0_to_chi() -> Morphism:
+    # v0 = (1 - chi^-1)/(wm) and v1 = (chi - 1)/(wm); the construction
+    # checks the h0-irr relation w m v0 v1 = v1 - v0 on these images
     wm_inv = ONE / (W * SM)
-    v0_chi = (ChiElement.one() - ChiElement.chi(-1)).scale(wm_inv)
-    v1_chi = (ChiElement.chi(1) - ChiElement.one()).scale(wm_inv)
-    out = ChiElement()
-    for (a0, a1), c in e.terms.items():
-        term = ChiElement.one()
-        for _ in range(a0):
-            term = term * v0_chi
-        for _ in range(a1):
-            term = term * v1_chi
-        out = out + term.scale(c)
-    return out
+    return Morphism(algebra_presentation("h0-irr"),
+                    [(LAURENT.one() - chi(-1)).scale(wm_inv),
+                     (chi(1) - LAURENT.one()).scale(wm_inv)],
+                    name="chi_from_h0")
 
 
-def chi_to_h0(x: ChiElement) -> AlgebraElement:
+def chi_from_h0(e: AlgebraElement) -> AlgebraElement:
+    """Convert a v0/v1 polynomial to the chi basis."""
+    return _h0_to_chi().apply(e)
+
+
+def chi_to_h0(x: AlgebraElement) -> AlgebraElement:
     """Inverse conversion: chi^l = (1 + wm v1)^l, chi^-l = (1 - wm v0)^l."""
-    h0 = builtin_h0()
+    h0 = algebra_presentation("h0-irr")
     wm = W * SM
     chi_pos = h0.one() + h0.gen("v1") * wm
     chi_neg = h0.one() - h0.gen("v0") * wm
     out = h0.zero()
-    for l, c in x.coeffs.items():
-        base = chi_pos if l >= 0 else chi_neg
-        term = h0.one()
-        for _ in range(abs(l)):
-            term = term * base
-        out = out + term * c
+    for (l,), c in x.terms.items():
+        out = out + (chi_pos if l >= 0 else chi_neg) ** abs(l) * c
     return out
-
-
-def builtin_h0():
-    from .hopf import algebra_presentation
-    return algebra_presentation("h0-irr")
 
 
 # -- fraction field of the chi algebra -----------------------------------
@@ -196,17 +97,20 @@ def _divmod_poly(a: dict, b: dict):
     return q, a
 
 
-def _laurent_gcd(x: ChiElement, y: ChiElement) -> ChiElement:
+def _shifted(x: AlgebraElement, d: int) -> dict:
+    """The terms of x * chi^d as a dict exp -> Scalar."""
+    return {l + d: c for (l,), c in x.terms.items()}
+
+
+def _laurent_gcd(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Monic gcd, ignoring chi-power units."""
-    def to_poly(e):
-        lo = min(e.coeffs)
-        return {l - lo: c for l, c in e.coeffs.items()}
-    a, b = to_poly(x), to_poly(y)
+    a = _shifted(x, -min(x.terms)[0])
+    b = _shifted(y, -min(y.terms)[0])
     while b:
         _, r = _divmod_poly(a, b)
         a, b = b, r
     lead = a[max(a)]
-    return ChiElement({l: c / lead for l, c in a.items()})
+    return AlgebraElement(LAURENT, {(l,): c / lead for l, c in a.items()})
 
 
 class ChiFraction:
@@ -218,37 +122,38 @@ class ChiFraction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ChiElement, den: ChiElement | None = None,
+    def __init__(self, num: AlgebraElement, den: AlgebraElement | None = None,
                  _reduced=False):
         if den is None:
-            den = ChiElement.one()
+            den = LAURENT.one()
         if _reduced:
             self.num, self.den = num, den
             return
         if den.is_zero():
             raise NotInvertible("zero denominator in the chi fraction field")
         if num.is_zero():
-            self.num, self.den = ChiElement(), ChiElement.one()
+            self.num, self.den = LAURENT.zero(), LAURENT.one()
             return
-        if len(den.coeffs) > 1 and len(num.coeffs) >= 1:
+        if len(den.terms) > 1 and len(num.terms) >= 1:
             g = _laurent_gcd(num, den)
-            if len(g.coeffs) > 1:
+            if len(g.terms) > 1:
                 num = _exact_chi_div(num, g)
                 den = _exact_chi_div(den, g)
         # strip the chi-power unit and make the denominator monic
-        lo = min(den.coeffs)
-        top = den.coeffs[max(den.coeffs)]
-        den = ChiElement({l - lo: c / top for l, c in den.coeffs.items()})
-        num = ChiElement({l - lo: c / top for l, c in num.coeffs.items()})
-        self.num, self.den = num, den
+        (lo,), hi = min(den.terms), max(den.terms)
+        top = den.terms[hi]
+        self.num = AlgebraElement(LAURENT, {(l - lo,): c / top
+                                            for (l,), c in num.terms.items()})
+        self.den = AlgebraElement(LAURENT, {(l - lo,): c / top
+                                            for (l,), c in den.terms.items()})
 
     @staticmethod
-    def from_chi(e: ChiElement):
+    def from_chi(e: AlgebraElement):
         return ChiFraction(e)
 
     @staticmethod
     def one():
-        return ChiFraction(ChiElement.one())
+        return ChiFraction(LAURENT.one())
 
     def is_zero(self):
         return self.num.is_zero()
@@ -282,7 +187,7 @@ class ChiFraction:
         return ChiFraction(self.den, self.num)
 
     def __str__(self):
-        if self.den == ChiElement.one():
+        if self.den == LAURENT.one():
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -290,13 +195,13 @@ class ChiFraction:
         return f"<chi-frac: {self}>"
 
 
-def _exact_chi_div(e: ChiElement, g: ChiElement) -> ChiElement:
-    lo_e, lo_g = min(e.coeffs), min(g.coeffs)
-    q, r = _divmod_poly({l - lo_e: c for l, c in e.coeffs.items()},
-                        {l - lo_g: c for l, c in g.coeffs.items()})
+def _exact_chi_div(e: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    (lo_e,), (lo_g,) = min(e.terms), min(g.terms)
+    q, r = _divmod_poly(_shifted(e, -lo_e), _shifted(g, -lo_g))
     if r:
         raise ArithmeticError("non-exact chi division")
-    return ChiElement({l + lo_e - lo_g: c for l, c in q.items()})
+    return AlgebraElement(LAURENT, {(l + lo_e - lo_g,): c
+                                    for l, c in q.items()})
 
 
 # -- module *-algebra wrappers -------------------------------------------
@@ -313,16 +218,18 @@ class ChiModule:
     name = "h0-irr"
 
     def one(self):
-        return ChiElement.one()
+        return LAURENT.one()
 
     def zero(self):
-        return ChiElement()
+        return LAURENT.zero()
 
     def mul(self, f, g):
         return f * g
 
     def star(self, f):
-        return f.star()
+        # chi is real: conjugate coefficients only
+        return AlgebraElement(LAURENT, {k: c.conjugate()
+                                        for k, c in f.terms.items()})
 
     def invert(self, f):
         return f.inverse()
@@ -330,20 +237,20 @@ class ChiModule:
     def act_mono(self, umon, f, side="left"):
         a, _ell, c, d = umon
         if a or c:
-            return ChiElement()
+            return LAURENT.zero()
         for _ in range(d):
-            f = ChiElement({l + 1: k * (IWM * l)
-                            for l, k in f.coeffs.items() if l != 0})
+            f = AlgebraElement(LAURENT, {(l + 1,): k * (IWM * l)
+                                         for (l,), k in f.terms.items() if l})
         return f
 
     def act(self, X: AlgebraElement, f, side="left"):
-        out = ChiElement()
+        out = self.zero()
         for mon, c in X.terms.items():
             out = out + self.act_mono(mon, f, side).scale(c)
         return out
 
     def basis(self, window):
-        return [ChiElement.chi(l) for l in range(-window, window + 1)]
+        return [chi(l) for l in range(-window, window + 1)]
 
 
 class ChiFractionModule(ChiModule):
@@ -355,7 +262,7 @@ class ChiFractionModule(ChiModule):
         return ChiFraction.one()
 
     def zero(self):
-        return ChiFraction(ChiElement())
+        return ChiFraction(LAURENT.zero())
 
     def star(self, f):
         raise StarUndefined("no involution on the fraction-field target")
@@ -370,12 +277,6 @@ class ChiFractionModule(ChiModule):
             den_d = base.act_mono((0, 0, 0, 1), f.den)
             f = ChiFraction(num_d * f.den - f.num * den_d, f.den * f.den)
         return f
-
-    def act(self, X, f, side="left"):
-        out = self.zero()
-        for mon, c in X.terms.items():
-            out = out + self.act_mono(mon, f, side).scale(c)
-        return out
 
 
 class RegularModule:
@@ -474,14 +375,14 @@ class Weight:
 
 def nu_w_functional() -> Functional:
     return Functional("nu_w", ChiModule(),
-                      lambda a: a.coeffs.get(0, ZERO))
+                      lambda a: a.terms.get((0,), ZERO))
 
 
 def nu_w(a) -> Scalar:
     """nu_w(chi^l) = delta_{l,0}; v0/v1 polynomials convert first."""
-    if isinstance(a, AlgebraElement):
+    if a.pres is not LAURENT:
         a = chi_from_h0(a)
-    return a.coeffs.get(0, ZERO)
+    return a.terms.get((0,), ZERO)
 
 
 def weight_coefficient(n: int) -> Scalar:
@@ -495,17 +396,17 @@ def weight_coefficient(n: int) -> Scalar:
     return (W * SM * scalar(Fraction(1, 2))) ** n * scalar(Fraction(dfac, fac))
 
 
-def galilei_weight_of(X: AlgebraElement) -> ChiElement:
+def galilei_weight_of(X: AlgebraElement) -> AlgebraElement:
     """phi[X] = eps(X) + sum c_n <X, v^n> chi^n (a finite sum)."""
     uq = builtin("uq-g1")
     eng = pairing_engine()
     fqp = builtin("fq-g1").pres
-    out = ChiElement({0: uq.epsilon.apply(X)})
+    out = chi(0, uq.epsilon.apply(X))
     for n in range(1, eng.n_degree(X) + 1):
         vn = fqp.monomial((0, 0, 0, n))
         val = eng.pair(X, vn)
         if not val.is_zero():
-            out = out + ChiElement.chi(n, weight_coefficient(n) * val)
+            out = out + chi(n, weight_coefficient(n) * val)
     return out
 
 
@@ -538,7 +439,7 @@ def transform_weight(phi: Weight, xi) -> Weight:
 def coboundary_weight(xi, module=None) -> Weight:
     """d0(xi)[X] = X.xi xi^-1, over the fraction field by default."""
     module = module or ChiFractionModule()
-    if isinstance(xi, ChiElement):
+    if isinstance(xi, AlgebraElement):
         xi = ChiFraction.from_chi(xi)
     xi_inv = xi.inverse()
 
@@ -665,7 +566,7 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
 @dataclass
 class EssentialInvarianceResult:
     status: str  # "coboundary" | "refuted"
-    xi: ChiElement | None
+    xi: AlgebraElement | None
     solution_dim: int
     certificate: list = field(default_factory=list)
 
@@ -687,10 +588,10 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
     for gi, g in enumerate(gens):
         phig = phi(g)
         for l in unknowns:
-            lhs = m.act(g, ChiElement.chi(l))  # X.chi^l
-            rhs = phig * ChiElement.chi(l)
+            lhs = m.act(g, chi(l))  # X.chi^l
+            rhs = phig * chi(l)
             diff = lhs - rhs
-            for out_exp, c in diff.coeffs.items():
+            for (out_exp,), c in diff.terms.items():
                 rows.setdefault((gi, out_exp), {})[l] = c
     basis = linear_solve(rows.values(), unknowns)
     dim = len(basis)
@@ -698,7 +599,7 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
         live = {l: c for l, c in vec.items() if not c.is_zero()}
         if len(live) == 1:
             (l, c), = live.items()
-            return EssentialInvarianceResult("coboundary", ChiElement({l: c}), dim)
+            return EssentialInvarianceResult("coboundary", chi(l, c), dim)
     cert = []
     for (gi, out_exp), row in sorted(rows.items()):
         if row:
@@ -752,8 +653,7 @@ def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
     uq = builtin("uq-g1")
     frac = ChiFractionModule()
     if samples is None:
-        samples = [ChiElement.chi(1), ChiElement.chi(-2),
-                   ChiElement.one() + ChiElement.chi(1)]
+        samples = [chi(1), chi(-2), LAURENT.one() + chi(1)]
     rep = CheckReport("cohomology-d1d0", params={"degree": degree})
     window = uq.pres.monomials_up_to(degree)
     for xi in samples:

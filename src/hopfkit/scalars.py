@@ -75,40 +75,54 @@ class GaussRat:
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
+    # A binary operator reads the other operand's fields without a type
+    # test; an operand that has none gets NotImplemented, so that its own
+    # reflected operator (Scalar.__radd__ and the like) can answer.
+
     def __add__(self, other):
         d = self.d
-        if d == other.d:
-            return _reduce(self.a + other.a, self.b + other.b, d)
-        e = other.d
-        return _reduce(self.a * e + other.a * d, self.b * e + other.b * d,
-                       d * e)
+        try:
+            c, e, f = other.a, other.b, other.d
+        except AttributeError:
+            return NotImplemented
+        if d == f:
+            return _reduce(self.a + c, self.b + e, d)
+        return _reduce(self.a * f + c * d, self.b * f + e * d, d * f)
 
     def __sub__(self, other):
         d = self.d
-        if d == other.d:
-            return _reduce(self.a - other.a, self.b - other.b, d)
-        e = other.d
-        return _reduce(self.a * e - other.a * d, self.b * e - other.b * d,
-                       d * e)
+        try:
+            c, e, f = other.a, other.b, other.d
+        except AttributeError:
+            return NotImplemented
+        if d == f:
+            return _reduce(self.a - c, self.b - e, d)
+        return _reduce(self.a * f - c * d, self.b * f - e * d, d * f)
 
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         a, b = self.a, self.b
-        c, e = other.a, other.b
+        try:
+            c, e, f = other.a, other.b, other.d
+        except AttributeError:
+            return NotImplemented
         if not b:
-            return _reduce(a * c, a * e, self.d * other.d)
+            return _reduce(a * c, a * e, self.d * f)
         if not e:
-            return _reduce(a * c, b * c, self.d * other.d)
-        return _reduce(a * c - b * e, a * e + b * c, self.d * other.d)
+            return _reduce(a * c, b * c, self.d * f)
+        return _reduce(a * c - b * e, a * e + b * c, self.d * f)
 
     def __truediv__(self, other):
-        if not other:
+        try:
+            c, e, f = other.a, other.b, other.d
+        except AttributeError:
+            return NotImplemented
+        if not (c or e):
             raise DivisionByZero("division by zero Gaussian rational")
         # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
-        a, b, f = self.a, self.b, other.d
-        c, e = other.a, other.b
+        a, b = self.a, self.b
         return _reduce((a * c + b * e) * f, (b * c - a * e) * f,
                        self.d * (c * c + e * e))
 

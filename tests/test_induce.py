@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfkit.coiso import galilei_subgroup, homogeneous_space
 from hopfkit.errors import NotInvertible, SideMismatch
 from hopfkit.hopf import builtin
+from hopfkit.ncalg import AlgebraElement
 from hopfkit.induce import (
-    GalileiVector,
     IndElement,
     eq_sesq_defect,
     equivalence_intertwiner,
@@ -28,7 +29,7 @@ from hopfkit.induce import (
     trivial_corep,
     unitarity_report,
 )
-from hopfkit.quasiinv import ChiElement, galilei_weight
+from hopfkit.quasiinv import LAURENT, chi, galilei_weight
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 SUB = galilei_subgroup()
@@ -37,7 +38,7 @@ IWM = I * W * M
 
 
 def gv(l, c=ONE):
-    return GalileiVector.basis(l, c)
+    return chi(l, c)
 
 
 def test_rep_of_b_at_zero():
@@ -49,6 +50,22 @@ def test_rep_of_t_at_zero():
     coeff = ONE / (2 * W * W * M)
     expected = (gv(0, U) - gv(0, 2 * coeff) + gv(1, coeff) + gv(-1, coeff))
     assert got == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.integers(-4, 4),
+                       st.sampled_from([ONE, -I, I / (2 * W), ONE / (W * M), U]),
+                       max_size=5))
+def test_rep_of_t_matches_termwise_formula(coeffs):
+    # T A = A u - (2A - A chi - A chi^-1)/(2 w^2 m), term by term
+    A = AlgebraElement(LAURENT, {(l,): c for l, c in coeffs.items()})
+    k = ONE / (2 * W * W * M)
+    out = {}
+    for l, a in coeffs.items():
+        for n, c in ((l, a * U - 2 * a * k), (l + 1, a * k), (l - 1, a * k)):
+            out[n] = out.get(n, ZERO) + c
+    expected = {(n,): c for n, c in out.items() if not c.is_zero()}
+    assert galilei_rep("T", A).terms == expected
 
 
 def test_bt_commutator_closed_form():
@@ -94,15 +111,15 @@ def test_j_structure():
 
 
 def test_star_pairing_contraction():
-    assert star_pairing(gv(2), gv(0)) == ChiElement.chi(3)
-    assert star_pairing(gv(0, I), gv(0)) == ChiElement.chi(1, -I)
+    assert star_pairing(gv(2), gv(0)) == chi(3)
+    assert star_pairing(gv(0, I), gv(0)) == chi(1, -I)
 
 
 def test_intertwiner_shifts():
-    xi = ChiElement.chi(1)
+    xi = chi(1)
     assert equivalence_intertwiner(xi, gv(3)) == gv(4)
     with pytest.raises(NotInvertible):
-        equivalence_intertwiner(ChiElement.one() + xi, gv(0))
+        equivalence_intertwiner(LAURENT.one() + xi, gv(0))
 
 
 def test_trivial_corep_and_ind_space():

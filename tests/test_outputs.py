@@ -1,7 +1,8 @@
 """Byte-identity of the CLI reports.
 
 The sha256 of the stdout of `hopfkit verify <suite>` for every suite,
-with the `generated_at` line removed and `hopf-axioms` at --degree 3.
+with the `generated_at` line removed and `hopf-axioms` at --degree 3,
+and of `hopfkit matrix --op <op> --window 3` for every Galilei operator.
 The digests pin check ids, statuses, witnesses and the printed scalars
 exactly, so a change meant only to make the engine faster must leave
 them as they are.  A change that alters a report on purpose updates the
@@ -36,6 +37,15 @@ def test_every_suite_is_pinned():
     assert sorted(DIGESTS) == sorted(SUITES)
 
 
+MATRIX_DIGESTS = {
+    "K": "9e4af06b3dbe9a3d4d825eaf8d367feabaaed414399f11958c94d073edfb77fc",
+    "Kinv": "101d99bc0cbe80d3ada76ef11235ae78d59bdb9f4eaa4585e3a3703c8da2f76f",
+    "B": "4c50e825a2862b5b73fd0b0f5e6a215217df1c701bef7aadab0baf996bb66125",
+    "T": "d451064bd0eb7d92b88e1791463e98fb72a9efc9c49ffde0237cc2e969d5c4ad",
+    "M": "4b340b5a6e94d678017ae9f6185e08c36e35fa55d839a1a9a0e161704fab4e90",
+}
+
+
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_verify_stdout_digest(suite, capsys):
     argv = ["verify", suite] + (["--degree", "3"] if suite == "hopf-axioms" else [])
@@ -44,3 +54,12 @@ def test_verify_stdout_digest(suite, capsys):
     text = "".join(line for line in out.splitlines(keepends=True)
                    if '"generated_at"' not in line)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[suite]
+
+
+@pytest.mark.parametrize("op", sorted(MATRIX_DIGESTS))
+def test_matrix_stdout_digest(op, capsys):
+    assert main(["matrix", "--op", op, "--window", "3"]) == 0
+    out = capsys.readouterr().out
+    text = "".join(line for line in out.splitlines(keepends=True)
+                   if '"generated_at"' not in line)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_DIGESTS[op]

@@ -316,3 +316,23 @@ def test_single_term_product_matches_general(p, q, r, s, e1, e2):
     general = x * Poly({e2: GaussRat(r, s), (4, 4, 4): GaussRat(1)})
     e = tuple(a + b for a, b in zip(e1, e2))
     assert x * y == Poly({e: general.terms[e]})
+
+
+# -- GaussRat against a Scalar operand --------------------------------------
+
+
+@pytest.mark.parametrize("s", [ONE, W * M + I, I / (2 * W)])
+def test_gauss_rat_defers_to_scalar_operand(s):
+    g = scalars.GR_I
+    assert g * s == s * g
+    assert g + s == s + g
+    assert g - s == -(s - g)
+    assert (g / s) * (s / g) == ONE
+    assert g / ONE == scalar(g)
+
+
+def test_gauss_rat_foreign_operand_is_a_type_error():
+    with pytest.raises(TypeError):
+        scalars.GR_I * "x"
+    with pytest.raises(TypeError):
+        scalars.GR_I + "x"
