@@ -12,6 +12,15 @@ strictly smaller than its left-hand side under the word order
 (non-invertible degree, then inversion count, then a lexicographic tail).
 Local confluence is checked by reducing every overlap word l1*l2*l3 in
 two orders and comparing the results.
+
+Confluence makes the normal form of a word independent of the order of
+its reductions (Bergman's diamond lemma), so products and morphism
+images are built one letter at a time from cached shorter ones: a cold
+monomial product m1*m2 is L*(rest*m2) with L the first letter of m1, and
+a cold image phi(prefix*L) is phi(prefix)*phi(L), or phi(L)*phi(prefix)
+for an anti-homomorphism.  Only a single letter times a normal monomial
+is rewritten as a word, besides element() and the build-time checks.
+A rule that only swaps its two letters swaps whole powers in one step.
 """
 
 from __future__ import annotations
@@ -64,6 +73,11 @@ class Presentation:
         self.rules = {k: tuple((scalar(c), tuple(w)) for c, w in rhs)
                       for k, rhs in rules.items()}
         self.one_mon = (0,) * len(self.generators)
+        # pairs whose rule only swaps the two letters: g^a h^b -> h^b g^a
+        # follows from it by a*b steps, so one step swaps whole powers
+        self._swaps = {(gl, sl, gr, sr) for (gl, sl, gr, sr), rhs
+                       in self.rules.items()
+                       if rhs == ((ONE, ((gr, sr), (gl, sl))),)}
         self._prod_cache = {}
         if check:
             self._check_complete()
@@ -134,6 +148,8 @@ class Presentation:
             return [(coeff, merged)]
         s1 = 1 if e1 > 0 else -1
         s2 = 1 if e2 > 0 else -1
+        if (g1, s1, g2, s2) in self._swaps:
+            return [(coeff, word[:p] + ((g2, e2), (g1, e1)) + word[p + 2:])]
         rhs = self.rules.get((g1, s1, g2, s2))
         if rhs is None:
             raise IncompleteRewriteSystem(
@@ -229,13 +245,45 @@ class Presentation:
             raise UnknownGenerator(f"bad exponent vector for {self.name}")
         return AlgebraElement(self, {tuple(mon): ONE})
 
+    def _gen_mon(self, g, e):
+        """The normal monomial g^e of a single generator index g."""
+        one = self.one_mon
+        return one[:g] + (e,) + one[g + 1:]
+
     def mono_product(self, m1, m2):
-        key = (m1, m2)
-        hit = self._prod_cache.get(key)
-        if hit is None:
-            word = self.mon_to_word(m1) + self.mon_to_word(m2)
-            hit = AlgebraElement(self, self._normalize_terms([(ONE, word)]))
-            self._prod_cache[key] = hit
+        """Normal form of m1*m2, built one letter of m1 at a time.
+
+        With L the first letter of m1 = L*rest, m1*m2 = L*(rest*m2).  First
+        letters are peeled until the product of the suffix left with m2 is
+        cached, or the suffix is the single letter L, whose product L*m2 is
+        rewritten.  The letters are then put back one at a time, each as L
+        times the element built so far, and every suffix product is cached
+        on the way.  The rules are confluent, so this is the normal form of
+        the word m1 m2.
+        """
+        cache = self._prod_cache
+        hit = cache.get((m1, m2))
+        if hit is not None:
+            return hit
+        if m1 == self.one_mon:
+            return AlgebraElement(self, {m2: ONE})
+        peeled = []  # (first letter, the suffix it starts), outermost first
+        rest = m1
+        while hit is None:
+            g = next(k for k, e in enumerate(rest) if e)
+            s = 1 if rest[g] > 0 else -1
+            letter = self._gen_mon(g, s)
+            if rest == letter:
+                word = ((g, s),) + self.mon_to_word(m2)
+                hit = AlgebraElement(self, self._normalize_terms([(ONE, word)]))
+                cache[(rest, m2)] = hit
+                break
+            peeled.append((letter, rest))
+            rest = rest[:g] + (rest[g] - s,) + rest[g + 1:]
+            hit = cache.get((rest, m2))
+        for letter, suffix in reversed(peeled):
+            hit = AlgebraElement(self, {letter: ONE}) * hit
+            cache[(suffix, m2)] = hit
         return hit
 
     def mono_inverse(self, mon):
@@ -287,6 +335,9 @@ class _Combination:
     def __add__(self, other):
         if not isinstance(other, _Combination):
             other = self._like({self._unit_key(): ONE}).scale(other)
+        elif type(other) is not type(self):
+            raise PresentationMismatch(
+                f"{type(self).__name__} combined with {type(other).__name__}")
         self._check_same(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
@@ -522,8 +573,8 @@ class Morphism:
       "antihom"  anti-homomorphism (reverses words)
     and conjugate=True makes it conjugate-linear.  Images may live in an
     algebra, a tensor square, or the scalars; invertible generators need
-    invertible images.  Construction verifies that the images of all
-    defining relations vanish.
+    invertible images, which are inverted on construction.  Construction
+    verifies that the images of all defining relations vanish.
     """
 
     def __init__(self, source, images, kind="hom", conjugate=False,
@@ -538,8 +589,14 @@ class Morphism:
             images = [images[g] for g in source.generators]
         self.images = list(images)
         self._target_one = self._one_like(self.images[0]) if self.images else ONE
+        # the unit and every letter (generator to the power +-1) are cached
+        # from the start, so a monomial's image is built from a shorter one
         self._mono_cache = {source.one_mon: self._target_one}
-        self._inv_images = {}
+        for g, img in enumerate(self.images):
+            self._mono_cache[source._gen_mon(g, 1)] = img
+            if source.invertible[g]:
+                self._mono_cache[source._gen_mon(g, -1)] = \
+                    ONE / img if isinstance(img, Scalar) else img.inverse()
         if check:
             self._check_relations()
 
@@ -551,33 +608,30 @@ class Morphism:
             return TensorElement.one(img.spaces)
         return ONE
 
-    def _gen_power(self, g, e):
-        if e >= 0:
-            img, n = self.images[g], e
-        else:
-            img = self._inv_images.get(g)
-            if img is None:
-                img = self.images[g].inverse() if not isinstance(self.images[g], Scalar) \
-                    else ONE / self.images[g]
-                self._inv_images[g] = img
-            n = -e
-        out = self._target_one
-        for _ in range(n):
-            out = out * img
-        return out
-
     def _mono_image(self, mon):
-        hit = self._mono_cache.get(mon)
+        """Image of a normal monomial, built one letter at a time.
+
+        With L the last letter of mon = prefix*L, the image is
+        image(prefix)*image(L) for a hom and image(L)*image(prefix) for an
+        antihom.  Last letters are peeled until the image of the prefix
+        left is cached, then put back one at a time, caching each image.
+        """
+        cache = self._mono_cache
+        hit = cache.get(mon)
         if hit is not None:
             return hit
-        letters = self.source.mon_to_word(mon)
-        if self.kind == "antihom":
-            letters = letters[::-1]
-        out = self._target_one
-        for g, e in letters:
-            out = out * self._gen_power(g, e)
-        self._mono_cache[mon] = out
-        return out
+        peeled = []  # (image of the last letter, the prefix it ends)
+        while hit is None:
+            g = max(k for k, e in enumerate(mon) if e)
+            s = 1 if mon[g] > 0 else -1
+            peeled.append((cache[self.source._gen_mon(g, s)], mon))
+            mon = mon[:g] + (mon[g] - s,) + mon[g + 1:]
+            hit = cache.get(mon)
+        hom = self.kind == "hom"
+        for letter, prefix in reversed(peeled):
+            hit = hit * letter if hom else letter * hit
+            cache[prefix] = hit
+        return hit
 
     def apply(self, e):
         if isinstance(e, TensorElement):
@@ -605,19 +659,20 @@ class Morphism:
         return self.apply(e)
 
     def _check_relations(self):
+        def word_image(word):
+            if self.kind == "antihom":
+                word = word[::-1]
+            img = self._target_one
+            for g, e in word:
+                img = img * self._mono_image(self.source._gen_mon(g, e))
+            return img
+
         for (gl, sl, gr, sr), rhs in self.source.rules.items():
-            lhs = self._gen_power(gl, sl) * self._gen_power(gr, sr) \
-                if self.kind == "hom" else \
-                self._gen_power(gr, sr) * self._gen_power(gl, sl)
-            acc = lhs
+            acc = word_image(((gl, sl), (gr, sr)))
             for c, word in rhs:
                 if self.conjugate:
                     c = c.conjugate()
-                letters = word if self.kind == "hom" else word[::-1]
-                img = self._target_one
-                for g, e in letters:
-                    img = img * self._gen_power(g, e)
-                acc = acc - img * c
+                acc = acc - word_image(word) * c
             if not acc.is_zero():
                 gl_n, gr_n = self.source.generators[gl], self.source.generators[gr]
                 raise RelationNotPreserved(

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfkit import ncalg
+from hopfkit import hopf, ncalg, pairing, quasiinv
 from hopfkit.errors import (
     NegativePowerOfNonInvertible,
     NotInvertible,
@@ -13,7 +14,7 @@ from hopfkit.errors import (
 )
 from hopfkit.hopf import algebra_presentation, builtin
 from hopfkit.ncalg import Morphism, Presentation, linear_solve
-from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
+from hopfkit.scalars import I, M, ONE, Scalar, W, ZERO, scalar
 
 UQ = algebra_presentation("uq-g1")
 FQ = algebra_presentation("fq-g1")
@@ -199,3 +200,106 @@ def test_scale_by_one_is_identity():
     t = a.tensor(FQ.gen("v") + FQ.one())
     assert t.scale(ONE) == t
     assert a.scale(ZERO).is_zero() and t.scale(ZERO).is_zero()
+
+
+def test_mixed_kind_sums_raise_mismatch():
+    b = UQ.gen("B")
+    t = b.tensor(b)
+    for combine in (lambda: t + b, lambda: b + t, lambda: t - b, lambda: b - t):
+        with pytest.raises(PresentationMismatch):
+            combine()
+
+
+# -- oracles for the letter-at-a-time product and morphism images ---------
+
+# each call builds a new presentation with empty caches
+FRESH = {
+    "uq-g1": hopf._uq_presentation,
+    "fq-g1": hopf._fq_presentation,
+    "fq-j": hopf._fqj_presentation,
+    "h0-irr": hopf._h0_presentation,  # rules on v1 v0 and on the ordered v0 v1
+    "uq-dual": pairing._dual_presentation,
+    "chi": lambda: Presentation("chi", ("chi",), (True,), {}),  # as LAURENT
+}
+WINDOWS = {name: build().monomials_up_to(3, zrange=3)
+           for name, build in FRESH.items()}
+
+
+@st.composite
+def monomial_calls(draw, arity):
+    """A presentation name and a list of monomial tuples, in call order."""
+    name = draw(st.sampled_from(sorted(FRESH)))
+    mon = st.sampled_from(WINDOWS[name])
+    calls = draw(st.lists(st.tuples(*[mon] * arity), min_size=1, max_size=10))
+    return name, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_calls(2))
+def test_mono_product_is_normal_form_of_concatenated_word(call):
+    name, pairs = call
+    pres = FRESH[name]()
+    for m1, m2 in pairs:
+        word = pres.mon_to_word(m1) + pres.mon_to_word(m2)
+        assert pres.mono_product(m1, m2).terms == \
+            pres._normalize_terms([(ONE, word)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_calls(3))
+def test_mono_product_is_associative(call):
+    name, triples = call
+    pres = FRESH[name]()
+    for mons in triples:
+        a, b, c = map(pres.monomial, mons)
+        assert (a * b) * c == a * (b * c)
+
+
+def _fresh_morphism(name):
+    source, _, attr = name.partition(".")
+    if source == "pairing":
+        return getattr(pairing.PairEngine(), attr)
+    if source == "chi_from_h0":
+        return quasiinv._h0_to_chi.__wrapped__()
+    build = {"uq-g1": hopf._build_uq, "fq-g1": hopf._build_fq,
+             "fq-j": hopf._build_fqj}[source]
+    return getattr(build(), attr)
+
+
+def _image_oracle(phi, mon):
+    """Product of the generator powers' images, reversed for an antihom."""
+    factors = []
+    for g, e in phi.source.mon_to_word(mon):
+        img = phi.images[g]
+        if e < 0:
+            img = ONE / img if isinstance(img, Scalar) else img.inverse()
+        factors += [img] * abs(e)
+    if phi.kind == "antihom":
+        factors.reverse()
+    out = phi._target_one
+    for img in factors:
+        out = out * img
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    f"{h}.{m}" for h in ("uq-g1", "fq-g1", "fq-j")
+    for m in ("delta", "epsilon", "antipode", "star", "tau", "antipode_inv")
+] + ["pairing.to_dual", "pairing.from_dual", "chi_from_h0"])
+def test_mono_image_is_product_of_generator_power_images(name):
+    phi = _fresh_morphism(name)
+    window = phi.source.monomials_up_to(3, zrange=2)
+    random.Random(name).shuffle(window)
+    for mon in window:
+        assert phi._mono_image(mon) == _image_oracle(phi, mon), mon
+
+
+def test_deep_exponents_do_not_recurse():
+    uq = hopf._build_uq()
+    p = uq.pres
+    k, b = p.gen("K", 1200), p.gen("B")
+    assert k * b == p.monomial((0, 1200, 0, 1))
+    # B K^-1 = K^-1 B - iw M K^-1, applied 1200 times
+    assert b * p.gen("K", -1200) == \
+        p.monomial((0, -1200, 0, 1)) - p.monomial((1, -1200, 0, 0)) * (1200 * IW)
+    assert uq.delta.apply(k) == k.tensor(k)
