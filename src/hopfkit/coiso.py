@@ -14,6 +14,7 @@ properties are bounded-degree verifications and are reported as such.
 from __future__ import annotations
 
 from .errors import (
+    InvalidArgument,
     NotCoalgebraMorphism,
     NotModuleMorphism,
     RelationNotPreserved,
@@ -22,7 +23,6 @@ from .errors import (
 from .hopf import HopfStructure, builtin
 from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
 from .report import CheckReport
-from .scalars import ONE
 
 SIDES = ("left", "right", "two-sided")
 
@@ -53,7 +53,7 @@ def build_subgroup(ambient: HopfStructure, quotient: HopfStructure, pi_table,
     the witness; deeper window checks live in subgroup_report.
     """
     if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+        raise InvalidArgument(f"side must be one of {SIDES}")
     try:
         pi = Morphism(ambient.pres, pi_table, kind="hom",
                       name=f"pi[{ambient.name}->{quotient.name}]")
@@ -85,46 +85,19 @@ def build_subgroup(ambient: HopfStructure, quotient: HopfStructure, pi_table,
 
 
 def _check_surjective(sub, degree):
-    """pi hits every quotient monomial of the window (RREF pivot count)."""
+    """pi hits every quotient monomial of the window: the pivot-free columns
+    of the images, the first keys of linear_solve's basis, are its misses."""
     target = sub.quotient.pres.monomials_up_to(degree)
     keep = set(target)
     rows = []
     for mon in sub.ambient.pres.monomials_up_to(degree):
         img = sub.pi.apply(sub.ambient.pres.monomial(mon))
-        row = {qm: c for qm, c in img.terms.items() if qm in keep}
-        if row:
-            rows.append(row)
-    span_pivots = _row_space_pivots(rows, target)
-    missing = [m for m in target if m not in span_pivots]
+        rows.append({qm: c for qm, c in img.terms.items() if qm in keep})
+    missing = [next(iter(vec)) for vec in linear_solve(rows, target)]
     if missing:
         raise NotModuleMorphism(
             f"pi is not surjective on the degree-{degree} window; "
             f"missing {missing[:3]}")
-
-
-def _row_space_pivots(rows, columns):
-    order = {c: k for k, c in enumerate(columns)}
-    pivots = {}
-    for raw in rows:
-        row = {order[c]: v for c, v in raw.items() if not v.is_zero()}
-        for col in sorted(row):
-            if col in row and col in pivots:
-                factor = row.pop(col)
-                for c2, v2 in pivots[col].items():
-                    if c2 == col:
-                        continue
-                    s = row.get(c2)
-                    s = -factor * v2 if s is None else s - factor * v2
-                    if s.is_zero():
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = s
-        if not row:
-            continue
-        lead = min(row)
-        inv = ONE / row[lead]
-        pivots[lead] = {c: v * inv for c, v in row.items()}
-    return {columns[c] for c in pivots}
 
 
 def membership_defect(sub, a, side="left"):

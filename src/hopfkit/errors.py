@@ -14,6 +14,14 @@ class DivisionByZero(HopfkitError, ZeroDivisionError):
     """Division by the zero scalar (or zero polynomial)."""
 
 
+class InvalidArgument(HopfkitError, ValueError):
+    """An argument outside its allowed values, such as a side or a kind."""
+
+
+class UnknownStructure(HopfkitError, KeyError):
+    """No built-in Hopf structure has the requested name."""
+
+
 class UnknownGenerator(HopfkitError):
     """A word or expression uses a name that is not a generator."""
 
@@ -71,6 +79,10 @@ class NotCoalgebraMorphism(HopfkitError):
 
 class NotModuleMorphism(HopfkitError):
     """pi does not intertwine the module structures; args carry the witness."""
+
+
+class NotCorepresentation(HopfkitError, ValueError):
+    """A corepresentation matrix breaks the coaction or the counit law."""
 
 
 class TauIncompatible(HopfkitError):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
+from .errors import (AntipodeNotInvertible, CounitLawViolated, InvalidArgument,
+                     StarUndefined, UnknownStructure)
 from .ncalg import AlgebraElement, Morphism, Presentation, tensor_map
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, W, ZERO, scalar
@@ -84,7 +85,7 @@ class HopfStructure:
     def coproduct_iter(self, e, k):
         """Iterated coproduct: rank k+1 tensor, coassociative."""
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidArgument("k must be >= 1")
         out = self.delta.apply(e)
         for _ in range(k - 1):
             out = tensor_map([None] * (out.rank - 1) + [self.delta], out)
@@ -324,7 +325,7 @@ def builtin(name: str) -> HopfStructure:
         elif name == "fq-j":
             _CACHE[name] = _build_fqj()
         else:
-            raise KeyError(f"no built-in Hopf structure named {name!r}")
+            raise UnknownStructure(f"no built-in Hopf structure named {name!r}")
     return _CACHE[name]
 
 

@@ -15,38 +15,53 @@ prefix phi obeying a single contraction used by forms, phi* phi = chi,
 so (phi chi^l)*(phi chi^n) = chi^(l+n+1).  Such a vector is stored as
 the Laurent element x = sum a_l chi^l of LAURENT and read as phi * x;
 galilei_label prints it on the phi chi^l basis.  The closed operator
-table
+table is a checked Morphism uq-g1 -> OPS, the operators on LAURENT
+generated by chi and the Euler operator E chi^l = l chi^l:
 
-    K^(+-1): phi chi^l -> phi chi^(l+-1)
-    B:       phi chi^l -> iwm (l + 1/2) phi chi^l
-    T:       phi chi^l -> phi chi^l (u - (2 - chi - chi^-1)/(2 w^2 m))
-    M:       m * id
+    K -> chi
+    B -> iwm (E + 1/2)
+    T -> u - (2 - chi - chi^-1)/(2 w^2 m)
+    M -> m
 
-is implemented as products in LAURENT (B as a diagonal map) and
-cross-checked against the weight-driven construction: the module action
-with B acting diagonally as iwm*l reproduces the closed table through
+Its construction proves the defining relations for every l.  It is
+cross-checked against the weight-driven construction: the module action,
+the same table with B -> iwm E, reproduces the closed table through
 rho~(X) A = sum X_(1).A phi[X_(2)].
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
-from .errors import SideMismatch
+from .errors import NotCorepresentation, SideMismatch
 from .hopf import builtin
-from .ncalg import AlgebraElement, linear_solve, tensor_map
-from .quasiinv import (LAURENT, ChiModule, Weight, chi, galilei_weight,
-                       nu_w_functional)
+from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
+from .quasiinv import (IWM, LAURENT, OPS, ChiModule, Weight, act, chi,
+                       galilei_weight, nu_w_functional)
 from .report import CheckReport
-from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO, scalar
+from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO
 
-IWM = I * W * SM
-HALF = scalar(Fraction(1, 2))
-CHI, CHI_INV = chi(1), chi(-1)
-# T acts as right multiplication by u - (2 - chi - chi^-1)/(2 w^2 m)
-T_FACTOR = chi(0, SU) - (chi(0, 2) - CHI - CHI_INV).scale(
-    ONE / (2 * W * W * SM))
+CHI = chi(1)
+
+
+@functools.cache
+def _galilei_table(half: bool) -> Morphism:
+    """uq-g1 -> OPS with B -> iwm (E + 1/2), the closed table, or with
+    B -> iwm E, the module action."""
+    c, one = OPS.gen("chi"), OPS.one()
+    t = one.scale(SU) - (one.scale(2) - c - c.inverse()).scale(
+        ONE / (2 * W * W * SM))
+    b = OPS.gen("E") + one.scale(Fraction(1, 2) if half else 0)
+    return Morphism(builtin("uq-g1").pres, [one.scale(SM), c, t, b.scale(IWM)],
+                    name="galilei_rep" if half else "galilei_module_action")
+
+
+@functools.cache
+def _rep_image(name: str) -> AlgebraElement:
+    g, exp = ("K", -1) if name in ("Kinv", "K^-1") else (name, 1)
+    return _galilei_table(True).apply(builtin("uq-g1").pres.gen(g, exp))
 
 
 # -- corepresentations of the quotient ------------------------------------
@@ -74,11 +89,13 @@ class Corepresentation:
                     piece = self.matrix[i][k].tensor(self.matrix[k][j])
                     total = piece if total is None else total + piece
                 if d != total:
-                    raise ValueError(f"matrix entry ({i},{j}) breaks the coaction")
+                    raise NotCorepresentation(
+                        f"matrix entry ({i},{j}) breaks the coaction")
                 eps = quo.epsilon.apply(self.matrix[i][j])
                 want = ONE if i == j else ZERO
                 if eps != want:
-                    raise ValueError(f"counit of entry ({i},{j}) is {eps}")
+                    raise NotCorepresentation(
+                        f"counit of entry ({i},{j}) is {eps}")
 
     def is_unitary(self):
         quo = self.sub.quotient
@@ -264,53 +281,18 @@ def star_pairing(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
 
 
 def galilei_rep(name: str, A: AlgebraElement) -> AlgebraElement:
-    """Closed operator table of the unitarized representation."""
-    if name == "K":
-        return A * CHI
-    if name in ("Kinv", "K^-1"):
-        return A * CHI_INV
-    if name == "B":
-        return AlgebraElement(LAURENT, {(l,): c * (IWM * (scalar(l) + HALF))
-                                        for (l,), c in A.terms.items()})
-    if name == "T":
-        return A * T_FACTOR
-    if name == "M":
-        return A.scale(SM)
-    raise KeyError(f"no Galilei operator named {name!r}")
+    """The closed table on a uq-g1 generator name (Kinv or K^-1 for K^-1)."""
+    return act(_rep_image(name), A)
 
 
 def galilei_rep_element(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
     """Linear extension of the closed table to uq-g1 elements."""
-    out = LAURENT.zero()
-    for (a, s, c, d), coeff in X.terms.items():
-        v = A
-        for _ in range(d):
-            v = galilei_rep("B", v)
-        for _ in range(c):
-            v = galilei_rep("T", v)
-        v = v * chi(s)
-        for _ in range(a):
-            v = galilei_rep("M", v)
-        out = out + v.scale(coeff)
-    return out
+    return act(_galilei_table(True).apply(X), A)
 
 
 def galilei_module_action(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
-    """The underlying module structure: like the closed table but with B
-    acting diagonally as iwm*l (no 1/2 shift); the weight supplies it."""
-    out = LAURENT.zero()
-    for (a, s, c, d), coeff in X.terms.items():
-        v = A
-        for _ in range(d):
-            v = AlgebraElement(LAURENT, {(l,): k * (IWM * l)
-                                         for (l,), k in v.terms.items() if l})
-        for _ in range(c):
-            v = galilei_rep("T", v)
-        v = v * chi(s)
-        for _ in range(a):
-            v = v.scale(SM)
-        out = out + v.scale(coeff)
-    return out
+    """The module action: the closed table with B -> iwm E (no 1/2 shift)."""
+    return act(_galilei_table(False).apply(X), A)
 
 
 def rho_from_weight(X: AlgebraElement, A: AlgebraElement, phi: Weight) -> AlgebraElement:
@@ -527,9 +509,9 @@ def ind_generic_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport
                law="rho~(1) = id", witness="1")
     vk = IndElement([v * v], "left")
     eng_acted = rho_tilde_generic(uq.pres.gen("K"), vk, phi)
-    from .pairing import act
+    from .pairing import act as regular_act
     rep.record("rho-epsilon-weight-is-action",
-               eng_acted.components[0] == act(uq.pres.gen("K"), v * v),
+               eng_acted.components[0] == regular_act(uq.pres.gen("K"), v * v),
                law="with the counit weight rho~ is the regular action",
                witness="K on (v^2)")
     gens = [uq.pres.gen(g) for g in ("M", "K", "T", "B")]
@@ -579,12 +561,13 @@ def mirror_right_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckRepor
     rep.record("lambda-unit",
                lambda_tilde_generic(uq.pres.one(), one_ind, psi) == one_ind,
                law="lambda~(1) = id", witness="1")
-    from .pairing import act
+    from .pairing import act as regular_act
     v = sub.ambient.pres.gen("v")
     vk = IndElement([v * v], "right")
     acted = lambda_tilde_generic(uq.pres.gen("K"), vk, psi)
     rep.record("lambda-epsilon-weight-is-right-action",
-               acted.components[0] == act(uq.pres.gen("K"), v * v, side="right"),
+               acted.components[0] == regular_act(uq.pres.gen("K"), v * v,
+                                                  side="right"),
                law="with the counit weight lambda~ is the right regular action",
                witness="K on (v^2)")
     gens = [uq.pres.gen(g) for g in ("M", "K", "T", "B")]

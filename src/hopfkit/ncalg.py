@@ -29,6 +29,7 @@ import itertools
 
 from .errors import (
     IncompleteRewriteSystem,
+    InvalidArgument,
     NegativePowerOfNonInvertible,
     NonConfluentRules,
     NotInvertible,
@@ -526,7 +527,7 @@ class TensorElement(_Combination):
 
     def to_element(self):
         if len(self.spaces) != 1:
-            raise ValueError("rank must be 1")
+            raise InvalidArgument("rank must be 1")
         return AlgebraElement(self.spaces[0], {k[0]: c for k, c in self.terms.items()})
 
     def __str__(self):
@@ -580,7 +581,7 @@ class Morphism:
     def __init__(self, source, images, kind="hom", conjugate=False,
                  name="morphism", check=True):
         if kind not in ("hom", "antihom"):
-            raise ValueError(f"bad morphism kind {kind!r}")
+            raise InvalidArgument(f"bad morphism kind {kind!r}")
         self.source = source
         self.kind = kind
         self.conjugate = conjugate
@@ -695,7 +696,7 @@ def tensor_map(maps, te):
     """
     conj_flags = {m.conjugate for m in maps if m is not None}
     if len(conj_flags) > 1:
-        raise ValueError("mixed linear / conjugate-linear tensor map")
+        raise InvalidArgument("mixed linear / conjugate-linear tensor map")
     conj = conj_flags.pop() if conj_flags else False
     out = {}
     out_spaces = None
@@ -783,8 +784,8 @@ def linear_solve(constraints, unknowns):
     constraints: iterable of dicts unknown -> Scalar, each meaning
     "sum coeff * value(unknown) = 0".  unknowns: ordered list naming the
     solution coordinates.  Returns a list of dicts unknown -> Scalar in
-    reduced row echelon shape (each basis vector has a unit coordinate at
-    its own free unknown).  Empty list means only the zero solution.
+    reduced row echelon shape, one per free unknown in order, which is its
+    first key and a unit coordinate.  Empty list means only the zero solution.
 
     A constraint touching a name outside `unknowns` means an element
     escaped the declared window: WindowOverflow, enlarge and retry.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnknownGenerator
+from .errors import InvalidArgument, UnknownGenerator
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, Presentation
 from .scalars import I as IMAG, ONE, Scalar, W, ZERO, scalar
@@ -207,7 +207,7 @@ class PairEngine:
     def act(self, X: AlgebraElement, a: AlgebraElement, side="left") -> AlgebraElement:
         """Left regular action X.a = (id x X) Delta a; right a.X mirrors it."""
         if side not in ("left", "right"):
-            raise ValueError(f"bad side {side!r}")
+            raise InvalidArgument(f"bad side {side!r}")
         words = self.dual_words(X)
         pres = a.pres
         out = {}

@@ -11,12 +11,15 @@ a_l (l - 1/2) = 0 for every l, so no invertible xi exists.
 
 LAURENT is one more Presentation (a single invertible generator chi and
 no rules), so its elements are AlgebraElements and share the engine's
-arithmetic and product cache.  Everything is phrased over a module
-*-algebra wrapper so the same check code drives three targets: LAURENT,
-its fraction field (needed for d1 d0 = 0 at non-invertible xi), and the
-v-polynomial homogeneous space inside fq-g1 with the regular action.
-Left and right checks share code paths; the right fixture mirrors the
-action table.
+arithmetic and product cache.  Its operators form the Presentation OPS
+in chi and the Euler operator E chi^l = l chi^l, applied by act(op, f),
+so an action of uq-g1 on LAURENT is a Morphism uq-g1 -> OPS, with its
+relations checked at construction for every l.  Everything is phrased
+over a module *-algebra wrapper so the same check code drives three
+targets: LAURENT, its fraction field (needed for d1 d0 = 0 at
+non-invertible xi), and the v-polynomial homogeneous space inside fq-g1
+with the regular action.  Left and right checks share code paths; the
+right fixture mirrors the action table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotGroupLike, NotInvertible, NotTauReal, StarUndefined
+from .errors import (NotGroupLike, NotInvertible, NotTauReal,
+                     PresentationMismatch, StarUndefined)
 from .hopf import algebra_presentation, builtin
 from .ncalg import AlgebraElement, Morphism, Presentation
 from .pairing import engine as pairing_engine
@@ -43,6 +47,38 @@ LAURENT = Presentation("chi", ("chi",), (True,), {})
 def chi(l=1, coeff=ONE) -> AlgebraElement:
     """The element coeff * chi^l of LAURENT."""
     return LAURENT.monomial((l,)).scale(coeff)
+
+
+# operators on LAURENT; chi^a E^b (E chi^l = l chi^l) is the monomial (a, b)
+OPS = Presentation("ops", ("chi", "E"), (True, False), {
+    (1, 1, 0, 1): [(ONE, ((0, 1), (1, 1))), (ONE, ((0, 1),))],
+    (1, 1, 0, -1): [(ONE, ((0, -1), (1, 1))), (-ONE, ((0, -1),))],
+})
+
+
+def act(op: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
+    """chi^a E^b in OPS sends chi^l in LAURENT to l^b chi^(a+l)."""
+    if op.pres is not OPS or f.pres is not LAURENT:
+        raise PresentationMismatch(f"act takes an ops and a chi element, "
+                                   f"got {op.pres.name} and {f.pres.name}")
+    out = {}
+    for (l,), k in f.terms.items():
+        row = {}  # op's coefficients at l, summed per chi power, then times k
+        for (a, b), c in op.terms.items():
+            if l or not b:
+                t = c * l ** b if b else c
+                s = row.get(a + l)
+                row[a + l] = t if s is None else s + t
+        for e, c in row.items():
+            s = out.get((e,))
+            out[(e,)] = c * k if s is None else s + c * k
+    return AlgebraElement(LAURENT, {e: c for e, c in out.items() if c})
+
+
+@functools.cache
+def _chi_action() -> Morphism:
+    return Morphism(builtin("uq-g1").pres, [OPS.zero(), OPS.one(), OPS.zero(),
+                    OPS.gen("chi") * OPS.gen("E") * IWM], name="chi_action")
 
 
 @functools.cache
@@ -210,9 +246,9 @@ def _exact_chi_div(e: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 class ChiModule:
     """The chi algebra as the module *-algebra target of the checks.
 
-    Action table (both sides use the same table; the right fixture
-    mirrors the left one): B shifts and scales, chi^l |-> iwm l chi^(l+1);
-    K acts as the identity; T and M act as zero.
+    Action table, a checked Morphism uq-g1 -> OPS used on both sides (the
+    right fixture mirrors the left one): K -> 1, B -> iwm chi E, T -> 0 and
+    M -> 0, so B shifts and scales, chi^l |-> iwm l chi^(l+1).
     """
 
     name = "h0-irr"
@@ -235,13 +271,7 @@ class ChiModule:
         return f.inverse()
 
     def act_mono(self, umon, f, side="left"):
-        a, _ell, c, d = umon
-        if a or c:
-            return LAURENT.zero()
-        for _ in range(d):
-            f = AlgebraElement(LAURENT, {(l + 1,): k * (IWM * l)
-                                         for (l,), k in f.terms.items() if l})
-        return f
+        return act(_chi_action()._mono_image(umon), f)
 
     def act(self, X: AlgebraElement, f, side="left"):
         out = self.zero()
@@ -271,11 +301,10 @@ class ChiFractionModule(ChiModule):
         a, _ell, c, d = umon
         if a or c:
             return self.zero()
-        base = ChiModule()
+        b_act = functools.partial(ChiModule().act_mono, (0, 0, 0, 1))
         for _ in range(d):
-            num_d = base.act_mono((0, 0, 0, 1), f.num)
-            den_d = base.act_mono((0, 0, 0, 1), f.den)
-            f = ChiFraction(num_d * f.den - f.num * den_d, f.den * f.den)
+            f = ChiFraction(b_act(f.num) * f.den - f.num * b_act(f.den),
+                            f.den * f.den)
         return f
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, InvalidArgument
 
 NVARS = 3
 VAR_NAMES = ("w", "m", "u")
@@ -637,7 +637,7 @@ def arith(a: Scalar, b: Scalar, kind: str) -> Scalar:
         return a * b
     if kind == "div":
         return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
+    raise InvalidArgument(f"unknown arithmetic kind {kind!r}")
 
 
 def conjugate(a: Scalar) -> Scalar:

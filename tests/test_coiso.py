@@ -44,6 +44,15 @@ def test_killing_x_too_is_not_a_coalgebra_morphism():
         build_subgroup(FQ, FJ, table, side="two-sided", check_degree=2)
 
 
+def test_non_surjective_pi_names_the_missed_monomials():
+    table = {"mu": FJ.pres.gen("muh"), "x": FJ.pres.gen("xh"),
+             "t": FJ.pres.zero(), "v": FJ.pres.zero()}
+    with pytest.raises(NotModuleMorphism) as exc:
+        build_subgroup(FQ, FJ, table, side="two-sided", check_degree=2)
+    assert str(exc.value) == ("pi is not surjective on the degree-2 window; "
+                              "missing [(0, 0, 1), (0, 0, 2), (0, 1, 1)]")
+
+
 def test_membership_of_v():
     assert is_member(SUB, FQ.pres.gen("v"))
     assert is_member(SUB, FQ.pres.gen("v"), side="right")

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit.coiso import galilei_subgroup, homogeneous_space
-from hopfkit.errors import NotInvertible, SideMismatch
+from hopfkit.errors import NotInvertible, RelationNotPreserved, SideMismatch
 from hopfkit.hopf import builtin
-from hopfkit.ncalg import AlgebraElement
+from hopfkit.ncalg import AlgebraElement, Morphism
 from hopfkit.induce import (
     IndElement,
     eq_sesq_defect,
@@ -29,7 +29,7 @@ from hopfkit.induce import (
     trivial_corep,
     unitarity_report,
 )
-from hopfkit.quasiinv import LAURENT, chi, galilei_weight
+from hopfkit.quasiinv import LAURENT, OPS, act, chi, galilei_weight
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 SUB = galilei_subgroup()
@@ -88,6 +88,36 @@ def test_weight_reconstructs_closed_table():
         X = UQ.pres.gen(g)
         for l in range(-3, 4):
             assert rho_from_weight(X, gv(l), phi) == galilei_rep_element(X, gv(l))
+
+
+# the closed table uq-g1 -> OPS written out independently of hopfkit.induce
+OPS_CHI, OPS_ONE = OPS.gen("chi"), OPS.one()
+T_COEFF = ONE / (2 * W * W * M)
+REP_TABLE = [OPS_ONE.scale(M), OPS_CHI,
+             OPS_ONE.scale(U) - (OPS_ONE.scale(2) - OPS_CHI
+                                 - OPS_CHI.inverse()).scale(T_COEFF),
+             (OPS.gen("E") + OPS_ONE.scale(Fraction(1, 2))).scale(IWM)]
+
+
+def test_rep_table_matches_galilei_rep():
+    rep = Morphism(UQ.pres, REP_TABLE)
+    X = UQ.pres.gen("B") * UQ.pres.gen("T") + UQ.pres.gen("K", -2)
+    for l in range(-3, 4):
+        assert act(rep.apply(X), gv(l)) == galilei_rep_element(X, gv(l))
+        for g in ("M", "K", "T", "B"):
+            assert (act(rep.apply(UQ.pres.gen(g)), gv(l))
+                    == galilei_rep(g, gv(l)))
+
+
+@pytest.mark.parametrize("slot, image", [
+    (1, OPS_CHI.inverse()),  # K -> chi^-1 breaks K B K^-1 = B - iw M
+    (2, OPS_ONE.scale(U) - (OPS_ONE.scale(2) - OPS_CHI).scale(T_COEFF)),
+], ids=["K-to-chi-inverse", "T-without-chi-inverse"])
+def test_mutant_rep_tables_fail_at_construction(slot, image):
+    table = list(REP_TABLE)
+    table[slot] = image
+    with pytest.raises(RelationNotPreserved):
+        Morphism(UQ.pres, table)
 
 
 def test_minkowski_values():

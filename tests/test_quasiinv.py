@@ -3,14 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.errors import NotGroupLike, NotInvertible, NotTauReal, StarUndefined
+from hopfkit.errors import (NotGroupLike, NotInvertible, NotTauReal,
+                            PresentationMismatch, StarUndefined)
 from hopfkit.hopf import algebra_presentation, builtin
 from hopfkit.ncalg import AlgebraElement
 from hopfkit.quasiinv import (
     LAURENT,
+    OPS,
     ChiFraction,
     ChiFractionModule,
     ChiModule,
+    act,
     chi,
     chi_from_h0,
     chi_to_h0,
@@ -68,6 +71,32 @@ def h0_elements():
     mons = H0.monomials_up_to(3)
     return st.dictionaries(st.sampled_from(mons), st.sampled_from(COEFFS),
                            max_size=3).map(lambda d: AlgebraElement(H0, d))
+
+
+def ops_elements(max_terms=3):
+    mons = st.tuples(st.integers(-4, 4), st.integers(0, 4))
+    return st.dictionaries(mons, st.sampled_from(COEFFS),
+                           max_size=max_terms).map(
+        lambda d: AlgebraElement(OPS, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops_elements(), ops_elements(), laurent_elements())
+def test_ops_act_is_an_action(p, q, f):
+    # products in OPS use the rules E chi^+-1 = chi^+-1 E +- chi^+-1; act
+    # reads chi^a E^b directly, so this checks the rules independently
+    assert act(p * q, f) == act(p, act(q, f))
+
+
+def test_ops_act_values_and_mismatch():
+    E, c = OPS.gen("E"), OPS.gen("chi")
+    assert act(E, chi(3, I)) == chi(3, 3 * I)
+    assert act(c * E * E, chi(-2)) == chi(-1, scalar(4))
+    assert act(E, chi(0)).is_zero()
+    with pytest.raises(PresentationMismatch):
+        act(chi(1), chi(1))
+    with pytest.raises(PresentationMismatch):
+        act(E, E)
 
 
 @settings(max_examples=60, deadline=None)
