@@ -22,8 +22,6 @@ from .scalars import I, M, ONE, U, W
 
 SCALAR_SYMBOLS = {"i": I, "w": W, "m": M, "u": U}
 
-ALGEBRA_TAGS = ("uq-g1", "fq-g1", "fq-j", "h0-irr")
-
 
 def _tokenize(text):
     tokens = []
@@ -172,8 +170,6 @@ def _scalar_inverse(e: AlgebraElement, pos):
 
 def parse(text: str, algebra: str) -> AlgebraElement:
     """Parse an expression in the named built-in algebra."""
-    if algebra not in ALGEBRA_TAGS:
-        raise UnknownGenerator(f"unknown algebra tag {algebra!r}")
     pres = algebra_presentation(algebra)
     return _Parser(_tokenize(text), pres).parse()
 

@@ -12,6 +12,17 @@ most one gcd per result.  Every Scalar whose denominator is the constant
 1 holds the module's P_ONE object itself, so the field operations test
 for it by identity.
 
+Sums, products and quotients follow Henrici (JACM 3(1), 1956; Knuth,
+TAOCP vol. 2, 4.5.1): the gcds run on the operands' factors, never on
+the full product.  For a/b + c/d with g = gcd(b, d), the result is
+(a*d + c*b)/(b*d) when g == 1; otherwise t = a*(d/g) + c*(b/g) can share
+a factor with g only, so only gcd(t, g) is cancelled.  A product
+(a/b)(c/d) cancels gcd(a, d) and gcd(c, b) first; a quotient is the
+product with the divisor's reciprocal.  The operands are reduced with
+monic denominators, so each result is already canonical and needs no
+final gcd of its numerator and denominator.  The constructor
+Scalar(num, den) keeps that general gcd for its callers.
+
 Multiplication skips work whose answer is known: x * ONE and ONE * x
 return x itself (after coercing an int, Fraction or GaussRat operand),
 a product with a zero numerator returns the shared ZERO, and a product
@@ -318,8 +329,17 @@ def _mono_shift(p, shift):
 
 def _exact_div(p, q):
     """Exact polynomial division p / q; q must divide p."""
-    if q.is_const():
-        return p.scale(GR_ONE / q.const_value())
+    if len(q.terms) == 1:
+        # a monomial (the usual gcd) divides term by term
+        (qe, qc), = q.terms.items()
+        inv = None if qc == GR_ONE else GR_ONE / qc
+        out = {}
+        for e, c in p.terms.items():
+            e = (e[0] - qe[0], e[1] - qe[1], e[2] - qe[2])
+            if min(e) < 0:
+                raise ArithmeticError("non-exact polynomial division")
+            out[e] = c if inv is None else c * inv
+        return Poly(out)
     rem = p
     out = {}
     qe, qc = q.leading()
@@ -448,7 +468,7 @@ class Scalar:
     `x.den is P_ONE` holds exactly when x is a polynomial.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=P_ONE, _reduced=False):
         if _reduced:
@@ -508,17 +528,32 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()),
-                     frozenset(self.den.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((frozenset(self.num.terms.items()),
+                                   frozenset(self.den.terms.items())))
+            return h
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den is P_ONE and other.den is P_ONE:
-            return Scalar(self.num + other.num, P_ONE, _reduced=True)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b is P_ONE and d is P_ONE:
+            return Scalar(a + c, P_ONE, _reduced=True)
+        g = P_ONE if b is P_ONE or d is P_ONE else poly_gcd(b, d)
+        if g.is_const():
+            return _fraction(a * d + c * b, b * d)
+        d = _exact_div(d, g)
+        t = a * d + c * _exact_div(b, g)
+        if not t.terms:
+            return ZERO
+        # only a factor of g can divide both t and b*d/g
+        g = poly_gcd(t, g)
+        if not g.is_const():
+            t, b = _exact_div(t, g), _exact_div(b, g)
+        return _fraction(t, b * d)
 
     __radd__ = __add__
 
@@ -549,7 +584,7 @@ class Scalar:
             return ZERO
         if self.den is P_ONE and other.den is P_ONE:
             return Scalar(self.num * other.num, P_ONE, _reduced=True)
-        return Scalar(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -559,7 +594,13 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero scalar")
-        return Scalar(self.num * other.den, self.den * other.num)
+        if not self.num.terms:
+            return ZERO
+        # 1/other = (den/lc) / (num/lc), with num/lc monic
+        den, lc = other.num.monic()
+        num = other.den if lc == GR_ONE else other.den.scale(GR_ONE / lc)
+        return _product(self.num, self.den, num,
+                        P_ONE if den.is_const() else den)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -596,6 +637,30 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self!s})"
+
+
+def _fraction(num, den):
+    """Scalar num/den from coprime num and monic den, with no gcd."""
+    if not num.terms:
+        return ZERO
+    return Scalar(num, P_ONE if den.is_const() else den, _reduced=True)
+
+
+def _product(a, b, c, d):
+    """(a/b)(c/d) for reduced a/b, c/d with monic b, d (P_ONE if constant).
+
+    Cancelling gcd(a, d) and gcd(c, b) before multiplying leaves a
+    reduced product: gcd(a, b) = gcd(c, d) = 1 already.
+    """
+    if d is not P_ONE:
+        g = poly_gcd(a, d)
+        if not g.is_const():
+            a, d = _exact_div(a, g), _exact_div(d, g)
+    if b is not P_ONE:
+        g = poly_gcd(c, b)
+        if not g.is_const():
+            c, b = _exact_div(c, g), _exact_div(b, g)
+    return _fraction(a * c, b * d)
 
 
 def _coerce(x):

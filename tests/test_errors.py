@@ -16,6 +16,7 @@ from hopfkit.hopf import builtin
 from hopfkit.induce import Corepresentation, galilei_rep
 from hopfkit.ncalg import Morphism, tensor_map
 from hopfkit.pairing import engine
+from hopfkit.parser import parse
 from hopfkit.quasiinv import chi
 from hopfkit.scalars import ONE, arith
 
@@ -31,6 +32,8 @@ QUOTIENT_ONE = SUB.pi.apply(FQ.pres.one())
 CASES = {
     "builtin-unknown-name": (
         lambda: builtin("uq-g2"), UnknownStructure, KeyError),
+    "parse-unknown-algebra": (
+        lambda: parse("x", "nope"), UnknownStructure, KeyError),
     "galilei_rep-unknown-operator": (
         lambda: galilei_rep("N", chi(0)), UnknownGenerator, None),
     "corep-breaks-coaction": (

@@ -235,25 +235,26 @@ def test_element_printed_form(expr, algebra, text):
 
 
 @st.composite
-def small_polys(draw, min_terms):
+def small_polys(draw, min_terms, max_exp=2):
     """A polynomial in w, m, u with min_terms to 3 terms, as a Scalar.
 
-    Exponents stay at most 1: the primitive-PRS gcd takes minutes on some
-    three-term denominators of degree 2 in each symbol.
+    Each symbol has exponent at most max_exp.  At 2, one primitive-PRS
+    gcd of a sum's whole numerator and denominator can take minutes, so
+    the field operations must never take it.
     """
     out = ZERO
     for _ in range(draw(st.integers(min_terms, 3))):
         c = scalar(draw(small_rationals)) + scalar(draw(small_rationals)) * I
         for sym in (W, M, U):
-            c = c * sym ** draw(st.integers(0, 1))
+            c = c * sym ** draw(st.integers(0, max_exp))
         out = out + c
     return out
 
 
 @st.composite
-def multiterm_fractions(draw):
-    num = draw(small_polys(1))
-    den = draw(small_polys(2))
+def multiterm_fractions(draw, max_exp=2):
+    num = draw(small_polys(1, max_exp))
+    den = draw(small_polys(2, max_exp))
     assume(not den.is_zero())
     return num / den
 
@@ -278,6 +279,93 @@ def test_field_ops_match_sympy_cancel(a, b):
     assert sympy.cancel(_to_sympy(a * b, sympy) - sa * sb) == 0
     if not b.is_zero():
         assert sympy.cancel(_to_sympy(a / b, sympy) - sa / sb) == 0
+
+
+# -- Henrici's field operations against the general constructor ------------
+
+
+def assert_same_form(x, general):
+    # structural: the same canonical num and den, P_ONE shared as before
+    assert x.num.terms == general.num.terms
+    assert x.den.terms == general.den.terms
+    assert (x.den is P_ONE) == general.den.is_const()
+
+
+def assert_ops_match_general(a, b):
+    assert_same_form(a + b, Scalar(a.num * b.den + b.num * a.den,
+                                   a.den * b.den))
+    assert_same_form(a * b, Scalar(a.num * b.num, a.den * b.den))
+    if not b.is_zero():
+        assert_same_form(a / b, Scalar(a.num * b.den, a.den * b.num))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiterm_fractions(max_exp=1), multiterm_fractions(max_exp=1))
+def test_field_ops_match_general_constructor(a, b):
+    # exponents at most 1, so the one-gcd constructor finishes quickly
+    assert_ops_match_general(a, b)
+
+
+Q, R = W + M, U + I
+
+
+@pytest.mark.parametrize("a, b, text", [
+    # p/(q*r) + s/(q*t) with t = r + q: the q in the numerator cancels
+    (ONE / (Q * R), -ONE / (Q * (R + Q)),
+     "(1)/(w*u + m*u + u^2 + i*w + i*m + 2*i*u - 1)"),
+    (M / (Q * R), (W - U) / (Q * (R + Q)),
+     "(w*m + w*u + m^2 + m*u - u^2 + i*w + i*m - i*u)/(w^2*u + 2*w*m*u"
+     " + w*u^2 + m^2*u + m*u^2 + i*w^2 + 2*i*w*m + 2*i*w*u + i*m^2"
+     " + 2*i*m*u - w - m)"),
+    # p/q^2 + s/q
+    ((W + 2 * M) / (Q * Q), -ONE / Q, "(m)/(w^2 + 2*w*m + m^2)"),
+])
+def test_sum_over_shared_denominator_factor(a, b, text):
+    assert str(a + b) == text
+    assert_ops_match_general(a, b)
+
+
+@pytest.mark.parametrize("x", [
+    W * W - I * M * U + scalar(Fraction(1, 3)),
+    (W + M) / (U + I),
+    (2 * W - M) / (W * U * U + M),
+])
+def test_product_with_reciprocal_is_one(x):
+    for one in (x * (ONE / x), (ONE / x) * x, x / x):
+        assert one == ONE and one.den is P_ONE
+
+
+FOUND_X = ("((-29/65 + 37/65*i)*m^2*u^2 + (2/65 + 49/65*i)*m^2"
+           " + (292/195 + 4/195*i)*w)/(w*m + (-82/195 + 2/65*i)*m*u)")
+FOUND_Y = ("((3/25 + 6/25*i)*w^2*m + (-1/25 - 7/25*i)*w^2*u"
+           " + (4/25 + 8/25*i)*w)/(w^2*u^2 + (-2/25 - 4/25*i)*w*m^2*u"
+           " + (9/50 - 6/25*i)*m*u)")
+FOUND_SUM = (
+    "((-29/65 + 37/65*i)*w^2*m^2*u^4 + (206/1625 + 42/1625*i)*w*m^4*u^3"
+    " + (2/65 + 49/65*i)*w^2*m^2*u^2 + (192/1625 - 106/1625*i)*w*m^4*u"
+    " + (183/3250 + 681/3250*i)*m^3*u^3 + (3/25 + 6/25*i)*w^3*m^2"
+    " + (-1/25 - 7/25*i)*w^3*m*u + (292/195 + 4/195*i)*w^3*u^2"
+    " + (-34/195 - 22/65*i)*w^2*m^2*u + (124/4875 + 568/4875*i)*w^2*m*u^2"
+    " + (303/1625 + 417/3250*i)*m^3*u + (4/25 + 8/25*i)*w^2*m"
+    " + (74/375 - 182/375*i)*w*m*u)/(w^3*m*u^2"
+    " + (-2/25 - 4/25*i)*w^2*m^3*u + (-82/195 + 2/65*i)*w^2*m*u^3"
+    " + (188/4875 + 316/4875*i)*w*m^3*u^2 + (9/50 - 6/25*i)*w*m^2*u"
+    " + (-111/1625 + 173/1625*i)*m^2*u^2)")
+
+
+def _parse_scalar(text):
+    e = parse(text, "uq-g1")
+    return e.terms[e.pres.one_mon]
+
+
+def test_sum_that_stalled_the_whole_product_gcd():
+    # one gcd of this sum's full numerator and denominator takes minutes
+    x, y = _parse_scalar(FOUND_X), _parse_scalar(FOUND_Y)
+    assert (str(x), str(y)) == (FOUND_X, FOUND_Y)
+    assert str(x + y) == FOUND_SUM
+    sympy = pytest.importorskip("sympy")
+    assert sympy.cancel(_to_sympy(x + y, sympy)
+                        - (_to_sympy(x, sympy) + _to_sympy(y, sympy))) == 0
 
 
 # -- known-answer short-circuits -------------------------------------------
