@@ -161,7 +161,8 @@ def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
 
 def subgroup_report(sub: CoisotropicSubgroup, degree: int | None = None) -> CheckReport:
     """Window verification of the subgroup axioms (ideal, coideal, tau)."""
-    degree = degree or sub.check_degree
+    if degree is None:
+        degree = sub.check_degree
     rep = CheckReport("coisotropic", preset=sub.quotient.name,
                       params={"degree": degree, "side": sub.side})
     amb, quo, pi = sub.ambient, sub.quotient, sub.pi

@@ -39,7 +39,7 @@ from .errors import NotCorepresentation, SideMismatch
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
 from .quasiinv import (IWM, LAURENT, OPS, ChiModule, Weight, act, chi,
-                       galilei_weight, nu_w_functional)
+                       galilei_weight, nu_w_functional, twisted_action)
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO
 
@@ -239,29 +239,13 @@ def eq_sesq_defect(A: IndElement, rho: Corepresentation, i: int):
 
 def rho_tilde_generic(X: AlgebraElement, A: IndElement, phi: Weight) -> IndElement:
     """rho~(X) A = sum_i e_i (x) X_(1).A_i phi[X_(2)] (left representation)."""
-    uq = builtin("uq-g1")
-    m = phi.module
-    comps = []
-    for a in A.components:
-        out = m.zero()
-        for (m1, m2), c in uq.delta.apply(X).terms.items():
-            out = out + m.mul(m.act_mono(m1, a), phi.of_mono(m2)).scale(c)
-        comps.append(out)
-    return IndElement(comps, A.side)
+    return IndElement([twisted_action(phi, X, a) for a in A.components], A.side)
 
 
 def lambda_tilde_generic(X: AlgebraElement, A: IndElement, psi: Weight) -> IndElement:
     """lambda~(X) A = sum_i psi[X_(1)] A_i.X_(2) (x) e_i (right mirror)."""
-    uq = builtin("uq-g1")
-    m = psi.module
-    comps = []
-    for a in A.components:
-        out = m.zero()
-        for (m1, m2), c in uq.delta.apply(X).terms.items():
-            out = out + m.mul(psi.of_mono(m1),
-                              m.act_mono(m2, a, side="right")).scale(c)
-        comps.append(out)
-    return IndElement(comps, A.side)
+    return IndElement([twisted_action(psi, X, a, side="right")
+                       for a in A.components], A.side)
 
 
 # -- the Galilei representation space --------------------------------------

@@ -866,7 +866,6 @@ def format_element(e):
         c = e.terms[mon]
         mono = format_monomial(e.pres, mon)
         cs = str(c)
-        plain = c.den.is_const() if hasattr(c, "den") else True
         multi = (" + " in cs) or (" - " in cs)
         if mono == "1":
             piece = f"({cs})" if multi else cs

@@ -15,7 +15,8 @@ AlgebraElement, so print(parse(s)) round-trips on normal forms.
 
 from __future__ import annotations
 
-from .errors import ExprSyntaxError, ScalarDivisionOnly, UnknownGenerator
+from .errors import (ExprSyntaxError, HopfkitError, ScalarDivisionOnly,
+                     UnknownGenerator)
 from .hopf import algebra_presentation
 from .ncalg import AlgebraElement, format_element
 from .scalars import I, M, ONE, U, W
@@ -111,7 +112,7 @@ class _Parser:
             exp = self.exponent()
             try:
                 base = base ** exp
-            except Exception as exc:
+            except HopfkitError as exc:
                 raise ExprSyntaxError(str(exc), tok[2]) from exc
         return base
 

@@ -18,7 +18,14 @@ relations checked at construction for every l.  Everything is phrased
 over a module *-algebra wrapper so the same check code drives three
 targets: LAURENT, its fraction field (needed for d1 d0 = 0 at
 non-invertible xi), and the v-polynomial homogeneous space inside fq-g1
-with the regular action.  Left and right checks share code paths; the
+with the regular action.  The fraction field keeps num/den pairs as
+built, with no gcd: LAURENT is an integral domain, and the checks only
+ask whether a value is zero or whether two values are equal.
+
+One twisted action, twisted_action(phi, X, a), computes the sum
+sum X_(1).a phi[X_(2)] (its right mirror sum phi[X_(1)] a.X_(2)) behind
+the cocycle law, the coboundary twist and, in induce, the unitarized
+induced representation.  Left and right checks share code paths; the
 right fixture mirrors the action table.
 """
 
@@ -112,76 +119,22 @@ def chi_to_h0(x: AlgebraElement) -> AlgebraElement:
 # -- fraction field of the chi algebra -----------------------------------
 
 
-def _divmod_poly(a: dict, b: dict):
-    """Long division of chi-polynomials (dict exp -> Scalar, exps >= 0)."""
-    a = dict(a)
-    db = max(b)
-    lb = b[db]
-    q = {}
-    while a:
-        da = max(a)
-        if da < db:
-            break
-        f = a[da] / lb
-        q[da - db] = f
-        for e, c in b.items():
-            t = a.get(e + da - db, ZERO) - f * c
-            if t.is_zero():
-                a.pop(e + da - db, None)
-            else:
-                a[e + da - db] = t
-    return q, a
-
-
-def _shifted(x: AlgebraElement, d: int) -> dict:
-    """The terms of x * chi^d as a dict exp -> Scalar."""
-    return {l + d: c for (l,), c in x.terms.items()}
-
-
-def _laurent_gcd(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Monic gcd, ignoring chi-power units."""
-    a = _shifted(x, -min(x.terms)[0])
-    b = _shifted(y, -min(y.terms)[0])
-    while b:
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-    lead = a[max(a)]
-    return AlgebraElement(LAURENT, {(l,): c / lead for l, c in a.items()})
-
-
 class ChiFraction:
-    """Element of the fraction field of the chi-Laurent algebra.
+    """Element num/den of the fraction field of the chi-Laurent algebra.
 
-    Canonical form: gcd cleared, denominator with lowest exponent 0 and
-    leading coefficient 1.
+    LAURENT is an integral domain, so the pair is kept as built, with no
+    gcd and no normal form: num/den is zero iff num is, a/b == c/d iff
+    a d == c b, and a sum is (a d + c b)/(b d).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: AlgebraElement, den: AlgebraElement | None = None,
-                 _reduced=False):
+    def __init__(self, num: AlgebraElement, den: AlgebraElement | None = None):
         if den is None:
             den = LAURENT.one()
-        if _reduced:
-            self.num, self.den = num, den
-            return
-        if den.is_zero():
+        elif den.is_zero():
             raise NotInvertible("zero denominator in the chi fraction field")
-        if num.is_zero():
-            self.num, self.den = LAURENT.zero(), LAURENT.one()
-            return
-        if len(den.terms) > 1 and len(num.terms) >= 1:
-            g = _laurent_gcd(num, den)
-            if len(g.terms) > 1:
-                num = _exact_chi_div(num, g)
-                den = _exact_chi_div(den, g)
-        # strip the chi-power unit and make the denominator monic
-        (lo,), hi = min(den.terms), max(den.terms)
-        top = den.terms[hi]
-        self.num = AlgebraElement(LAURENT, {(l - lo,): c / top
-                                            for (l,), c in num.terms.items()})
-        self.den = AlgebraElement(LAURENT, {(l - lo,): c / top
-                                            for (l,), c in den.terms.items()})
+        self.num, self.den = num, den
 
     @staticmethod
     def from_chi(e: AlgebraElement):
@@ -197,7 +150,7 @@ class ChiFraction:
     def __eq__(self, other):
         if not isinstance(other, ChiFraction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num * other.den == other.num * self.den
 
     def __add__(self, other):
         return ChiFraction(self.num * other.den + other.num * self.den,
@@ -207,7 +160,7 @@ class ChiFraction:
         return self + (-other)
 
     def __neg__(self):
-        return ChiFraction(-self.num, self.den, _reduced=True)
+        return ChiFraction(-self.num, self.den)
 
     def scale(self, c):
         return ChiFraction(self.num.scale(c), self.den)
@@ -218,8 +171,6 @@ class ChiFraction:
         return ChiFraction(self.num * other.num, self.den * other.den)
 
     def inverse(self):
-        if self.num.is_zero():
-            raise NotInvertible("zero fraction")
         return ChiFraction(self.den, self.num)
 
     def __str__(self):
@@ -229,15 +180,6 @@ class ChiFraction:
 
     def __repr__(self):
         return f"<chi-frac: {self}>"
-
-
-def _exact_chi_div(e: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    (lo_e,), (lo_g,) = min(e.terms), min(g.terms)
-    q, r = _divmod_poly(_shifted(e, -lo_e), _shifted(g, -lo_g))
-    if r:
-        raise ArithmeticError("non-exact chi division")
-    return AlgebraElement(LAURENT, {(l + lo_e - lo_g,): c
-                                    for l, c in q.items()})
 
 
 # -- module *-algebra wrappers -------------------------------------------
@@ -449,20 +391,29 @@ def epsilon_weight(module) -> Weight:
                   lambda X: module.one().scale(uq.epsilon.apply(X)))
 
 
+def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left"):
+    """sum X_(1).a phi[X_(2)] on the left, sum phi[X_(1)] a.X_(2) on the right.
+
+    The one sum behind the cocycle law, the coboundary twist and the
+    unitarized induced representation.
+    """
+    m = phi.module
+    out = m.zero()
+    for (m1, m2), c in builtin("uq-g1").delta.apply(X).terms.items():
+        if side == "left":
+            piece = m.mul(m.act_mono(m1, a), phi.of_mono(m2))
+        else:
+            piece = m.mul(phi.of_mono(m1), m.act_mono(m2, a, side="right"))
+        out = out + piece.scale(c)
+    return out
+
+
 def transform_weight(phi: Weight, xi) -> Weight:
     """phi1[X] = sum X_(1).xi phi[X_(2)] xi^-1 (the coboundary twist)."""
     m = phi.module
     xi_inv = m.invert(xi)
-    uq = builtin("uq-g1")
-
-    def fn(X):
-        out = m.zero()
-        for (m1, m2), c in uq.delta.apply(X).terms.items():
-            piece = m.mul(m.mul(m.act_mono(m1, xi), phi.of_mono(m2)), xi_inv)
-            out = out + piece.scale(c)
-        return out
-
-    return Weight(f"{phi.name}[xi={xi}]", m, fn)
+    return Weight(f"{phi.name}[xi={xi}]", m,
+                  lambda X: m.mul(twisted_action(phi, X, xi), xi_inv))
 
 
 def coboundary_weight(xi, module=None) -> Weight:
@@ -483,26 +434,12 @@ def coboundary_weight(xi, module=None) -> Weight:
 
 def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement):
     """d1(phi)[X (x) Y] = phi[XY] - sum X_(1).phi[Y] phi[X_(2)]."""
-    uq = builtin("uq-g1")
-    m = phi.module
-    out = phi(X * Y)
-    phiY = phi(Y)
-    for (m1, m2), c in uq.delta.apply(X).terms.items():
-        piece = m.mul(m.act_mono(m1, phiY), phi.of_mono(m2))
-        out = out - piece.scale(c)
-    return out
+    return phi(X * Y) - twisted_action(phi, X, phi(Y))
 
 
 def d1_right_defect(psi: Weight, X, Y):
     """Right mirror: psi[XY] - sum psi[Y_(1)] (psi[X].Y_(2))."""
-    uq = builtin("uq-g1")
-    m = psi.module
-    out = psi(X * Y)
-    psiX = psi(X)
-    for (m1, m2), c in uq.delta.apply(Y).terms.items():
-        piece = m.mul(psi.of_mono(m1), m.act_mono(m2, psiX, side="right"))
-        out = out - piece.scale(c)
-    return out
+    return psi(X * Y) - twisted_action(psi, Y, psi(X), side="right")
 
 
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:

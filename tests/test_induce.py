@@ -19,17 +19,21 @@ from hopfkit.induce import (
     intertwiner_report,
     j_structure,
     jform_report,
+    lambda_tilde_generic,
     minkowski_form,
     mirror_right_report,
     relations_report,
     rho_from_weight,
+    rho_tilde_generic,
     scalar_product,
     sesq_form,
     star_pairing,
     trivial_corep,
     unitarity_report,
 )
-from hopfkit.quasiinv import LAURENT, OPS, act, chi, galilei_weight
+from hopfkit.pairing import pair
+from hopfkit.quasiinv import (LAURENT, OPS, RegularModule, Weight, act, chi,
+                              galilei_weight)
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 SUB = galilei_subgroup()
@@ -209,3 +213,30 @@ def test_ind_generic_report():
 def test_mirror_right_report():
     rep = mirror_right_report(SUB, 2)
     assert rep.passed, [c.id for c in rep.failures()]
+
+
+def test_twisted_action_leg_order():
+    # psi(X) = <X, x> 1 is not the counit, so the two legs of the sum are
+    # told apart; with the counit weight both orders give X.a, and on the
+    # chi module K acts as 1 with phi[K^s] = 1
+    mod = RegularModule()
+    v, x = mod.fq.pres.gen("v"), mod.fq.pres.gen("x")
+    psi = Weight("pair-x", mod, lambda X: mod.one().scale(pair(X, x)))
+    for g in ("M", "K", "T", "B"):
+        X = UQ.pres.gen(g)
+        for a in (v, x * v):
+            left = right = mod.zero()
+            for (m1, m2), c in UQ.delta.apply(X).terms.items():
+                left = left + (mod.act_mono(m1, a)
+                               * psi.of_mono(m2)).scale(c)
+                right = right + (psi.of_mono(m1)
+                                 * mod.act_mono(m2, a, side="right")).scale(c)
+            assert (rho_tilde_generic(X, IndElement([a], "left"), psi)
+                    == IndElement([left], "left"))
+            assert (lambda_tilde_generic(X, IndElement([a], "right"), psi)
+                    == IndElement([right], "right"))
+    B = UQ.pres.gen("B")
+    assert (rho_tilde_generic(B, IndElement([v], "left"), psi).components[0]
+            == mod.one().scale(-W))
+    assert (lambda_tilde_generic(B, IndElement([v], "right"), psi).components[0]
+            == mod.one().scale(W))

@@ -12,6 +12,7 @@ from hopfkit.errors import (
     UnknownSuite,
 )
 from hopfkit.hopf import algebra_presentation
+from hopfkit.ncalg import AlgebraElement
 from hopfkit.parser import parse, print_element
 from hopfkit.report import CheckReport
 from hopfkit.scalars import I, ONE, W, scalar
@@ -60,6 +61,19 @@ def test_parse_errors_carry_position():
         parse("v^w", "fq-g1")
 
 
+def test_power_errors_outside_hopfkit_are_not_swallowed(monkeypatch):
+    # a hopfkit error from base ** exp becomes a positioned syntax error
+    with pytest.raises(ExprSyntaxError):
+        parse("x^-1", "fq-g1")
+
+    def broken_pow(self, n):
+        raise RuntimeError("bug in __pow__")
+
+    monkeypatch.setattr(AlgebraElement, "__pow__", broken_pow)
+    with pytest.raises(RuntimeError, match="bug in __pow__"):
+        parse("v^2", "fq-g1")
+
+
 def _random_element(pres, rng):
     window = pres.monomials_up_to(3, zrange=2)
     out = pres.zero()
@@ -91,6 +105,14 @@ def test_run_suite_unknown():
 def test_run_suite_hopf_axioms_degree_one():
     rep = run_suite("hopf-axioms", {"degree": 1})
     assert rep.passed
+
+
+def test_run_suite_coisotropic_degree_zero():
+    # degree 0 is a real window (the unit only), not "use the default"
+    rep = run_suite("coisotropic", {"degree": 0})
+    assert rep.params["degree"] == 0
+    assert rep.passed
+    assert len(rep.checks) == 6
 
 
 def test_run_suite_essential_invariance():

@@ -321,6 +321,22 @@ def test_fraction_field_basics():
     assert ChiFraction(num, den) == ChiFraction.from_chi(chi(1) + chi(0))
 
 
+nonzero_laurent = laurent_elements(max_terms=3).filter(lambda e: not e.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_elements(max_terms=3), nonzero_laurent,
+       laurent_elements(max_terms=3), nonzero_laurent, nonzero_laurent)
+def test_fraction_field_laws(p, q, p2, q2, r):
+    f, g = ChiFraction(p, q), ChiFraction(p2, q2)
+    assert ChiFraction(p * r, q * r) == f
+    assert (f + g) - g == f
+    if not p.is_zero():
+        assert f * f.inverse() == ChiFraction.one()
+    if p * q2 != p2 * q:
+        assert f != g
+
+
 def test_fraction_module_has_no_star():
     with pytest.raises(StarUndefined):
         ChiFractionModule().star(ChiFraction.one())
