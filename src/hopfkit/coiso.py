@@ -105,13 +105,12 @@ def membership_defect(sub, a, side="left"):
     amb, pi = sub.ambient, sub.pi
     d = amb.delta.apply(a)
     pi1 = pi.apply(amb.pres.one())
-    from .ncalg import as_tensor
     if side == "left":
         lhs = tensor_map([pi, None], d)
-        rhs = as_tensor(pi1).tensor(as_tensor(a))
+        rhs = pi1.tensor(a)
     else:
         lhs = tensor_map([None, pi], d)
-        rhs = as_tensor(a).tensor(as_tensor(pi1))
+        rhs = a.tensor(pi1)
     return lhs - rhs
 
 

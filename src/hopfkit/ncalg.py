@@ -21,6 +21,12 @@ a cold image phi(prefix*L) is phi(prefix)*phi(L), or phi(L)*phi(prefix)
 for an anti-homomorphism.  Only a single letter times a normal monomial
 is rewritten as a word, besides element() and the build-time checks.
 A rule that only swaps its two letters swaps whole powers in one step.
+
+Tensor products, products of tensors and tensor_map (one map per slot,
+as many maps as the tensor has slots) share one outer-product loop.  The
+shape of tensor_map's output comes from the maps, not from the terms, so
+zero input has the same type as any other: a Scalar when every slot is
+contracted, an AlgebraElement for one leg, a TensorElement for more.
 """
 
 from __future__ import annotations
@@ -322,10 +328,11 @@ class Presentation:
 class _Combination:
     """Finite Scalar-linear combination of basis keys in one space.
 
-    The linear operations live here once.  A subclass stores `terms`
-    (key -> nonzero Scalar) beside its space tag, and supplies `_like`
-    (an element of the same space with the given terms), `_unit_key`,
-    `_check_same`, its product and its printing.
+    The linear operations and the tensor product live here once.  A
+    subclass stores `terms` (key -> nonzero Scalar) beside its space tag,
+    and supplies `_like` (an element of the same space with the given
+    terms), `_one` (the unit of its space), `_check_same`, its product
+    and its printing.
     """
 
     __slots__ = ()
@@ -335,7 +342,7 @@ class _Combination:
 
     def __add__(self, other):
         if not isinstance(other, _Combination):
-            other = self._like({self._unit_key(): ONE}).scale(other)
+            other = self._one().scale(other)
         elif type(other) is not type(self):
             raise PresentationMismatch(
                 f"{type(self).__name__} combined with {type(other).__name__}")
@@ -374,6 +381,11 @@ class _Combination:
         # scalars commute with everything; true elements use __mul__
         return self.scale(other)
 
+    def tensor(self, other):
+        out = {}
+        _expand_slots(out, ONE, (self, other))
+        return TensorElement(_legs(self) + _legs(other), _strip_zeros(out))
+
 
 class AlgebraElement(_Combination):
     """Finite Scalar-linear combination of normal monomials."""
@@ -387,8 +399,8 @@ class AlgebraElement(_Combination):
     def _like(self, terms):
         return AlgebraElement(self.pres, terms)
 
-    def _unit_key(self):
-        return self.pres.one_mon
+    def _one(self):
+        return self.pres.one()
 
     def __bool__(self):
         return bool(self.terms)
@@ -449,9 +461,6 @@ class AlgebraElement(_Combination):
         return max((sum(e for g, e in enumerate(m) if not inv[g])
                     for m in self.terms), default=0)
 
-    def tensor(self, other):
-        return as_tensor(self).tensor(as_tensor(other))
-
     def __str__(self):
         return format_element(self)
 
@@ -477,13 +486,8 @@ class TensorElement(_Combination):
     def _like(self, terms):
         return TensorElement(self.spaces, terms)
 
-    def _unit_key(self):
-        return tuple(p.one_mon for p in self.spaces)
-
-    @staticmethod
-    def one(spaces):
-        key = tuple(p.one_mon for p in spaces)
-        return TensorElement(spaces, {key: ONE})
+    def _one(self):
+        return self._like({tuple(p.one_mon for p in self.spaces): ONE})
 
     @property
     def rank(self):
@@ -505,10 +509,9 @@ class TensorElement(_Combination):
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                base = c1 * c2
-                slots = [self.spaces[s].mono_product(k1[s], k2[s])
-                         for s in range(len(self.spaces))]
-                _expand_slots(out, base, slots)
+                _expand_slots(out, c1 * c2, [
+                    p.mono_product(m1, m2)
+                    for p, m1, m2 in zip(self.spaces, k1, k2)])
         return TensorElement(self.spaces, _strip_zeros(out))
 
     def inverse(self):
@@ -517,13 +520,6 @@ class TensorElement(_Combination):
         (key, c), = self.terms.items()
         inv = tuple(p.mono_inverse(m) for p, m in zip(self.spaces, key))
         return TensorElement(self.spaces, {inv: ONE / c})
-
-    def tensor(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out[k1 + k2] = out.get(k1 + k2, ZERO) + c1 * c2
-        return TensorElement(self.spaces + other.spaces, _strip_zeros(out))
 
     def to_element(self):
         if len(self.spaces) != 1:
@@ -544,19 +540,43 @@ class TensorElement(_Combination):
 
 
 def _expand_slots(out, base, slots):
-    """Accumulate base * (slot_0 (x) ... (x) slot_k) into out."""
+    """Accumulate base * (slot_0 (x) ... (x) slot_k) into out.
+
+    This is the one outer product of the tensor layer.  A Scalar slot is
+    contracted into the coefficient; an AlgebraElement or a {monomial:
+    coeff} dict adds one leg, and a TensorElement as many as its rank.
+    """
     keys = [()]
     coeffs = [base]
     for slot in slots:
+        if isinstance(slot, Scalar):
+            if slot.is_zero():
+                return
+            coeffs = [c * slot for c in coeffs]
+            continue
+        if isinstance(slot, TensorElement):
+            legs = slot.terms.items()
+        else:
+            terms = slot if isinstance(slot, dict) else slot.terms
+            legs = [((mon,), k) for mon, k in terms.items()]
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
-            for mon, k in slot.terms.items():
-                nkeys.append(key + (mon,))
+            for leg, k in legs:
+                nkeys.append(key + leg)
                 ncoeffs.append(c * k)
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
         s = out.get(key)
         out[key] = c if s is None else s + c
+
+
+def _legs(x):
+    """The presentations of the legs that x adds as a slot of a tensor."""
+    if isinstance(x, TensorElement):
+        return x.spaces
+    if isinstance(x, AlgebraElement):
+        return (x.pres,)
+    return ()
 
 
 def _strip_zeros(d):
@@ -589,7 +609,8 @@ class Morphism:
         if isinstance(images, dict):
             images = [images[g] for g in source.generators]
         self.images = list(images)
-        self._target_one = self._one_like(self.images[0]) if self.images else ONE
+        img = self.images[0] if self.images else ONE
+        self._target_one = img._one() if isinstance(img, _Combination) else ONE
         # the unit and every letter (generator to the power +-1) are cached
         # from the start, so a monomial's image is built from a shorter one
         self._mono_cache = {source.one_mon: self._target_one}
@@ -600,14 +621,6 @@ class Morphism:
                     ONE / img if isinstance(img, Scalar) else img.inverse()
         if check:
             self._check_relations()
-
-    @staticmethod
-    def _one_like(img):
-        if isinstance(img, AlgebraElement):
-            return img.pres.one()
-        if isinstance(img, TensorElement):
-            return TensorElement.one(img.spaces)
-        return ONE
 
     def _mono_image(self, mon):
         """Image of a normal monomial, built one letter at a time.
@@ -636,7 +649,7 @@ class Morphism:
 
     def apply(self, e):
         if isinstance(e, TensorElement):
-            return self._apply_tensor(e)
+            return tensor_map([self] * e.rank, e)
         if isinstance(e, Scalar):
             return e.conjugate() if self.conjugate else e
         if e.pres is not self.source:
@@ -648,13 +661,7 @@ class Morphism:
                 c = c.conjugate()
             img = self._mono_image(mon) * c
             out = img if out is None else out + img
-        if out is None:
-            z = self._target_one
-            return z.scale(ZERO) if not isinstance(z, Scalar) else ZERO
-        return out
-
-    def _apply_tensor(self, te):
-        return tensor_map([self] * te.rank, te)
+        return self._target_one * ZERO if out is None else out
 
     def __call__(self, e):
         return self.apply(e)
@@ -690,89 +697,34 @@ def tensor_map(maps, te):
     """Apply one map per slot of a tensor element.
 
     Each map is a Morphism (scalar-, algebra- or tensor-valued) or None
-    for the identity.  A scalar-valued slot is contracted away.  All
+    for the identity, one per slot: a list of another length raises
+    InvalidArgument.  A scalar-valued slot is contracted away.  All
     conjugate-linear slots must agree, and the term coefficient is
     conjugated once iff the maps are conjugate-linear.
+
+    The output legs come from the maps alone, so the type does not depend
+    on the input, zero included: a Scalar when every slot is contracted,
+    an AlgebraElement for one leg left, a TensorElement for more.
     """
+    if len(maps) != te.rank:
+        raise InvalidArgument(
+            f"{len(maps)} maps given for a rank-{te.rank} tensor")
     conj_flags = {m.conjugate for m in maps if m is not None}
     if len(conj_flags) > 1:
         raise InvalidArgument("mixed linear / conjugate-linear tensor map")
     conj = conj_flags.pop() if conj_flags else False
+    spaces = sum(((p,) if mp is None else _legs(mp._target_one)
+                  for mp, p in zip(maps, te.spaces)), ())
     out = {}
-    out_spaces = None
     for key, c in te.terms.items():
-        if conj:
-            c = c.conjugate()
-        pieces = []
-        for s, mp in enumerate(maps):
-            if mp is None:
-                pieces.append(AlgebraElement(te.spaces[s], {key[s]: ONE}))
-            else:
-                img = mp._mono_image(key[s])
-                pieces.append(img)
-        spaces = []
-        slots = []
-        for piece in pieces:
-            if isinstance(piece, Scalar):
-                c = c * piece
-                continue
-            if isinstance(piece, TensorElement):
-                spaces.extend(piece.spaces)
-                slots.append(piece)
-            else:
-                spaces.append(piece.pres)
-                slots.append(as_tensor(piece))
-        if out_spaces is None:
-            out_spaces = tuple(spaces)
-        if c.is_zero():
-            continue
-        flat = [(key_part, coeff) for key_part, coeff in _iter_outer(slots)]
-        for key_part, coeff in flat:
-            k = key_part
-            v = c * coeff
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-    if out_spaces is None:
-        # zero input or fully scalar output shape: recompute the shape
-        spaces = []
-        scalar_only = True
-        for s, mp in enumerate(maps):
-            if mp is None:
-                spaces.append(te.spaces[s])
-                scalar_only = False
-            else:
-                one_img = mp._target_one
-                if isinstance(one_img, TensorElement):
-                    spaces.extend(one_img.spaces)
-                    scalar_only = False
-                elif isinstance(one_img, AlgebraElement):
-                    spaces.append(one_img.pres)
-                    scalar_only = False
-        if scalar_only:
-            return ZERO
-        return TensorElement(tuple(spaces), {})
-    if not out_spaces:
-        total = ZERO
-        for _, v in out.items():
-            total = total + v
-        return total
-    result = TensorElement(out_spaces, _strip_zeros(out))
-    if result.rank == 1:
-        return result.to_element()
-    return result
-
-
-def _iter_outer(slots):
-    keys = [()]
-    coeffs = [ONE]
-    for slot in slots:
-        nk, nc = [], []
-        for key, c in zip(keys, coeffs):
-            for tkey, k in slot.terms.items():
-                nk.append(key + tkey)
-                nc.append(c * k)
-        keys, coeffs = nk, nc
-    return zip(keys, coeffs)
+        _expand_slots(out, c.conjugate() if conj else c, [
+            {mon: ONE} if mp is None else mp._mono_image(mon)
+            for mp, mon in zip(maps, key)])
+    terms = _strip_zeros(out)
+    if not spaces:
+        return terms.get((), ZERO)
+    result = TensorElement(spaces, terms)
+    return result.to_element() if len(spaces) == 1 else result
 
 
 # -- exact linear algebra over the scalar field ------------------------

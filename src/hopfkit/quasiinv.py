@@ -243,11 +243,13 @@ class ChiFractionModule(ChiModule):
         a, _ell, c, d = umon
         if a or c:
             return self.zero()
+        # B is a derivation: with D = f.den fixed, B(n/D^k) is
+        # (B(n) D - k n B(D)) / D^(k+1), so B^d f has denominator D^(d+1)
         b_act = functools.partial(ChiModule().act_mono, (0, 0, 0, 1))
-        for _ in range(d):
-            f = ChiFraction(b_act(f.num) * f.den - f.num * b_act(f.den),
-                            f.den * f.den)
-        return f
+        num, den, b_den = f.num, f.den, b_act(f.den)
+        for k in range(1, d + 1):
+            num, den = b_act(num) * f.den - (num * b_den).scale(k), den * f.den
+        return ChiFraction(num, den)
 
 
 class RegularModule:

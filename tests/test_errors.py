@@ -55,6 +55,9 @@ CASES = {
     "tensor_map-mixed-conjugation": (
         lambda: tensor_map([UQ.star, UQ.antipode], UQ.delta.apply(B)),
         InvalidArgument, ValueError),
+    "tensor_map-wrong-number-of-maps": (
+        lambda: tensor_map([UQ.epsilon], UQ.delta.apply(B)),
+        InvalidArgument, ValueError),
     "coproduct_iter-k-below-1": (
         lambda: UQ.coproduct_iter(B, 0), InvalidArgument, ValueError),
     "to_element-rank-2": (

@@ -45,6 +45,16 @@ def test_iterated_coproduct_of_x():
     assert other_order == expected
 
 
+def test_tensor_map_shape_of_zero_input():
+    # the output type comes from the maps, not from the (absent) terms
+    zero = UQ.delta.apply(UQ.pres.gen("B")).scale(0)
+    assert tensor_map([UQ.epsilon, None], zero) == UQ.pres.zero()
+    assert tensor_map([UQ.epsilon, UQ.epsilon], zero) == ZERO
+    out = tensor_map([UQ.delta, None], zero)
+    assert out.rank == 3 and out.is_zero()
+    assert out.spaces == (UQ.pres,) * 3
+
+
 def test_tau_on_generators():
     p = UQ.pres
     assert UQ.apply_tau(p.gen("K")) == p.gen("K", -1)

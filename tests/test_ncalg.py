@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfkit import hopf, ncalg, pairing, quasiinv
 from hopfkit.errors import (
@@ -303,3 +303,89 @@ def test_deep_exponents_do_not_recurse():
     assert b * p.gen("K", -1200) == \
         p.monomial((0, -1200, 0, 1)) - p.monomial((1, -1200, 0, 0)) * (1200 * IW)
     assert uq.delta.apply(k) == k.tensor(k)
+
+
+# -- tensor_map and tensor products against slot-by-slot expansion ---------
+
+HOPF = {name: builtin(name) for name in ("uq-g1", "fq-g1")}
+SMALL_MONS = {name: h.pres.monomials_up_to(2, zrange=1)
+              for name, h in HOPF.items()}
+TENSOR_COEFFS = [ONE, -ONE, I, 2 * W, ONE / (W * M), W * M + I]
+
+
+@st.composite
+def rank2_tensors(draw, name):
+    """Sum of 1-3 products a (x) b of elements with 1-3 terms, degree <= 2."""
+    pres = HOPF[name].pres
+    element = st.dictionaries(st.sampled_from(SMALL_MONS[name]),
+                              st.sampled_from(TENSOR_COEFFS),
+                              min_size=1, max_size=3).map(
+        lambda d: ncalg.AlgebraElement(pres, d))
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    out = pairs[0][0].tensor(pairs[0][1])
+    for a, b in pairs[1:]:
+        out = out + a.tensor(b)
+    return out
+
+
+def _legs_of(x):
+    """{key tuple: coeff} of a Scalar, an algebra element or a tensor."""
+    if isinstance(x, Scalar):
+        return {(): x} if not x.is_zero() else {}
+    if isinstance(x, ncalg.TensorElement):
+        return dict(x.terms)
+    return {(m,): c for m, c in x.terms.items()}
+
+
+def _slotwise(maps, te):
+    """Each term's slots mapped one at a time, then multiplied out."""
+    out = {}
+    for key, c in te.terms.items():
+        if any(mp is not None and mp.conjugate for mp in maps):
+            c = c.conjugate()
+        expanded = {(): c}
+        for mp, pres, mon in zip(maps, te.spaces, key):
+            img = pres.monomial(mon)
+            if mp is not None:
+                img = mp.apply(img)
+            expanded = {k1 + k2: c1 * c2
+                        for k1, c1 in expanded.items()
+                        for k2, c2 in _legs_of(img).items()}
+        for k, v in expanded.items():
+            out[k] = out.get(k, ZERO) + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(HOPF)).flatmap(
+    lambda name: st.tuples(st.just(name), rank2_tensors(name))))
+def test_tensor_map_matches_slotwise_expansion(case):
+    name, te = case
+    assume(not te.is_zero())  # zero input has its own test in test_hopf
+    h = HOPF[name]
+    for maps, kind in (((h.antipode, None), ncalg.TensorElement),
+                       ((None, h.epsilon), ncalg.AlgebraElement),
+                       ((h.delta, None), ncalg.TensorElement),
+                       ((h.star, h.star), ncalg.TensorElement)):
+        out = ncalg.tensor_map(list(maps), te)
+        assert isinstance(out, kind)
+        assert _legs_of(out) == _slotwise(maps, te)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(HOPF)).flatmap(
+    lambda name: st.tuples(rank2_tensors(name), rank2_tensors(name))))
+def test_tensor_product_matches_slotwise_mono_products(pair):
+    t, u = pair
+    p0, p1 = t.spaces
+    expected = {}
+    for k1, c1 in t.terms.items():
+        for k2, c2 in u.terms.items():
+            left = p0.mono_product(k1[0], k2[0])
+            right = p1.mono_product(k1[1], k2[1])
+            for m0, a in left.terms.items():
+                for m1, b in right.terms.items():
+                    k = (m0, m1)
+                    expected[k] = expected.get(k, ZERO) + c1 * c2 * a * b
+    assert (t * u).terms == {k: v for k, v in expected.items()
+                             if not v.is_zero()}

@@ -337,6 +337,20 @@ def test_fraction_field_laws(p, q, p2, q2, r):
         assert f != g
 
 
+@pytest.mark.parametrize("d", range(5))
+def test_fraction_module_b_power_keeps_one_denominator(d):
+    # B is a derivation, so B^d (1/(1+chi)) has denominator (1+chi)^(d+1)
+    module = ChiFractionModule()
+    one_plus_chi = LAURENT.one() + chi(1)
+    f = ChiFraction(LAURENT.one(), one_plus_chi)
+    out = module.act_mono((0, 0, 0, d), f)
+    assert out.den == one_plus_chi ** (d + 1)
+    steps = f
+    for _ in range(d):
+        steps = module.act_mono((0, 0, 0, 1), steps)
+    assert out == steps
+
+
 def test_fraction_module_has_no_star():
     with pytest.raises(StarUndefined):
         ChiFractionModule().star(ChiFraction.one())
