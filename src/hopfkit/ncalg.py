@@ -240,7 +240,8 @@ class Presentation:
         return AlgebraElement(self, {self.one_mon: ONE})
 
     def gen(self, name, exp=1):
-        return self.element([(ONE, [(name, exp)])])
+        (g, e), = self._validate_word([(name, exp)])
+        return AlgebraElement(self, {self._gen_mon(g, e): ONE})
 
     def element(self, terms):
         """Build from raw (coefficient, word) pairs; words may be disordered."""
@@ -468,12 +469,6 @@ class AlgebraElement(_Combination):
         return f"<{self.pres.name}: {format_element(self)}>"
 
 
-def as_tensor(e):
-    if isinstance(e, TensorElement):
-        return e
-    return TensorElement((e.pres,), {(m,): c for m, c in e.terms.items()})
-
-
 class TensorElement(_Combination):
     """Finite linear combination of k-tuples of normal monomials."""
 
@@ -655,13 +650,28 @@ class Morphism:
         if e.pres is not self.source:
             raise PresentationMismatch(
                 f"{self.name} defined on {self.source.name}, got {e.pres.name}")
-        out = None
+        if len(e.terms) < 2 or isinstance(self._target_one, Scalar):
+            out = None
+            for mon, c in e.terms.items():
+                if self.conjugate:
+                    c = c.conjugate()
+                img = self._mono_image(mon) * c
+                out = img if out is None else out + img
+            return self._target_one * ZERO if out is None else out
+        # one dict for the whole sum: adding image by image would copy
+        # the sum so far once per monomial
+        out = {}
         for mon, c in e.terms.items():
             if self.conjugate:
                 c = c.conjugate()
-            img = self._mono_image(mon) * c
-            out = img if out is None else out + img
-        return self._target_one * ZERO if out is None else out
+            for key, k in self._mono_image(mon).terms.items():
+                s = out.get(key)
+                s = k * c if s is None else s + k * c
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return self._target_one._like(out)
 
     def __call__(self, e):
         return self.apply(e)

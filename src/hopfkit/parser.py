@@ -8,18 +8,20 @@ Precedence-climbing over the grammar
     atom   := NUMBER | NAME | '(' expr ')' | '-' factor
 
 Names resolve to generators of the target algebra first, then to the
-scalar symbols i, w, m, u.  Division is only by scalar-valued
-subexpressions.  Everything evaluates straight into a normal-ordered
+scalar symbols i, w, m, u.  A subexpression with no generator in it
+evaluates as a Scalar in the field Q(i)(w, m, u); it becomes an
+algebra element, by scaling, only where it meets one.  Division is only
+by scalar-valued subexpressions.  parse always returns a normal-ordered
 AlgebraElement, so print(parse(s)) round-trips on normal forms.
 """
 
 from __future__ import annotations
 
-from .errors import (ExprSyntaxError, HopfkitError, ScalarDivisionOnly,
-                     UnknownGenerator)
+from .errors import (DivisionByZero, ExprSyntaxError, HopfkitError,
+                     ScalarDivisionOnly, UnknownGenerator)
 from .hopf import algebra_presentation
 from .ncalg import AlgebraElement, format_element
-from .scalars import I, M, ONE, U, W
+from .scalars import I, M, ONE, U, W, Scalar, scalar
 
 SCALAR_SYMBOLS = {"i": I, "w": W, "m": M, "u": U}
 
@@ -98,7 +100,12 @@ class _Parser:
             elif kind == "/":
                 tok = self.next()
                 rhs = self.factor()
-                out = out * _scalar_inverse(rhs, tok[2])
+                if not isinstance(rhs, Scalar):
+                    out = out * _scalar_inverse(rhs, tok[2])
+                elif isinstance(out, Scalar):
+                    out = out / rhs
+                else:
+                    out = out.scale(ONE / rhs)
             elif kind in ("name", "num", "("):
                 # juxtaposition multiplies in written order
                 out = out * self.factor()
@@ -139,12 +146,12 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "num":
-            return self.pres.one() * value
+            return scalar(value)
         if kind == "name":
             if value in self.pres.index:
                 return self.pres.gen(value)
             if value in SCALAR_SYMBOLS:
-                return self.pres.one() * SCALAR_SYMBOLS[value]
+                return SCALAR_SYMBOLS[value]
             raise UnknownGenerator(
                 f"{value!r} is not a generator of {self.pres.name} "
                 f"or a scalar symbol")
@@ -158,21 +165,22 @@ class _Parser:
 
 
 def _scalar_inverse(e: AlgebraElement, pos):
+    """1/e as a Scalar, for an element e that is a scalar multiple of 1."""
     one_mon = e.pres.one_mon
     if any(mon != one_mon for mon in e.terms):
         raise ScalarDivisionOnly(
             f"division only by scalar-valued expressions (at position {pos})")
     c = e.terms.get(one_mon)
     if c is None:
-        from .errors import DivisionByZero
         raise DivisionByZero("division by the zero expression")
-    return e.pres.one() * (ONE / c)
+    return ONE / c
 
 
 def parse(text: str, algebra: str) -> AlgebraElement:
     """Parse an expression in the named built-in algebra."""
     pres = algebra_presentation(algebra)
-    return _Parser(_tokenize(text), pres).parse()
+    out = _Parser(_tokenize(text), pres).parse()
+    return pres.one().scale(out) if isinstance(out, Scalar) else out
 
 
 def print_element(e: AlgebraElement) -> str:

@@ -2,7 +2,7 @@ import pytest
 
 from hopfkit.errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
 from hopfkit.hopf import HopfStructure, builtin, verify_hopf
-from hopfkit.ncalg import Presentation, as_tensor, tensor_map
+from hopfkit.ncalg import Presentation, tensor_map
 from hopfkit.scalars import I, ONE, W, ZERO
 
 UQ = builtin("uq-g1")
@@ -12,7 +12,7 @@ IW = I * W
 
 
 def t2(a, b):
-    return as_tensor(a).tensor(as_tensor(b))
+    return a.tensor(b)
 
 
 def test_coproduct_of_v_is_primitive():
@@ -25,19 +25,19 @@ def test_iterated_coproduct_of_unit():
     p = UQ.pres
     out = UQ.coproduct_iter(p.one(), 3)
     assert out.rank == 4
-    assert out == tensor_map([None] * 4, as_tensor(p.one()).tensor(
-        as_tensor(p.one())).tensor(as_tensor(p.one())).tensor(as_tensor(p.one())))
+    assert out == tensor_map([None] * 4, p.one().tensor(
+        p.one()).tensor(p.one()).tensor(p.one()))
 
 
 def test_iterated_coproduct_of_x():
     p = FQ.pres
     x, v, t, one = p.gen("x"), p.gen("v"), p.gen("t"), p.one()
-    expected = (t2(x, one).tensor(as_tensor(one))
-                + t2(one, x).tensor(as_tensor(one))
-                + t2(one, one).tensor(as_tensor(x))
-                + t2(v, t).tensor(as_tensor(one))
-                + t2(v, one).tensor(as_tensor(t))
-                + t2(one, v).tensor(as_tensor(t)))
+    expected = (t2(x, one).tensor(one)
+                + t2(one, x).tensor(one)
+                + t2(one, one).tensor(x)
+                + t2(v, t).tensor(one)
+                + t2(v, one).tensor(t)
+                + t2(one, v).tensor(t))
     assert FQ.coproduct_iter(x, 2) == expected
     # oracle: expanding the first slot instead of the last gives the same
     d = FQ.coproduct(x)

@@ -79,6 +79,20 @@ def test_negative_power_of_non_invertible():
         FQ.element([(ONE, [("v", -1)])])
 
 
+@pytest.mark.parametrize("pres", [UQ, FQ, FJ, H0, quasiinv.OPS],
+                         ids=lambda p: p.name)
+def test_gen_is_the_normalized_one_letter_word(pres):
+    for name, invertible in zip(pres.generators, pres.invertible):
+        for e in range(-3 if invertible else 0, 4):
+            assert pres.gen(name, e) == pres.element([(ONE, [(name, e)])])
+    with pytest.raises(UnknownGenerator):
+        pres.gen("no_such_generator")
+    for name, invertible in zip(pres.generators, pres.invertible):
+        if not invertible:
+            with pytest.raises(NegativePowerOfNonInvertible):
+                pres.gen(name, -1)
+
+
 def test_rewrite_limit_is_a_hopfkit_error(monkeypatch):
     # two commuting letters: sorting b a b a takes more than three steps
     p = Presentation("ab", ("a", "b"), (False, False),
@@ -389,3 +403,22 @@ def test_tensor_product_matches_slotwise_mono_products(pair):
                     expected[k] = expected.get(k, ZERO) + c1 * c2 * a * b
     assert (t * u).terms == {k: v for k, v in expected.items()
                              if not v.is_zero()}
+
+
+# -- Morphism.apply on a long sum against its per-monomial images ---------
+
+APPLY_COEFFS = [ONE, -ONE, I, 2 * W, ONE / (W * M), W * M + I]
+
+
+@pytest.mark.parametrize("attr", ["delta", "epsilon", "antipode", "star"])
+def test_apply_is_the_sum_of_monomial_images(attr):
+    h = builtin("uq-g1")
+    phi = getattr(h, attr)
+    mons = h.pres.monomials_up_to(4, zrange=3)[:200]
+    assert len(mons) == 200
+    terms = {mon: APPLY_COEFFS[k % len(APPLY_COEFFS)]
+             for k, mon in enumerate(mons)}
+    expected = phi.apply(h.pres.zero())
+    for mon, c in terms.items():
+        expected = expected + phi.apply(h.pres.monomial(mon).scale(c))
+    assert phi.apply(ncalg.AlgebraElement(h.pres, terms)) == expected

@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfkit.cli import _merge, load_config, main, run_suite
 from hopfkit.errors import (
     ConfigError,
+    DivisionByZero,
     ExprSyntaxError,
     ScalarDivisionOnly,
     UnknownGenerator,
@@ -15,7 +17,7 @@ from hopfkit.hopf import algebra_presentation
 from hopfkit.ncalg import AlgebraElement
 from hopfkit.parser import parse, print_element
 from hopfkit.report import CheckReport
-from hopfkit.scalars import I, ONE, W, scalar
+from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 
 def test_parse_commutator_identity():
@@ -95,6 +97,65 @@ def test_print_parse_round_trip(algebra):
     for _ in range(50):
         e = _random_element(pres, rng)
         assert parse(print_element(e), algebra) == e
+
+
+ALGEBRAS = ("uq-g1", "fq-g1", "fq-j", "h0-irr")
+# monomial and multi-term denominators, as in the benchmark's words
+COEFF_DECK = (ONE, scalar(-3), I, W, I / (2 * W), ONE / (W * M),
+              ONE / (W + M), (U - I * W) / (M + 1))
+ROUND_TRIP_WINDOWS = {
+    alg: algebra_presentation(alg).monomials_up_to(3, zrange=2)
+    for alg in ALGEBRAS}
+
+
+@st.composite
+def printable_elements(draw):
+    """An algebra name and an element with 0-4 terms whose coefficients
+    are products of two cards of COEFF_DECK (one of which may be 1)."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    card = st.sampled_from(COEFF_DECK)
+    coeff = st.builds(lambda a, b: a * b, card, card)
+    terms = draw(st.dictionaries(st.sampled_from(ROUND_TRIP_WINDOWS[algebra]),
+                                 coeff, max_size=4))
+    return algebra, AlgebraElement(algebra_presentation(algebra), terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(printable_elements())
+def test_print_parse_round_trip_with_fraction_coefficients(case):
+    algebra, e = case
+    assert parse(print_element(e), algebra) == e
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("text, value", [
+    ("0", ZERO),
+    ("2^-1", ONE / 2),
+    ("(w+m)^3/(w+m)^2", (W + M) ** 3 / (W + M) ** 2),
+    ("i*w - w*i", I * W - W * I),
+])
+def test_scalar_text_parses_to_a_multiple_of_one(algebra, text, value):
+    got = parse(text, algebra)
+    assert isinstance(got, AlgebraElement)
+    assert got == algebra_presentation(algebra).one().scale(value)
+
+
+def test_division_by_a_scalar_valued_element():
+    p = algebra_presentation("uq-g1")
+    assert parse("2/(K K^-1)", "uq-g1") == p.one().scale(2)
+    assert parse("B/(w K K^-1)", "uq-g1") == p.gen("B").scale(ONE / W)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1/0", DivisionByZero),
+    ("v/(w-w)", DivisionByZero),
+    ("v/(x-x)", DivisionByZero),
+    ("(w-w)^-1", ExprSyntaxError),
+    ("1/v", ScalarDivisionOnly),
+])
+def test_scalar_parse_errors(text, error):
+    with pytest.raises(error):
+        parse(text, "fq-g1")
 
 
 def test_run_suite_unknown():
