@@ -23,6 +23,19 @@ monic denominators, so each result is already canonical and needs no
 final gcd of its numerator and denominator.  The constructor
 Scalar(num, den) keeps that general gcd for its callers.
 
+Gcds (poly_gcd) split off the common monomial content first, and a
+one-term operand makes that monomial the answer.  Two operands of two or
+more terms take a modular gcd: Z[i] maps to Z_p, for fixed primes
+p = 1 (mod 4), by sending i to a square root of -1.  Univariate images
+(all variables but one at fixed points, leading coefficients nonzero)
+bound the gcd's degree in each variable from above, by Gauss's lemma
+over the UFD Z[i]; bounds all 0 prove the gcd is 1.  An operand whose
+degrees meet the bounds is tried by exact division; otherwise Brown's
+dense interpolation (JACM 1971) with CRT over the primes and rational
+reconstruction gives a candidate, accepted only after exact trial
+division of both operands.  Primitive PRS (prs_gcd) runs only when
+every listed prime is unlucky, and the tests use it as the reference.
+
 Multiplication skips work whose answer is known: x * ONE and ONE * x
 return x itself (after coercing an int, Fraction or GaussRat operand),
 a product with a zero numerator returns the shared ZERO, and a product
@@ -36,7 +49,7 @@ Conjugation sends i to -i and fixes w, m, u.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, InvalidArgument
 
@@ -136,6 +149,16 @@ class GaussRat:
         a, b = self.a, self.b
         return _reduce((a * c + b * e) * f, (b * c - a * e) * f,
                        self.d * (c * c + e * e))
+
+    def __pow__(self, n):
+        """Power by an int n >= 0: one Gaussian-integer power, one gcd."""
+        a, b, x, y, k = 1, 0, self.a, self.b, n
+        while k:
+            if k & 1:
+                a, b = a * x - b * y, a * y + b * x
+            x, y = x * x - y * y, 2 * x * y
+            k >>= 1
+        return _reduce(a, b, self.d ** n)
 
     def conjugate(self):
         return _make(self.a, -self.b, self.d)
@@ -302,20 +325,22 @@ P_ZERO = Poly.zero()
 P_ONE = Poly.const(GR_ONE)
 
 
-def _mono_content(p):
-    """Largest monomial dividing every term of p (exponent triple)."""
+def _mono_content(p, lo=None):
+    """Largest monomial dividing every term of p (exponent triple).
+
+    With lo given, the largest one that also divides the monomial lo.
+    """
     it = iter(p.terms)
-    e = next(it)
-    lo = list(e)
+    lo = list(next(it) if lo is None else lo)
     for e in it:
+        if lo == [0, 0, 0]:
+            break
         if e[0] < lo[0]:
             lo[0] = e[0]
         if e[1] < lo[1]:
             lo[1] = e[1]
         if e[2] < lo[2]:
             lo[2] = e[2]
-        if lo == [0, 0, 0]:
-            break
     return tuple(lo)
 
 
@@ -352,6 +377,423 @@ def _exact_div(p, q):
         out[e] = c
         rem = rem - q * Poly({e: c})
     return Poly(out)
+
+
+def _divides(q, p):
+    """Whether q divides p exactly over Q(i) (trial division)."""
+    if any(x > y for x, y in zip(_degrees(q), _degrees(p))):
+        return False
+    try:
+        _exact_div(p, q)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _degrees(p):
+    """Degree of p in each of w, m, u."""
+    d = [0, 0, 0]
+    for e in p.terms:
+        if e[0] > d[0]:
+            d[0] = e[0]
+        if e[1] > d[1]:
+            d[1] = e[1]
+        if e[2] > d[2]:
+            d[2] = e[2]
+    return d
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two polynomials over Q(i).
+
+    The common monomial content is split off first; when either operand
+    is a single term, that monomial is the answer at once.  Two operands
+    of two or more terms go to the modular algorithm (_multiterm_gcd).
+    Its coprime exit is a proof, not a heuristic: the image of the gcd
+    under each ring map Z[i] -> Z_p divides both images and keeps its
+    degree wherever the operands' leading coefficients survive, so image
+    gcds of degree 0 in every shared variable leave the gcd no variable.
+    Every other answer is checked by exact trial division.  Primitive
+    PRS (prs_gcd) runs only when the list of primes runs out: each one
+    divides a coefficient denominator, annihilates a leading
+    coefficient, or leaves no candidate that divides both operands.
+    """
+    if a.is_zero():
+        return b.monic()[0] if not b.is_zero() else P_ZERO
+    if b.is_zero():
+        return a.monic()[0]
+    if len(a.terms) == 1:
+        return Poly({_mono_content(b, next(iter(a.terms))): GR_ONE})
+    if len(b.terms) == 1:
+        return Poly({_mono_content(a, next(iter(b.terms))): GR_ONE})
+    ca, cb = _mono_content(a), _mono_content(b)
+    common = (min(ca[0], cb[0]), min(ca[1], cb[1]), min(ca[2], cb[2]))
+    g = _multiterm_gcd(_mono_shift(a, ca), _mono_shift(b, cb))
+    if common == _ZERO_EXP:
+        return g
+    return g * Poly({common: GR_ONE})
+
+
+# -- the modular gcd ------------------------------------------------------
+#
+# Z[i] maps onto Z_p by i -> r for each square root r of -1 mod a prime
+# p = 1 (mod 4); a coefficient (a + b*i)/d maps to (a + b*r)/d when p
+# does not divide d.  Write a = A/D with A in Z[i][w, m, u]: a gcd G of
+# a and b, made primitive over Z[i], divides A there (Gauss's lemma, Z[i]
+# being a UFD), and so the image of G divides the images of A and B.
+# Whenever the image of a leading coefficient of A is nonzero, the image
+# of G keeps its leading term, so an image gcd never has lower degree
+# (or a lower leading monomial) than G.  That makes the coprime exit
+# exact and lets trial division certify every other answer.
+
+# Primes p = 1 (mod 4) just below 2^61.
+_PRIMES = (2305843009213693921, 2305843009213693693, 2305843009213693669,
+           2305843009213693613, 2305843009213693561, 2305843009213693549,
+           2305843009213693421, 2305843009213693373)
+
+
+def _sqrt_minus_one(p):
+    """A square root of -1 modulo a prime p = 1 (mod 4)."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1  # the least quadratic non-residue
+    return pow(c, (p - 1) // 4, p)
+
+
+# Evaluation points for w, m and u (hex digits of pi).  The j-th prime
+# (from 1) takes j times them mod p, so a leading coefficient must
+# vanish at a different point for each prime to defeat them all.
+_POINTS = (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0)
+
+_EMBEDDINGS = tuple((p, _sqrt_minus_one(p), tuple(x * j % p for x in _POINTS))
+                    for j, p in enumerate(_PRIMES, 1))
+
+
+def _image(f, p, r):
+    """f under i -> r mod p, as {exponent: int}; None if p divides a
+    coefficient denominator."""
+    out = {}
+    inverses = {1: 1}
+    for e, c in f.terms.items():
+        inv = inverses.get(c.d)
+        if inv is None:
+            if not c.d % p:
+                return None
+            inv = inverses[c.d] = pow(c.d, -1, p)
+        v = (c.a + c.b * r) * inv % p
+        if v:
+            out[e] = v
+    return out
+
+
+# Dense univariate polynomials over Z_p are lists of ints, constant term
+# first, with no trailing zeros; [] is zero.
+
+
+def _ueval(f, x, p):
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % p
+    return v
+
+
+def _udivmod(f, g, p):
+    """Quotient and remainder of f by g over Z_p."""
+    f = list(f)
+    n = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = f[k + n] * inv % p
+        for j in range(n + 1):
+            f[k + j] = (f[k + j] - c * g[j]) % p
+    del f[n:]
+    while f and not f[-1]:
+        f.pop()
+    return q, f
+
+
+def _ugcd(f, g, p):
+    """Monic gcd over Z_p."""
+    while g:
+        f, g = g, _udivmod(f, g, p)[1]
+    if not f or f[-1] == 1:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _umul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for j, c in enumerate(f):
+        for k, d in enumerate(g):
+            out[j + k] += c * d
+    return [c % p for c in out]
+
+
+def _univariate(f, x, deg, pts, p):
+    """Dense image in variable x of f mod p, the other variables set to
+    pts; None unless it keeps degree deg (a nonzero leading coefficient)."""
+    out = [0] * (deg + 1)
+    for e, c in f.items():
+        for v in range(NVARS):
+            if v != x and e[v]:
+                c = c * pow(pts[v], e[v], p)
+        out[e[x]] += c
+    return [c % p for c in out] if out[deg] % p else None
+
+
+def _image_degrees(a, b, da, db):
+    """Per variable, the degree of a gcd of univariate images of a and b.
+
+    Each entry bounds the degree of gcd(a, b) in that variable from
+    above; a variable that one operand lacks gets 0.  None when every
+    prime divides a denominator or annihilates a leading coefficient.
+    """
+    shared = [v for v in range(NVARS) if da[v] and db[v]]
+    for p, r, pts in _EMBEDDINGS:
+        fa, fb = _image(a, p, r), _image(b, p, r)
+        if fa is None or fb is None:
+            continue
+        degs = [0, 0, 0]
+        for x in shared:
+            ua = _univariate(fa, x, da[x], pts, p)
+            ub = _univariate(fb, x, db[x], pts, p)
+            if ua is None or ub is None:
+                break
+            degs[x] = len(_ugcd(ua, ub, p)) - 1
+        else:
+            return degs
+    return None
+
+
+def _multiterm_gcd(a, b):
+    """Monic gcd of a and b, two or more terms each, no variable dividing
+    either.
+
+    Univariate images give per-variable degree bounds.  All zero: the gcd
+    is 1.  Equal to one operand's degrees: that operand is the candidate.
+    Otherwise Brown's algorithm runs.  Every candidate other than 1 is
+    accepted only after exact trial division; primitive PRS answers when
+    the primes run out.
+    """
+    da, db = _degrees(a), _degrees(b)
+    if not any(x and y for x, y in zip(da, db)):
+        return P_ONE  # no shared variable
+    degs = _image_degrees(a, b, da, db)
+    if degs is not None:
+        if not any(degs):
+            return P_ONE
+        for f, df, other in ((b, db, a), (a, da, b)):
+            if degs == df and _divides(f, other):
+                return f.monic()[0]
+        g = _brown_gcd(a, b, [v for v in range(NVARS) if da[v] or db[v]])
+        if g is not None:
+            return g
+    return prs_gcd(a, b)
+
+
+def _brown_gcd(a, b, vs):
+    """Monic gcd of a and b in the variables vs by Brown's modular
+    algorithm (JACM 18(4), 1971), or None if the primes run out.
+
+    For each prime, the image gcds under i -> r and i -> -r give the real
+    and imaginary parts of every coefficient mod p.  Primes whose images
+    have a larger leading monomial than another prime's are unlucky and
+    dropped.  The rest combine by CRT; rational reconstruction gives a
+    candidate, accepted once it divides a and b.  Its leading monomial is
+    then at least the gcd's (an image gcd is a multiple of the gcd's
+    image) and at most it (the candidate divides the gcd), so the
+    candidate is the gcd.
+    """
+    la, lb = a.leading()[0], b.leading()[0]
+    lm, mod, res = None, 1, {}
+    for p, r, _ in _EMBEDDINGS:
+        images = []
+        for root in (r, p - r):
+            fa, fb = _image(a, p, root), _image(b, p, root)
+            if fa is None or fb is None or la not in fa or lb not in fb:
+                break
+            h = _pgcd(fa, fb, vs, p)
+            if h is None:
+                break
+            lead = max(h, key=_grlex_key)
+            inv = pow(h[lead], -1, p)
+            images.append((lead, {e: c * inv % p for e, c in h.items()}))
+        if len(images) < 2 or images[0][0] != images[1][0]:
+            continue
+        (lead, hp), (_, hm) = images
+        if lead == _ZERO_EXP:
+            return P_ONE
+        if lm is None or _grlex_key(lead) < _grlex_key(lm):
+            lm, mod, res = lead, 1, {}
+        elif lead != lm:
+            continue
+        half, half_r = (p + 1) // 2, pow(2 * r, -1, p)
+        step = pow(mod, -1, p)
+        for e in set(res) | set(hp) | set(hm):
+            x, y = hp.get(e, 0), hm.get(e, 0)
+            re, im = res.get(e, (0, 0))
+            res[e] = (re + mod * (((x + y) * half - re) * step % p),
+                      im + mod * (((x - y) * half_r - im) * step % p))
+        mod *= p
+        g = _reconstruct(res, mod)
+        if g is not None and _divides(g, a) and _divides(g, b):
+            return g
+    return None
+
+
+def _ratrec(u, mod):
+    """The fraction n/d = u (mod mod) with |n|, d <= sqrt(mod/2), or None
+    (Wang's rational reconstruction)."""
+    bound = isqrt(mod // 2)
+    r0, r1, t0, t1 = mod, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(res, mod):
+    """The Poly whose coefficients' real and imaginary parts reduce to
+    res mod `mod`, or None if some part has no small enough fraction."""
+    terms = {}
+    for e, (x, y) in res.items():
+        re, im = _ratrec(x, mod), _ratrec(y, mod)
+        if re is None or im is None:
+            return None
+        if re or im:
+            terms[e] = GaussRat(re, im)
+    return Poly(terms)
+
+
+# Brown's algorithm over Z_p works on {exponent: int} dicts.  _ysplit
+# views one as a polynomial in the other variables with dense
+# coefficients in y, keyed by the exponent with y set to 0; tuple order
+# on those keys is lex order with w > m > u.
+
+
+def _ysplit(f, y):
+    out = {}
+    for e, c in f.items():
+        k = e[y]
+        col = out.setdefault(e[:y] + (0,) + e[y + 1:], [])
+        if len(col) <= k:
+            col.extend([0] * (k + 1 - len(col)))
+        col[k] = c
+    return out
+
+
+def _yjoin(cols, y):
+    return {key[:y] + (k,) + key[y + 1:]: c
+            for key, col in cols.items() for k, c in enumerate(col) if c}
+
+
+def _yeval(cols, beta, p):
+    """The dict of cols at y = beta."""
+    out = {}
+    for key, col in cols.items():
+        v = _ueval(col, beta, p)
+        if v:
+            out[key] = v
+    return out
+
+
+def _ucontent(cols, p):
+    it = iter(cols)
+    g = next(it)
+    for col in it:
+        if len(g) == 1:
+            break
+        g = _ugcd(g, col, p)
+    return _ugcd(g, [], p)
+
+
+def _pdivides(q, f, p):
+    """Whether q divides f in Z_p[w, m, u] (division in lex order)."""
+    lq = max(q)
+    inv = pow(q[lq], -1, p)
+    tail = [(e, c) for e, c in q.items() if e != lq]
+    f = dict(f)
+    while f:
+        lf = max(f)
+        s = (lf[0] - lq[0], lf[1] - lq[1], lf[2] - lq[2])
+        if min(s) < 0:
+            return False
+        c = f.pop(lf) * inv % p
+        for e, d in tail:
+            e = (e[0] + s[0], e[1] + s[1], e[2] + s[2])
+            v = (f.get(e, 0) - c * d) % p
+            if v:
+                f[e] = v
+            else:
+                f.pop(e, None)
+    return True
+
+
+def _pgcd(f, g, vs, p):
+    """Gcd of f and g in Z_p[vs], up to a unit, or None if the
+    evaluation points run out.
+
+    Brown's dense scheme in the last variable y: split off the contents
+    in Z_p[y], evaluate y at points where neither lex leading coefficient
+    vanishes, take the gcd of the images recursively, scale each to the
+    gcd gamma of the leading coefficients and interpolate.  Images of
+    larger leading monomial than another are unlucky and skipped.  Past
+    deg(gamma) + min(deg_y) points, the primitive part of the interpolant
+    is the gcd once it divides both primitive parts.
+    """
+    y = vs[-1]
+    F, G = _ysplit(f, y), _ysplit(g, y)
+    cf, cg = _ucontent(F.values(), p), _ucontent(G.values(), p)
+    c = _ugcd(cf, cg, p)
+    if len(vs) == 1:
+        return _yjoin({_ZERO_EXP: c}, y)
+    F = {k: _udivmod(col, cf, p)[0] for k, col in F.items()}
+    G = {k: _udivmod(col, cg, p)[0] for k, col in G.items()}
+    lf, lg = F[max(F)], G[max(G)]
+    gamma = _ugcd(lf, lg, p)
+    bound = len(gamma) + min(max(map(len, F.values())),
+                             max(map(len, G.values()))) - 2
+    fp, gp = _yjoin(F, y), _yjoin(G, y)
+    lm = None
+    for k in range(2 * bound + 8):
+        beta = (_POINTS[y] + k) % p
+        if not (_ueval(lf, beta, p) and _ueval(lg, beta, p)):
+            continue
+        h = _pgcd(_yeval(F, beta, p), _yeval(G, beta, p), vs[:-1], p)
+        if h is None:
+            return None
+        lead = max(h)
+        if lm is None or lead < lm:
+            lm, H, q, n = lead, {}, [1], 0
+        elif lead > lm:
+            continue
+        # Newton step: H += q * (gamma(beta) h / lc(h) - H(beta)) / q(beta)
+        scale = _ueval(gamma, beta, p) * pow(h[lead], -1, p) % p
+        step = pow(_ueval(q, beta, p), -1, p)
+        for key in set(H) | set(h):
+            col = H.get(key, [])
+            d = (scale * h.get(key, 0) - _ueval(col, beta, p)) * step % p
+            if d:
+                col = col + [0] * (len(q) - len(col))
+                H[key] = [(x + d * t) % p for x, t in zip(col, q)]
+        q = _umul(q, [-beta % p, 1], p)
+        n += 1
+        if n > bound:
+            cont = _ucontent(H.values(), p)
+            prim = {key: _udivmod(col, cont, p)[0] for key, col in H.items()}
+            hh = _yjoin(prim, y)
+            if _pdivides(hh, fp, p) and _pdivides(hh, gp, p):
+                return _yjoin({key: _umul(col, c, p)
+                               for key, col in prim.items()}, y)
+    return None
+
+
+# -- primitive PRS: the fallback, and the reference the tests compare to --
 
 
 def _univar(p, var):
@@ -404,7 +846,7 @@ def _content_and_primitive(p, var):
     coeffs = list(u.values())
     cont = coeffs[0]
     for c in coeffs[1:]:
-        cont = poly_gcd(cont, c)
+        cont = prs_gcd(cont, c)
         if cont.is_const():
             break
     if cont.is_const():
@@ -413,11 +855,11 @@ def _content_and_primitive(p, var):
     return cont, _exact_div(p, cont)
 
 
-def poly_gcd(a, b):
+def prs_gcd(a, b):
     """Monic gcd of two polynomials over Q(i), by primitive PRS.
 
-    Monomial content is split off first, which covers the common case of
-    pure-monomial denominators without recursion.
+    Monomial content is split off first; the recursion (contents and
+    coefficients) stays in PRS, so this is independent of poly_gcd.
     """
     if a.is_zero():
         return b.monic()[0] if not b.is_zero() else P_ZERO
@@ -438,14 +880,14 @@ def poly_gcd(a, b):
             other = b if flat is a else a
             g = flat
             for coeff in _univar(other, var).values():
-                g = poly_gcd(g, coeff)
+                g = prs_gcd(g, coeff)
                 if g.is_const():
                     break
             g = g * Poly({common: GR_ONE})
             return g.monic()[0]
         conta, prima = _content_and_primitive(a, var)
         contb, primb = _content_and_primitive(b, var)
-        contg = poly_gcd(conta, contb)
+        contg = prs_gcd(conta, contb)
         x, y = prima, primb
         if x.degree(var) < y.degree(var):
             x, y = y, x
@@ -611,6 +1053,13 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return (ONE / self) ** (-n)
+        if n == 1:
+            return self
+        if n > 1 and self.den is P_ONE and len(self.num.terms) == 1:
+            # one term: scale its exponents, power its coefficient
+            (e, c), = self.num.terms.items()
+            return Scalar(Poly({(e[0] * n, e[1] * n, e[2] * n): c ** n}),
+                          P_ONE, _reduced=True)
         out = ONE
         base = self
         while n:

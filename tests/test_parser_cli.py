@@ -15,7 +15,7 @@ from hopfkit.errors import (
 )
 from hopfkit.hopf import algebra_presentation
 from hopfkit.ncalg import AlgebraElement
-from hopfkit.parser import parse, print_element
+from hopfkit.parser import _tokenize, parse, print_element
 from hopfkit.report import CheckReport
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
@@ -61,6 +61,76 @@ def test_parse_errors_carry_position():
         parse("Q", "fq-g1")
     with pytest.raises(ExprSyntaxError):
         parse("v^w", "fq-g1")
+
+
+def _tokenize_by_character(text):
+    # reference scan, one character at a time
+    tokens, pos = [], 0
+    while pos < len(text):
+        ch, start = text[pos], pos
+        if ch.isspace():
+            pos += 1
+        elif ch.isdecimal():
+            while pos < len(text) and text[pos].isdecimal():
+                pos += 1
+            tokens.append(("num", int(text[start:pos]), start))
+        elif ch.isalpha():
+            while pos < len(text) and (text[pos].isalnum()
+                                       or text[pos] == "_"):
+                pos += 1
+            tokens.append(("name", text[start:pos], start))
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
+    return tokens
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.position
+
+
+# spaces (one of them non-breaking), ASCII and Arabic-Indic digits, a
+# superscript digit, a vulgar fraction, a Roman numeral, Latin, Greek and
+# accented letters, the underscore, operators and two stray characters
+TRICKY = " \t\u00a00179\u0663\u00b2\u00bd\u2167xKw\u03b1\u00e9_+-*/^().$"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=TRICKY, max_size=12))
+def test_tokenize_matches_a_character_scan(text):
+    assert _scan(_tokenize, text) == _scan(_tokenize_by_character, text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("  2*w  ", [("num", 2, 2), ("*", "*", 3), ("name", "w", 4)]),
+    ("\u0663 x_1\tK^-12", [("num", 3, 0), ("name", "x_1", 2),
+                           ("name", "K", 6), ("^", "^", 7), ("-", "-", 8),
+                           ("num", 12, 9)]),
+    ("\u03b1\u03b22 \u00e9",
+     [("name", "\u03b1\u03b22", 0), ("name", "\u00e9", 4)]),
+    ("x\u00b2", [("name", "x\u00b2", 0)]),
+])
+def test_tokenize_non_ascii_digits_and_letters(text, tokens):
+    assert _tokenize(text) == tokens
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("a $", 2), ("\u00bdx", 0), ("_a", 0), ("w .5", 2), ("\u2167", 0),
+    # a superscript digit is no decimal digit: a syntax error, not int()'s
+    # ValueError
+    ("3\u00b2", 1), ("\u00b2", 0),
+])
+def test_tokenize_bad_character(text, pos):
+    with pytest.raises(ExprSyntaxError) as exc:
+        _tokenize(text)
+    assert exc.value.position == pos
+    assert str(exc.value) == (f"unexpected character {text[pos]!r} "
+                              f"(at position {pos})")
 
 
 def test_power_errors_outside_hopfkit_are_not_swallowed(monkeypatch):

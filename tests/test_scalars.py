@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,23 @@ from hopfkit import scalars
 from hopfkit.errors import DivisionByZero
 from hopfkit.ncalg import format_element
 from hopfkit.parser import parse
-from hopfkit.scalars import GaussRat, I, M, ONE, P_ONE, Poly, Scalar, U, W, ZERO, arith, conjugate, poly_gcd, scalar
+from hopfkit.scalars import (GaussRat, I, M, ONE, P_ONE, Poly, Scalar, U, W, ZERO, arith, conjugate,
+                             poly_gcd, prs_gcd, scalar)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_integer_add():
@@ -82,6 +100,36 @@ def test_pow():
     assert (W + ONE) ** 2 == W * W + 2 * W + ONE
     assert W ** -1 == ONE / W
     assert (I * W) ** 0 == ONE
+
+
+def _pow_by_squaring(x, n):
+    out, base = ONE, x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+@pytest.mark.parametrize("x", [
+    W, I * W * W * M, scalar(Fraction(-2, 3)) * (ONE + I) * M * U ** 3,
+    scalar(7), (ONE + I) / 2 * U, (scalar(3) - 4 * I) / 6])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+def test_one_term_power_matches_binary_powering(monkeypatch, x, n):
+    reference = _pow_by_squaring(x, n)
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda p, q: products.append(1) or mul(p, q))
+    got = x ** n
+    assert not products
+    assert (got is x) == (n == 1)
+    assert got.num.terms == reference.num.terms
+    assert got.den is P_ONE
+    assert all((c.a, c.b, c.d) == (r.a, r.b, r.d)
+               for c, r in zip(got.num.terms.values(),
+                               reference.num.terms.values()))
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -238,9 +286,9 @@ def test_element_printed_form(expr, algebra, text):
 def small_polys(draw, min_terms, max_exp=2):
     """A polynomial in w, m, u with min_terms to 3 terms, as a Scalar.
 
-    Each symbol has exponent at most max_exp.  At 2, one primitive-PRS
-    gcd of a sum's whole numerator and denominator can take minutes, so
-    the field operations must never take it.
+    Each symbol has exponent at most max_exp.  At 2, a primitive-PRS gcd
+    of a sum's whole numerator and denominator can take minutes; the
+    modular gcd that poly_gcd runs takes milliseconds on the same pairs.
     """
     out = ZERO
     for _ in range(draw(st.integers(min_terms, 3))):
@@ -300,10 +348,12 @@ def assert_ops_match_general(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(multiterm_fractions(max_exp=1), multiterm_fractions(max_exp=1))
+@given(multiterm_fractions(), multiterm_fractions())
 def test_field_ops_match_general_constructor(a, b):
-    # exponents at most 1, so the one-gcd constructor finishes quickly
-    assert_ops_match_general(a, b)
+    # the constructor takes one gcd of the whole numerator and denominator:
+    # fast with the modular gcd, minutes with primitive PRS alone
+    with time_limit(5):
+        assert_ops_match_general(a, b)
 
 
 Q, R = W + M, U + I
@@ -359,13 +409,130 @@ def _parse_scalar(text):
 
 
 def test_sum_that_stalled_the_whole_product_gcd():
-    # one gcd of this sum's full numerator and denominator takes minutes
+    # a primitive-PRS gcd of this sum's full numerator and denominator takes
+    # minutes
     x, y = _parse_scalar(FOUND_X), _parse_scalar(FOUND_Y)
     assert (str(x), str(y)) == (FOUND_X, FOUND_Y)
     assert str(x + y) == FOUND_SUM
     sympy = pytest.importorskip("sympy")
     assert sympy.cancel(_to_sympy(x + y, sympy)
                         - (_to_sympy(x, sympy) + _to_sympy(y, sympy))) == 0
+
+
+def test_general_constructor_on_the_unreduced_found_sum():
+    # the gcd of this numerator and denominator is 1: the coprime exit
+    x, y = _parse_scalar(FOUND_X), _parse_scalar(FOUND_Y)
+    with time_limit(3):
+        s = Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert str(s) == FOUND_SUM
+    assert_same_form(x + y, s)
+
+
+# -- the modular gcd against primitive PRS ----------------------------------
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(f*g, f*h, f): a planted common factor f, or f = 1 for a pair that
+    is most often coprime."""
+    f = draw(small_polys(1)).num if draw(st.booleans()) else P_ONE
+    g, h = draw(small_polys(1)).num, draw(small_polys(1)).num
+    assume(f.terms and g.terms and h.terms)
+    return f * g, f * h, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_gcd_pairs())
+def test_modular_gcd_matches_prs(pair):
+    a, b, f = pair
+    with time_limit(5):
+        g = poly_gcd(a, b)
+    assert g.terms == prs_gcd(a, b).terms
+    assert scalars._divides(f, g)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(scalars, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(scalars, name, counted)
+    return calls
+
+
+_D, _C, _ = scalars._EMBEDDINGS[0][2]
+
+# (a, b, gcd, whether Brown's interpolation runs)
+GCD_CASES = [
+    # coprime, with a shared variable: the univariate images decide
+    ((W * W + M * U + I) * W * W, (W + M) * M, ONE, False),
+    # one operand divides the other (after its monomial content)
+    ((W + M) * (W - U) * U, (W + M) * W * U, (W + M) * U, False),
+    # a proper common factor of both
+    ((W + M) * (W - U), (W + M) * (M + U), W + M, True),
+    ((W * M + I * U) * (W + 1) * (W + 1), (W * M + I * U) * (W + 1) * (U - 2),
+     (W * M + I * U) * (W + 1), True),
+    ((W + M) * (W - M) * (M + U) / 7, (W + M) * (M + U) * (U + I) * 3 / 5,
+     (W + M) * (M + U), True),
+    # the cofactors agree mod the first prime, whose images are then too
+    # large: the next prime's smaller leading monomial must replace them
+    ((W + M) * (W + 1), (W + M) * (W + 1 + scalars._PRIMES[0]), W + M, True),
+    # coprime, but b = w + m - c - d divides both univariate images at the
+    # first prime's points (d, c, u0), so b is a candidate that trial
+    # division must reject
+    ((W - _D) * (M - _C) + (W + M - _C - _D) * (W * U + 1), W + M - _C - _D,
+     ONE, True),
+]
+
+
+@pytest.mark.parametrize("a, b, g, brown", GCD_CASES)
+def test_modular_gcd_outcomes(monkeypatch, a, b, g, brown):
+    prs = _counting(monkeypatch, "prs_gcd")
+    brown_calls = _counting(monkeypatch, "_brown_gcd")
+    with time_limit(5):
+        got = poly_gcd(a.num, b.num)
+    assert got.terms == g.num.monic()[0].terms
+    assert bool(brown_calls) == brown
+    assert not prs
+
+
+def test_coprime_exit_needs_nonzero_leading_coefficients(monkeypatch):
+    # g = (m - c)(w - d) + 1, with d = _D and c = _C the first prime's
+    # points for w and m.  There each univariate image of g is the constant
+    # 1, so the images of a and b look coprime; but the leading
+    # coefficients of a vanish there as well, so that prime must not decide.
+    g = (M - _C) * (W - _D) + 1
+    a, b = g * (W + 1), g * (M + 2)
+    prs = _counting(monkeypatch, "prs_gcd")
+    with time_limit(5):
+        assert poly_gcd(a.num, b.num).terms == g.num.terms
+    assert not prs
+
+
+def test_every_prime_unlucky_falls_back_to_prs(monkeypatch):
+    # a coefficient denominator that every listed prime divides
+    big = scalar(Fraction(1, math.prod(scalars._PRIMES)))
+    cases = [((W + M) * (W - U) * big, (W + M) * (M + U)),
+             ((W * W + M * U + I) * big, (W + M - U) * big)]
+    cases = [(a.num, b.num, prs_gcd(a.num, b.num)) for a, b in cases]
+    prs = _counting(monkeypatch, "prs_gcd")
+    for a, b, reference in cases:
+        before = len(prs)
+        with time_limit(5):
+            assert poly_gcd(a, b).terms == reference.terms
+        # the first call is the fallback itself, the rest its recursion
+        assert prs[before] == (a, b)
+
+
+def test_primes_carry_a_square_root_of_minus_one():
+    sympy = pytest.importorskip("sympy")
+    assert len(set(scalars._PRIMES)) == len(scalars._PRIMES)
+    for p, r, _ in scalars._EMBEDDINGS:
+        assert p % 4 == 1 and sympy.isprime(p)
+        assert r * r % p == p - 1
 
 
 # -- known-answer short-circuits -------------------------------------------
