@@ -17,8 +17,6 @@ AlgebraElement, so print(parse(s)) round-trips on normal forms.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (DivisionByZero, ExprSyntaxError, HopfkitError,
                      ScalarDivisionOnly, UnknownGenerator)
 from .hopf import algebra_presentation
@@ -28,29 +26,32 @@ from .scalars import I, M, ONE, U, W, Scalar, scalar
 SCALAR_SYMBOLS = {"i": I, "w": W, "m": M, "u": U}
 
 
-# One match per token: its leading whitespace, then an operator, a
-# number, a name or any other character.  \s, \d and \w are
-# str.isspace, str.isdecimal and str.isalnum-or-underscore, so a name is
-# a letter (str.isalpha, checked on its first character) followed by
-# word characters.  A character in no class of its own, a non-decimal
-# digit such as a superscript included, is a syntax error at its place.
-_TOKEN = re.compile(r"(\s*)(?:([-+*/^()])|(\d+)|([^\W\d_]\w*)|(\S))")
-
-
 def _tokenize(text):
     tokens = []
     pos = 0
-    for space, op, num, name, _ in _TOKEN.findall(text):
-        pos += len(space)
-        if op:
-            tokens.append((op, op, pos))
-        elif num:
-            tokens.append(("num", int(num), pos))
-        elif name[:1].isalpha():
-            tokens.append(("name", name, pos))
-        else:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        pos += len(op or num or name)
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch.isdecimal():
+            start = pos
+            while pos < n and text[pos].isdecimal():
+                pos += 1
+            tokens.append(("num", int(text[start:pos]), start))
+            continue
+        if ch.isalpha():
+            start = pos
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            tokens.append(("name", text[start:pos], start))
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
     return tokens
 
 

@@ -30,11 +30,10 @@ p = 1 (mod 4), by sending i to a square root of -1.  Univariate images
 (all variables but one at fixed points, leading coefficients nonzero)
 bound the gcd's degree in each variable from above, by Gauss's lemma
 over the UFD Z[i]; bounds all 0 prove the gcd is 1.  An operand whose
-degrees meet the bounds is tried by exact division; otherwise Brown's
-dense interpolation (JACM 1971) with CRT over the primes and rational
-reconstruction gives a candidate, accepted only after exact trial
-division of both operands.  Primitive PRS (prs_gcd) runs only when
-every listed prime is unlucky, and the tests use it as the reference.
+degrees meet the bounds is tried by exact division.  Primitive PRS
+(prs_gcd) answers the rest: a gcd that is neither 1 nor an operand, or
+operands for which every listed prime is unlucky.  The tests use it as
+the reference.
 
 Multiplication skips work whose answer is known: x * ONE and ONE * x
 return x itself (after coercing an int, Fraction or GaussRat operand),
@@ -49,7 +48,7 @@ Conjugation sends i to -i and fixes w, m, u.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero, InvalidArgument
 
@@ -413,10 +412,10 @@ def poly_gcd(a, b):
     under each ring map Z[i] -> Z_p divides both images and keeps its
     degree wherever the operands' leading coefficients survive, so image
     gcds of degree 0 in every shared variable leave the gcd no variable.
-    Every other answer is checked by exact trial division.  Primitive
-    PRS (prs_gcd) runs only when the list of primes runs out: each one
-    divides a coefficient denominator, annihilates a leading
-    coefficient, or leaves no candidate that divides both operands.
+    An operand whose degrees meet the bounds is the answer once it
+    divides the other exactly.  Primitive PRS (prs_gcd) runs for every
+    other gcd, and when the list of primes runs out: each one divides a
+    coefficient denominator or annihilates a leading coefficient.
     """
     if a.is_zero():
         return b.monic()[0] if not b.is_zero() else P_ZERO
@@ -436,15 +435,15 @@ def poly_gcd(a, b):
 
 # -- the modular gcd ------------------------------------------------------
 #
-# Z[i] maps onto Z_p by i -> r for each square root r of -1 mod a prime
+# Z[i] maps onto Z_p by i -> r, a square root of -1 mod a prime
 # p = 1 (mod 4); a coefficient (a + b*i)/d maps to (a + b*r)/d when p
 # does not divide d.  Write a = A/D with A in Z[i][w, m, u]: a gcd G of
 # a and b, made primitive over Z[i], divides A there (Gauss's lemma, Z[i]
 # being a UFD), and so the image of G divides the images of A and B.
 # Whenever the image of a leading coefficient of A is nonzero, the image
 # of G keeps its leading term, so an image gcd never has lower degree
-# (or a lower leading monomial) than G.  That makes the coprime exit
-# exact and lets trial division certify every other answer.
+# than G.  That makes the coprime exit exact; an operand that meets the
+# bounds is the gcd once trial division shows it divides the other.
 
 # Primes p = 1 (mod 4) just below 2^61.
 _PRIMES = (2305843009213693921, 2305843009213693693, 2305843009213693669,
@@ -490,45 +489,29 @@ def _image(f, p, r):
 # first, with no trailing zeros; [] is zero.
 
 
-def _ueval(f, x, p):
-    v = 0
-    for c in reversed(f):
-        v = (v * x + c) % p
-    return v
-
-
-def _udivmod(f, g, p):
-    """Quotient and remainder of f by g over Z_p."""
+def _urem(f, g, p):
+    """Remainder of f by g over Z_p."""
     f = list(f)
     n = len(g) - 1
     inv = pow(g[-1], -1, p)
-    q = [0] * max(len(f) - n, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = f[k + n] * inv % p
+    for k in range(len(f) - 1 - n, -1, -1):
+        c = f[k + n] * inv % p
         for j in range(n + 1):
             f[k + j] = (f[k + j] - c * g[j]) % p
     del f[n:]
     while f and not f[-1]:
         f.pop()
-    return q, f
+    return f
 
 
 def _ugcd(f, g, p):
     """Monic gcd over Z_p."""
     while g:
-        f, g = g, _udivmod(f, g, p)[1]
+        f, g = g, _urem(f, g, p)
     if not f or f[-1] == 1:
         return f
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
-
-
-def _umul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for j, c in enumerate(f):
-        for k, d in enumerate(g):
-            out[j + k] += c * d
-    return [c % p for c in out]
 
 
 def _univariate(f, x, deg, pts, p):
@@ -572,10 +555,9 @@ def _multiterm_gcd(a, b):
     either.
 
     Univariate images give per-variable degree bounds.  All zero: the gcd
-    is 1.  Equal to one operand's degrees: that operand is the candidate.
-    Otherwise Brown's algorithm runs.  Every candidate other than 1 is
-    accepted only after exact trial division; primitive PRS answers when
-    the primes run out.
+    is 1.  Equal to one operand's degrees: that operand is the candidate,
+    accepted only after exact trial division.  Everything else, and the
+    case where the primes run out, goes to primitive PRS.
     """
     da, db = _degrees(a), _degrees(b)
     if not any(x and y for x, y in zip(da, db)):
@@ -587,210 +569,7 @@ def _multiterm_gcd(a, b):
         for f, df, other in ((b, db, a), (a, da, b)):
             if degs == df and _divides(f, other):
                 return f.monic()[0]
-        g = _brown_gcd(a, b, [v for v in range(NVARS) if da[v] or db[v]])
-        if g is not None:
-            return g
     return prs_gcd(a, b)
-
-
-def _brown_gcd(a, b, vs):
-    """Monic gcd of a and b in the variables vs by Brown's modular
-    algorithm (JACM 18(4), 1971), or None if the primes run out.
-
-    For each prime, the image gcds under i -> r and i -> -r give the real
-    and imaginary parts of every coefficient mod p.  Primes whose images
-    have a larger leading monomial than another prime's are unlucky and
-    dropped.  The rest combine by CRT; rational reconstruction gives a
-    candidate, accepted once it divides a and b.  Its leading monomial is
-    then at least the gcd's (an image gcd is a multiple of the gcd's
-    image) and at most it (the candidate divides the gcd), so the
-    candidate is the gcd.
-    """
-    la, lb = a.leading()[0], b.leading()[0]
-    lm, mod, res = None, 1, {}
-    for p, r, _ in _EMBEDDINGS:
-        images = []
-        for root in (r, p - r):
-            fa, fb = _image(a, p, root), _image(b, p, root)
-            if fa is None or fb is None or la not in fa or lb not in fb:
-                break
-            h = _pgcd(fa, fb, vs, p)
-            if h is None:
-                break
-            lead = max(h, key=_grlex_key)
-            inv = pow(h[lead], -1, p)
-            images.append((lead, {e: c * inv % p for e, c in h.items()}))
-        if len(images) < 2 or images[0][0] != images[1][0]:
-            continue
-        (lead, hp), (_, hm) = images
-        if lead == _ZERO_EXP:
-            return P_ONE
-        if lm is None or _grlex_key(lead) < _grlex_key(lm):
-            lm, mod, res = lead, 1, {}
-        elif lead != lm:
-            continue
-        half, half_r = (p + 1) // 2, pow(2 * r, -1, p)
-        step = pow(mod, -1, p)
-        for e in set(res) | set(hp) | set(hm):
-            x, y = hp.get(e, 0), hm.get(e, 0)
-            re, im = res.get(e, (0, 0))
-            res[e] = (re + mod * (((x + y) * half - re) * step % p),
-                      im + mod * (((x - y) * half_r - im) * step % p))
-        mod *= p
-        g = _reconstruct(res, mod)
-        if g is not None and _divides(g, a) and _divides(g, b):
-            return g
-    return None
-
-
-def _ratrec(u, mod):
-    """The fraction n/d = u (mod mod) with |n|, d <= sqrt(mod/2), or None
-    (Wang's rational reconstruction)."""
-    bound = isqrt(mod // 2)
-    r0, r1, t0, t1 = mod, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _reconstruct(res, mod):
-    """The Poly whose coefficients' real and imaginary parts reduce to
-    res mod `mod`, or None if some part has no small enough fraction."""
-    terms = {}
-    for e, (x, y) in res.items():
-        re, im = _ratrec(x, mod), _ratrec(y, mod)
-        if re is None or im is None:
-            return None
-        if re or im:
-            terms[e] = GaussRat(re, im)
-    return Poly(terms)
-
-
-# Brown's algorithm over Z_p works on {exponent: int} dicts.  _ysplit
-# views one as a polynomial in the other variables with dense
-# coefficients in y, keyed by the exponent with y set to 0; tuple order
-# on those keys is lex order with w > m > u.
-
-
-def _ysplit(f, y):
-    out = {}
-    for e, c in f.items():
-        k = e[y]
-        col = out.setdefault(e[:y] + (0,) + e[y + 1:], [])
-        if len(col) <= k:
-            col.extend([0] * (k + 1 - len(col)))
-        col[k] = c
-    return out
-
-
-def _yjoin(cols, y):
-    return {key[:y] + (k,) + key[y + 1:]: c
-            for key, col in cols.items() for k, c in enumerate(col) if c}
-
-
-def _yeval(cols, beta, p):
-    """The dict of cols at y = beta."""
-    out = {}
-    for key, col in cols.items():
-        v = _ueval(col, beta, p)
-        if v:
-            out[key] = v
-    return out
-
-
-def _ucontent(cols, p):
-    it = iter(cols)
-    g = next(it)
-    for col in it:
-        if len(g) == 1:
-            break
-        g = _ugcd(g, col, p)
-    return _ugcd(g, [], p)
-
-
-def _pdivides(q, f, p):
-    """Whether q divides f in Z_p[w, m, u] (division in lex order)."""
-    lq = max(q)
-    inv = pow(q[lq], -1, p)
-    tail = [(e, c) for e, c in q.items() if e != lq]
-    f = dict(f)
-    while f:
-        lf = max(f)
-        s = (lf[0] - lq[0], lf[1] - lq[1], lf[2] - lq[2])
-        if min(s) < 0:
-            return False
-        c = f.pop(lf) * inv % p
-        for e, d in tail:
-            e = (e[0] + s[0], e[1] + s[1], e[2] + s[2])
-            v = (f.get(e, 0) - c * d) % p
-            if v:
-                f[e] = v
-            else:
-                f.pop(e, None)
-    return True
-
-
-def _pgcd(f, g, vs, p):
-    """Gcd of f and g in Z_p[vs], up to a unit, or None if the
-    evaluation points run out.
-
-    Brown's dense scheme in the last variable y: split off the contents
-    in Z_p[y], evaluate y at points where neither lex leading coefficient
-    vanishes, take the gcd of the images recursively, scale each to the
-    gcd gamma of the leading coefficients and interpolate.  Images of
-    larger leading monomial than another are unlucky and skipped.  Past
-    deg(gamma) + min(deg_y) points, the primitive part of the interpolant
-    is the gcd once it divides both primitive parts.
-    """
-    y = vs[-1]
-    F, G = _ysplit(f, y), _ysplit(g, y)
-    cf, cg = _ucontent(F.values(), p), _ucontent(G.values(), p)
-    c = _ugcd(cf, cg, p)
-    if len(vs) == 1:
-        return _yjoin({_ZERO_EXP: c}, y)
-    F = {k: _udivmod(col, cf, p)[0] for k, col in F.items()}
-    G = {k: _udivmod(col, cg, p)[0] for k, col in G.items()}
-    lf, lg = F[max(F)], G[max(G)]
-    gamma = _ugcd(lf, lg, p)
-    bound = len(gamma) + min(max(map(len, F.values())),
-                             max(map(len, G.values()))) - 2
-    fp, gp = _yjoin(F, y), _yjoin(G, y)
-    lm = None
-    for k in range(2 * bound + 8):
-        beta = (_POINTS[y] + k) % p
-        if not (_ueval(lf, beta, p) and _ueval(lg, beta, p)):
-            continue
-        h = _pgcd(_yeval(F, beta, p), _yeval(G, beta, p), vs[:-1], p)
-        if h is None:
-            return None
-        lead = max(h)
-        if lm is None or lead < lm:
-            lm, H, q, n = lead, {}, [1], 0
-        elif lead > lm:
-            continue
-        # Newton step: H += q * (gamma(beta) h / lc(h) - H(beta)) / q(beta)
-        scale = _ueval(gamma, beta, p) * pow(h[lead], -1, p) % p
-        step = pow(_ueval(q, beta, p), -1, p)
-        for key in set(H) | set(h):
-            col = H.get(key, [])
-            d = (scale * h.get(key, 0) - _ueval(col, beta, p)) * step % p
-            if d:
-                col = col + [0] * (len(q) - len(col))
-                H[key] = [(x + d * t) % p for x, t in zip(col, q)]
-        q = _umul(q, [-beta % p, 1], p)
-        n += 1
-        if n > bound:
-            cont = _ucontent(H.values(), p)
-            prim = {key: _udivmod(col, cont, p)[0] for key, col in H.items()}
-            hh = _yjoin(prim, y)
-            if _pdivides(hh, fp, p) and _pdivides(hh, gp, p):
-                return _yjoin({key: _umul(col, c, p)
-                               for key, col in prim.items()}, y)
-    return None
 
 
 # -- primitive PRS: the fallback, and the reference the tests compare to --

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,27 +64,26 @@ def test_parse_errors_carry_position():
         parse("v^w", "fq-g1")
 
 
-def _tokenize_by_character(text):
-    # reference scan, one character at a time
+# An independent reference: one match per token, its leading whitespace
+# first.  \s, \d and \w are str.isspace, str.isdecimal and
+# str.isalnum-or-underscore, so a name is a letter followed by word
+# characters; a character in no class of its own is a syntax error.
+_TOKEN = re.compile(r"(\s*)(?:([-+*/^()])|(\d+)|([^\W\d_]\w*)|(\S))")
+
+
+def _tokenize_by_regex(text):
     tokens, pos = [], 0
-    while pos < len(text):
-        ch, start = text[pos], pos
-        if ch.isspace():
-            pos += 1
-        elif ch.isdecimal():
-            while pos < len(text) and text[pos].isdecimal():
-                pos += 1
-            tokens.append(("num", int(text[start:pos]), start))
-        elif ch.isalpha():
-            while pos < len(text) and (text[pos].isalnum()
-                                       or text[pos] == "_"):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch, pos))
-            pos += 1
+    for space, op, num, name, _ in _TOKEN.findall(text):
+        pos += len(space)
+        if op:
+            tokens.append((op, op, pos))
+        elif num:
+            tokens.append(("num", int(num), pos))
+        elif name[:1].isalpha():
+            tokens.append(("name", name, pos))
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        pos += len(op or num or name)
     return tokens
 
 
@@ -102,8 +102,8 @@ TRICKY = " \t\u00a00179\u0663\u00b2\u00bd\u2167xKw\u03b1\u00e9_+-*/^().$"
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=TRICKY, max_size=12))
-def test_tokenize_matches_a_character_scan(text):
-    assert _scan(_tokenize, text) == _scan(_tokenize_by_character, text)
+def test_tokenize_matches_a_regex_scan(text):
+    assert _scan(_tokenize, text) == _scan(_tokenize_by_regex, text)
 
 
 @pytest.mark.parametrize("text, tokens", [
