@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import sys
 from datetime import datetime, timezone
 
@@ -37,7 +36,7 @@ from .quasiinv import (
     quasi_invariance_check,
     recurrence_report,
 )
-from .report import CheckReport
+from .report import CheckReport, dumps
 
 CONFIG_KEYS = ("window", "degree", "preset", "suites", "output")
 
@@ -216,7 +215,7 @@ def _emit(payload: dict, out):
     """Print payload as JSON, and write the same text to out if given."""
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2)
+    text = dumps(payload)
     print(text)
     if out is not None:
         out.write(text + "\n")

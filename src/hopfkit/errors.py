@@ -14,6 +14,11 @@ class DivisionByZero(HopfkitError, ZeroDivisionError):
     """Division by the zero scalar (or zero polynomial)."""
 
 
+class NotAScalar(HopfkitError, TypeError):
+    """A value that is not an int, Fraction, GaussRat or Scalar was used
+    as a coefficient."""
+
+
 class InvalidArgument(HopfkitError, ValueError):
     """An argument outside its allowed values, such as a side or a kind."""
 

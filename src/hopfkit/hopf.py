@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .errors import (AntipodeNotInvertible, CounitLawViolated, InvalidArgument,
                      StarUndefined, UnknownStructure)
-from .ncalg import AlgebraElement, Morphism, Presentation, tensor_map
+from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
+                    tensor_map)
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, W, ZERO, scalar
 
@@ -123,10 +124,10 @@ def tau(structure: HopfStructure, e: AlgebraElement) -> AlgebraElement:
 def _mul_slots(te):
     """Multiply the two legs of a rank-2 tensor inside one algebra."""
     pres = te.spaces[0]
-    out = pres.zero()
+    out = {}
     for (m1, m2), c in te.terms.items():
-        out = out + pres.mono_product(m1, m2) * c
-    return out
+        accumulate(out, pres.mono_product(m1, m2).terms, c)
+    return AlgebraElement(pres, out)
 
 
 def verify_hopf(structure: HopfStructure, degree: int,

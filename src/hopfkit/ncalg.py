@@ -348,6 +348,11 @@ class _Combination:
             raise PresentationMismatch(
                 f"{type(self).__name__} combined with {type(other).__name__}")
         self._check_same(other)
+        # elements are never mutated, so an empty summand returns the other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for key, c in other.terms.items():
             s = terms.get(key)
@@ -370,10 +375,10 @@ class _Combination:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = scalar(c)
         if c is ONE:
             # elements are never mutated, so the unscaled one can be shared
             return self
+        c = scalar(c)
         if c.is_zero():
             return self._like({})
         return self._like({k: v * c for k, v in self.terms.items()})
@@ -420,21 +425,16 @@ class AlgebraElement(_Combination):
                 f"{self.pres.name} element combined with {other.pres.name}")
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for mon, k in self.pres.mono_product(m1, m2).terms.items():
-                        s = out.get(mon)
-                        s = k * c if s is None else s + k * c
-                        if s.is_zero():
-                            out.pop(mon, None)
-                        else:
-                            out[mon] = s
-            return AlgebraElement(self.pres, out)
-        return self.scale(other)
+        if not isinstance(other, AlgebraElement):
+            return self.scale(other)
+        self._check_same(other)
+        mono_product = self.pres.mono_product
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                accumulate(out, mono_product(m1, m2).terms,
+                           c2 if c1 is ONE else c1 * c2)
+        return AlgebraElement(self.pres, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -501,12 +501,13 @@ class TensorElement(_Combination):
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._check_same(other)
+        products = [p.mono_product for p in self.spaces]
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                _expand_slots(out, c1 * c2, [
-                    p.mono_product(m1, m2)
-                    for p, m1, m2 in zip(self.spaces, k1, k2)])
+                _expand_slots(out, c2 if c1 is ONE else c1 * c2, [
+                    product(m1, m2)
+                    for product, m1, m2 in zip(products, k1, k2)])
         return TensorElement(self.spaces, _strip_zeros(out))
 
     def inverse(self):
@@ -540,29 +541,47 @@ def _expand_slots(out, base, slots):
     This is the one outer product of the tensor layer.  A Scalar slot is
     contracted into the coefficient; an AlgebraElement or a {monomial:
     coeff} dict adds one leg, and a TensorElement as many as its rank.
+    A unit factor is never multiplied.
     """
-    keys = [()]
-    coeffs = [base]
+    pairs = [((), base)]
     for slot in slots:
         if isinstance(slot, Scalar):
             if slot.is_zero():
                 return
-            coeffs = [c * slot for c in coeffs]
-            continue
-        if isinstance(slot, TensorElement):
-            legs = slot.terms.items()
+            if slot is not ONE:
+                pairs = [(key, c * slot) for key, c in pairs]
+        elif isinstance(slot, TensorElement):
+            pairs = [(key + leg,
+                      c if k is ONE else k if c is ONE else k * c)
+                     for key, c in pairs for leg, k in slot.terms.items()]
         else:
             terms = slot if isinstance(slot, dict) else slot.terms
-            legs = [((mon,), k) for mon, k in terms.items()]
-        nkeys, ncoeffs = [], []
-        for key, c in zip(keys, coeffs):
-            for leg, k in legs:
-                nkeys.append(key + leg)
-                ncoeffs.append(c * k)
-        keys, coeffs = nkeys, ncoeffs
-    for key, c in zip(keys, coeffs):
+            pairs = [(key + (mon,),
+                      c if k is ONE else k if c is ONE else k * c)
+                     for key, c in pairs for mon, k in terms.items()]
+    for key, c in pairs:
         s = out.get(key)
         out[key] = c if s is None else s + c
+
+
+def accumulate(out, terms, c):
+    """Add c * terms into the dict out, dropping keys whose sum cancels.
+
+    The one sparse sum of products and morphism images.  c must be
+    nonzero; a unit factor, c or a coefficient of terms, is never
+    multiplied.
+    """
+    for key, k in terms.items():
+        k = c if k is ONE else k if c is ONE else k * c
+        s = out.get(key)
+        if s is None:
+            out[key] = k
+        else:
+            s = s + k
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
 
 
 def _legs(x):
@@ -664,13 +683,7 @@ class Morphism:
         for mon, c in e.terms.items():
             if self.conjugate:
                 c = c.conjugate()
-            for key, k in self._mono_image(mon).terms.items():
-                s = out.get(key)
-                s = k * c if s is None else s + k * c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            accumulate(out, self._mono_image(mon).terms, c)
         return self._target_one._like(out)
 
     def __call__(self, e):

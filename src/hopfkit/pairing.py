@@ -299,17 +299,19 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
     mismatches = 0
     first_witness = None
     total = 0
+    fq_monomials = [(fm, fq.pres.monomial(fm))
+                    for fm in itertools.product(range(f_bound + 1),
+                                                range(x_power_bound + 1),
+                                                range(f_bound + 1),
+                                                range(f_bound + 1))]
     for dual in itertools.product(range(dual_bound + 1),
                                   range(-ell_bound, ell_bound + 1),
                                   range(dual_bound + 1),
                                   range(dual_bound + 1)):
         X = dual_basis_element(dual)
-        for fm in itertools.product(range(f_bound + 1),
-                                    range(x_power_bound + 1),
-                                    range(f_bound + 1),
-                                    range(f_bound + 1)):
+        for fm, a in fq_monomials:
             total += 1
-            if eng.pair(X, fq.pres.monomial(fm)) != eng.pair_closed(dual, fm):
+            if eng.pair(X, a) != eng.pair_closed(dual, fm):
                 mismatches += 1
                 if first_witness is None:
                     first_witness = f"dual={dual}, monomial={fm}"

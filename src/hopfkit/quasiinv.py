@@ -77,8 +77,9 @@ def act(op: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
                 s = row.get(a + l)
                 row[a + l] = t if s is None else s + t
         for e, c in row.items():
+            c = k if c is ONE else c * k
             s = out.get((e,))
-            out[(e,)] = c * k if s is None else s + c * k
+            out[(e,)] = c if s is None else s + c
     return AlgebraElement(LAURENT, {e: c for e, c in out.items() if c})
 
 

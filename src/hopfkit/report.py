@@ -4,8 +4,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 TOOL_VERSION = "0.1.0"
+
+
+def dumps(payload: dict) -> str:
+    """Exactly the text of json.dumps(payload, indent=2), for str keys.
+
+    json.dumps uses its pure-Python encoder whenever an indent is given.
+    A report's text is nearly all its "checks" list, dicts of str as
+    CheckReport.to_dict makes them, so that list is written here with the
+    C string encoder.  Every other value goes through json.dumps and is
+    indented by hand: encoded JSON holds no raw newline (one inside a
+    string is escaped), so indenting is a replace.
+    """
+    rows = []
+    for key, value in payload.items():
+        if key == "checks" and value:
+            text = "[\n    " + ",\n    ".join([
+                "{\n      " + ",\n      ".join([
+                    _quote(k) + ": " + _quote(v) for k, v in check.items()])
+                + "\n    }" for check in value]) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        rows.append(f"  {_quote(key)}: {text}")
+    return "{\n" + ",\n".join(rows) + "\n}"
 
 
 @dataclass
@@ -79,5 +103,6 @@ class CheckReport:
             ],
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        """The report as the CLI prints it, without generated_at."""
+        return dumps(self.to_dict())

@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DivisionByZero, InvalidArgument
+from .errors import DivisionByZero, InvalidArgument, NotAScalar
 
 NVARS = 3
 VAR_NAMES = ("w", "m", "u")
@@ -733,10 +733,10 @@ class Scalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     # -- field operations ---------------------------------------------
 
@@ -757,9 +757,15 @@ class Scalar:
             return h
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # scalars are never mutated, so a zero summand returns the other
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         a, b, c, d = self.num, self.den, other.num, other.den
         if b is P_ONE and d is P_ONE:
             return Scalar(a + c, P_ONE, _reduced=True)
@@ -794,11 +800,12 @@ class Scalar:
         return Scalar(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         if other is ONE:
             return self
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if self is ONE:
             return other
         if not self.num.terms or not other.num.terms:
@@ -907,7 +914,7 @@ def scalar(x) -> Scalar:
     """Coerce an int, Fraction or GaussRat into a Scalar."""
     s = _coerce(x)
     if s is None:
-        raise TypeError(f"cannot coerce {x!r} to Scalar")
+        raise NotAScalar(f"cannot coerce {x!r} to Scalar")
     return s
 
 

@@ -8,17 +8,18 @@ from hopfkit.coiso import build_subgroup, galilei_subgroup
 from hopfkit.errors import (
     HopfkitError,
     InvalidArgument,
+    NotAScalar,
     NotCorepresentation,
     UnknownGenerator,
     UnknownStructure,
 )
 from hopfkit.hopf import builtin
 from hopfkit.induce import Corepresentation, galilei_rep
-from hopfkit.ncalg import Morphism, tensor_map
+from hopfkit.ncalg import Morphism, Presentation, linear_solve, tensor_map
 from hopfkit.pairing import engine
 from hopfkit.parser import parse
 from hopfkit.quasiinv import chi
-from hopfkit.scalars import ONE, arith
+from hopfkit.scalars import ONE, arith, conjugate, scalar
 
 UQ = builtin("uq-g1")
 FQ = builtin("fq-g1")
@@ -64,6 +65,25 @@ CASES = {
         lambda: UQ.delta.apply(B).to_element(), InvalidArgument, ValueError),
     "arith-unknown-kind": (
         lambda: arith(ONE, ONE, "pow"), InvalidArgument, ValueError),
+    # every path into scalars.scalar() with a value that is not a scalar
+    "scalar-of-a-float": (lambda: scalar(1.5), NotAScalar, TypeError),
+    "scale-by-a-float": (lambda: B.scale(1.5), NotAScalar, TypeError),
+    "element-times-a-string": (lambda: B * "x", NotAScalar, TypeError),
+    "float-times-element": (lambda: 1.5 * B, NotAScalar, TypeError),
+    "element-plus-a-float": (lambda: B + 1.5, NotAScalar, TypeError),
+    "tensor-times-a-float": (
+        lambda: UQ.delta.apply(B) * 1.5, NotAScalar, TypeError),
+    "element-with-a-float-coefficient": (
+        lambda: UQ.pres.element([(1.5, [("B", 1)])]), NotAScalar, TypeError),
+    "presentation-rule-with-a-float-coefficient": (
+        lambda: Presentation("p", ["a", "b"], [False, False],
+                             {(1, 1, 0, 1): [(1.5, [(0, 1), (1, 1)])]}),
+        NotAScalar, TypeError),
+    "linear_solve-float-coefficient": (
+        lambda: linear_solve([{"a": 1.5}], ["a"]), NotAScalar, TypeError),
+    "arith-float-operand": (
+        lambda: arith(1.5, ONE, "add"), NotAScalar, TypeError),
+    "conjugate-of-a-float": (lambda: conjugate(1.5), NotAScalar, TypeError),
 }
 
 
@@ -75,3 +95,12 @@ def test_intended_error_is_a_hopfkit_error(name):
     assert isinstance(exc.value, HopfkitError)
     if builtin_type is not None:
         assert isinstance(exc.value, builtin_type)
+
+
+@pytest.mark.parametrize("call", [lambda: ONE * "x", lambda: "x" * ONE,
+                                  lambda: ONE + 1.5, lambda: 1.5 - ONE])
+def test_scalar_operator_with_a_foreign_operand_is_a_plain_type_error(call):
+    # the operator returns NotImplemented and Python raises the TypeError
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert not isinstance(exc.value, HopfkitError)

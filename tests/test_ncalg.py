@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfkit import hopf, ncalg, pairing, quasiinv
+from hopfkit import hopf, ncalg, pairing, quasiinv, scalars
 from hopfkit.errors import (
     NegativePowerOfNonInvertible,
     NotInvertible,
@@ -422,3 +422,142 @@ def test_apply_is_the_sum_of_monomial_images(attr):
     for mon, c in terms.items():
         expected = expected + phi.apply(h.pres.monomial(mon).scale(c))
     assert phi.apply(ncalg.AlgebraElement(h.pres, terms)) == expected
+
+
+# -- sparse kernels against a naive dict-of-Scalar reference ---------------
+
+# unit and zero coefficients take the kernels' shortcuts; the fractions
+# with multi-term denominators take the general Scalar arithmetic
+KERNEL_COEFFS = [ONE, ZERO, -ONE, scalar(3), I, ONE / (W + M),
+                 (scalars.U - I * W) / (M + 1), W / (W * M + I)]
+
+
+def _naive_sum(pairs):
+    """Sum (key, Scalar) pairs in a plain dict, then drop the zeros."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _naive_product(pres, m1, m2):
+    """m1*m2 rewritten from the concatenated word, with no product cache."""
+    return pres._normalize_terms(
+        [(ONE, pres.mon_to_word(m1) + pres.mon_to_word(m2))])
+
+
+def _naive_outer(slots):
+    """Every key of the outer product of {key tuple: coeff} dicts."""
+    out = [((), ONE)]
+    for slot in slots:
+        out = [(k1 + k2, c1 * c2) for k1, c1 in out for k2, c2 in slot.items()]
+    return out
+
+
+@st.composite
+def kernel_elements(draw, name):
+    """An element with 0-4 terms, zero coefficients dropped by the reference."""
+    mons = st.sampled_from(SMALL_MONS[name])
+    pairs = draw(st.lists(st.tuples(mons, st.sampled_from(KERNEL_COEFFS)),
+                          max_size=4))
+    return ncalg.AlgebraElement(HOPF[name].pres, _naive_sum(pairs))
+
+
+@st.composite
+def kernel_tensors(draw, name):
+    """A rank-2 tensor sum of 0-3 products a (x) b, built by the reference."""
+    pres = HOPF[name].pres
+    pairs = draw(st.lists(st.tuples(kernel_elements(name),
+                                    kernel_elements(name)), max_size=3))
+    terms = _naive_sum(((m1, m2), c1 * c2) for a, b in pairs
+                       for m1, c1 in a.terms.items()
+                       for m2, c2 in b.terms.items())
+    return ncalg.TensorElement((pres, pres), terms)
+
+
+def _in_one_algebra(strategy, n):
+    return st.sampled_from(sorted(HOPF)).flatmap(
+        lambda name: st.tuples(st.just(name), *[strategy(name)] * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_in_one_algebra(kernel_elements, 2))
+def test_element_product_and_sum_match_naive_reference(case):
+    name, a, b = case
+    pres = HOPF[name].pres
+    assert (a * b).terms == _naive_sum(
+        (mon, c1 * c2 * k)
+        for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+        for mon, k in _naive_product(pres, m1, m2).items())
+    assert (a + b).terms == _naive_sum([*a.terms.items(), *b.terms.items()])
+    assert (a + (-a)).terms == {} and (a - a).terms == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_in_one_algebra(kernel_tensors, 2))
+def test_tensor_product_and_sum_match_naive_reference(case):
+    name, t, u = case
+    pres = HOPF[name].pres
+    assert (t * u).terms == _naive_sum(
+        (key, c1 * c2 * k)
+        for (a1, b1), c1 in t.terms.items() for (a2, b2), c2 in u.terms.items()
+        for key, k in _naive_outer(
+            [{(m,): k for m, k in _naive_product(pres, a1, a2).items()},
+             {(m,): k for m, k in _naive_product(pres, b1, b2).items()}]))
+    assert (t + u).terms == _naive_sum([*t.terms.items(), *u.terms.items()])
+
+
+def _naive_tensor_map(maps, te):
+    conj = any(mp is not None and mp.conjugate for mp in maps)
+    return _naive_sum(
+        (key, (c.conjugate() if conj else c) * k)
+        for mons, c in te.terms.items()
+        for key, k in _naive_outer(
+            [{(mon,): ONE} if mp is None else _legs_of(mp._mono_image(mon))
+             for mp, mon in zip(maps, mons)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_in_one_algebra(kernel_tensors, 1))
+def test_tensor_map_matches_naive_reference(case):
+    name, te = case
+    h = HOPF[name]
+    for maps in ((h.delta, None), (None, h.antipode), (h.epsilon, h.antipode),
+                 (h.epsilon, h.epsilon), (h.star, h.star)):
+        assert _legs_of(ncalg.tensor_map(list(maps), te)) == \
+            _naive_tensor_map(maps, te)
+
+
+def test_tensor_map_scalar_slots_match_naive_reference():
+    # the counits only take the values 0 and 1 on monomials; this
+    # character of the chi algebra, chi^n -> (w + i)^n, takes others
+    chi = quasiinv.LAURENT
+    char = Morphism(chi, [W + I])
+    terms = {((a,), (b,)): KERNEL_COEFFS[(3 * a + b) % len(KERNEL_COEFFS)]
+             for a in range(-2, 3) for b in range(-2, 3)}
+    te = ncalg.TensorElement((chi, chi), {k: c for k, c in terms.items()
+                                          if not c.is_zero()})
+    for maps in ((char, None), (None, char), (char, char)):
+        assert _legs_of(ncalg.tensor_map(list(maps), te)) == \
+            _naive_tensor_map(maps, te)
+
+
+def test_unit_monomial_products_make_no_scalar_products(monkeypatch):
+    # B*K rewrites to two terms, K B - iw M K; with the products cached,
+    # unit coefficients on both factors need no Scalar multiplication
+    p = HOPF["uq-g1"].pres
+    b, k = p.gen("B"), p.gen("K")
+    before = (b * k, k * b, b.tensor(k) * k.tensor(b))
+    assert len(before[0].terms) == 2
+    calls = []
+    real = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    after = (b * k, k * b, b.tensor(k) * k.tensor(b))
+    assert calls == []
+    assert after == before
