@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import sys
 from datetime import datetime, timezone
 
@@ -36,7 +35,7 @@ from .quasiinv import (
     quasi_invariance_check,
     recurrence_report,
 )
-from .report import CheckReport, dumps
+from .report import CheckEntry, CheckReport, dumps
 
 CONFIG_KEYS = ("window", "degree", "preset", "suites", "output")
 
@@ -45,8 +44,8 @@ def _merge(reports, suite_name, params):
     out = CheckReport(suite_name, params=params)
     for rep in reports:
         prefix = rep.preset or rep.suite
-        out.checks.extend(dataclasses.replace(c, id=f"{prefix}::{c.id}")
-                          for c in rep.checks)
+        out.checks.extend(CheckEntry(f"{prefix}::{c.id}", c.status, c.law,
+                                     c.witness) for c in rep.checks)
         out.params.update({f"{prefix}.{k}": v for k, v in rep.params.items()})
     return out.finalize()
 

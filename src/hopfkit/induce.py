@@ -238,13 +238,9 @@ def eq_sesq_defect(A: IndElement, rho: Corepresentation, i: int):
 
 
 def rho_tilde_generic(X: AlgebraElement, A: IndElement, phi: Weight) -> IndElement:
-    """rho~(X) A = sum_i e_i (x) X_(1).A_i phi[X_(2)] (left representation)."""
-    return IndElement([twisted_action(phi, X, a) for a in A.components], A.side)
-
-
-def lambda_tilde_generic(X: AlgebraElement, A: IndElement, psi: Weight) -> IndElement:
-    """lambda~(X) A = sum_i psi[X_(1)] A_i.X_(2) (x) e_i (right mirror)."""
-    return IndElement([twisted_action(psi, X, a, side="right")
+    """rho~(X) A = sum_i e_i (x) X_(1).A_i phi[X_(2)] on a left element;
+    its right mirror lambda~(X) A = sum_i phi[X_(1)] A_i.X_(2) (x) e_i."""
+    return IndElement([twisted_action(phi, X, a, A.side)
                        for a in A.components], A.side)
 
 
@@ -279,14 +275,14 @@ def galilei_module_action(X: AlgebraElement, A: AlgebraElement) -> AlgebraElemen
     return act(_galilei_table(False).apply(X), A)
 
 
+@functools.cache
+def _galilei_module() -> ChiModule:
+    return ChiModule(_galilei_table(False))
+
+
 def rho_from_weight(X: AlgebraElement, A: AlgebraElement, phi: Weight) -> AlgebraElement:
     """rho~(X) A = sum X_(1).A . phi[X_(2)] on the Galilei space."""
-    uq = builtin("uq-g1")
-    out = LAURENT.zero()
-    for (m1, m2), c in uq.delta.apply(X).terms.items():
-        acted = galilei_module_action(uq.pres.monomial(m1), A)
-        out = out + (acted * phi.of_mono(m2)).scale(c)
-    return out
+    return twisted_action(phi, X, A, module=_galilei_module())
 
 
 def minkowski_form(A: AlgebraElement, B: AlgebraElement) -> Scalar:
@@ -444,123 +440,104 @@ def intertwiner_report(window: int = 4) -> CheckReport:
     return rep.finalize()
 
 
-def ind_generic_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport:
-    """Trivial-corepresentation sanity: the induced space is the
-    homogeneous space, forms land where the lemma says, both leg
-    identities hold, and the generic representation is a representation."""
-    from .quasiinv import RegularModule, epsilon_weight
-    rep = CheckReport("ind-generic", preset="galilei", params={"degree": degree})
-    uq = builtin("uq-g1")
+# per side, the id and law of each shared generic check; on the right
+# the representation law composes in the opposite order
+_GENERIC_CHECKS = {
+    "left": {
+        "space": ("ind-equals-homspace", "ind of the trivial corep = homogeneous space"),
+        "sesq": ("sesq-membership", "<A, B>_L lies in the homogeneous space"),
+        "legs": ("eq-legs-left", "sum pi(Sinv(A_(1))) a (x) A_(2) = pi(1) (x) A"),
+        "unit": ("rho-unit", "rho~(1) = id"),
+        "action": ("rho-epsilon-weight-is-action",
+                   "with the counit weight rho~ is the regular action"),
+        "rep-law": ("rho-rep-law", "rho~(XY) = rho~(X) rho~(Y)"),
+    },
+    "right": {
+        "space": ("ind-right-equals-homspace",
+                  "right ind of the trivial corep = right homogeneous space"),
+        "sesq": ("sesq-right-membership", "<A, B>_R lies in the right homogeneous space"),
+        "legs": ("eq-legs-right", "sum A_(1) (x) b S^-1(A_(2)) = A (x) pi(1)"),
+        "unit": ("lambda-unit", "lambda~(1) = id"),
+        "action": ("lambda-epsilon-weight-is-right-action",
+                   "with the counit weight lambda~ is the right regular action"),
+        "rep-law": ("lambda-rep-law", "lambda~(XY) = lambda~(Y) lambda~(X)"),
+    },
+}
 
-    rho = trivial_corep(sub, side="right")
-    rep.record("trivial-corep-unitary", rho.is_unitary(),
-               law="tau_K(a_ij) = a_ji", witness="trivial corep")
+
+def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
+                    side: str):
+    """The trivial-corepresentation checks of one side: the induced space
+    is the homogeneous space, forms land where the lemma says, the leg
+    identity holds, and the generic representation is a representation.
+    Returns the corepresentation and the induced basis at degree."""
+    from .pairing import act as regular_act
+    from .quasiinv import RegularModule, epsilon_weight
+
+    def record(key, suffix, ok, witness):
+        check, law = _GENERIC_CHECKS[side][key]
+        rep.record(check + suffix, ok, law=law, witness=witness)
+
+    uq = builtin("uq-g1")
+    rho = trivial_corep(sub, side="right" if side == "left" else "left")
     for d in range(degree + 1):
         ind = ind_space(sub, rho, d)
-        hom = homogeneous_space(sub, d, side="left")
+        hom = homogeneous_space(sub, d, side=side)
         ok = (len(ind) == len(hom)
               and sorted(str(a.components[0]) for a in ind)
               == sorted(str(b) for b in hom))
-        rep.record(f"ind-equals-homspace[{d}]", ok,
-                   law="ind of the trivial corep = homogeneous space",
-                   witness=f"degree {d}")
+        record("space", f"[{d}]", ok, f"degree {d}")
 
     ind = ind_space(sub, rho, degree)
-    v = sub.ambient.pres.gen("v")
     for A in ind:
         for Bv in ind:
-            form = sesq_form(A, Bv, side="left")
-            rep.record(f"sesq-membership[{A}|{Bv}]",
-                       is_member(sub, form, side="left"),
-                       law="<A, B>_L lies in the homogeneous space",
-                       witness=f"{A} | {Bv}")
-        rep.record(f"eq-legs-left[{A}]",
-                   eq_sesq_defect(A, rho, 0).is_zero(),
-                   law="sum pi(Sinv(A_(1))) a (x) A_(2) = pi(1) (x) A",
-                   witness=str(A))
-        if A.components[0].degree() + 1 <= degree:
-            Av = A.times(v)
-            defect_free = all(is_member(sub, c, side="left")
-                              for c in Av.components)
-            # closure: A v solves the membership equation again
-            rep.record(f"module-closure[{A}]", defect_free,
-                       law="ind is a module over the homogeneous space",
-                       witness=str(A))
+            record("sesq", f"[{A}|{Bv}]",
+                   is_member(sub, sesq_form(A, Bv, side=side), side=side),
+                   f"{A} | {Bv}")
+        record("legs", f"[{A}]", eq_sesq_defect(A, rho, 0).is_zero(), str(A))
 
     phi = epsilon_weight(RegularModule())
-    one_ind = IndElement([sub.ambient.pres.one()], "left")
-    rep.record("rho-unit", rho_tilde_generic(uq.pres.one(), one_ind, phi) == one_ind,
-               law="rho~(1) = id", witness="1")
-    vk = IndElement([v * v], "left")
-    eng_acted = rho_tilde_generic(uq.pres.gen("K"), vk, phi)
-    from .pairing import act as regular_act
-    rep.record("rho-epsilon-weight-is-action",
-               eng_acted.components[0] == regular_act(uq.pres.gen("K"), v * v),
-               law="with the counit weight rho~ is the regular action",
-               witness="K on (v^2)")
+    one_ind = IndElement([sub.ambient.pres.one()], side)
+    record("unit", "", rho_tilde_generic(uq.pres.one(), one_ind, phi) == one_ind,
+           "1")
+    K, v = uq.pres.gen("K"), sub.ambient.pres.gen("v")
+    acted = rho_tilde_generic(K, IndElement([v * v], side), phi)
+    record("action", "", acted.components[0] == regular_act(K, v * v, side=side),
+           "K on (v^2)")
     gens = [uq.pres.gen(g) for g in ("M", "K", "T", "B")]
     for X in gens:
         for Y in gens:
+            first, then = (Y, X) if side == "left" else (X, Y)
             for A in ind[:2]:
                 lhs = rho_tilde_generic(X * Y, A, phi)
-                rhs = rho_tilde_generic(X, rho_tilde_generic(Y, A, phi), phi)
-                rep.record(f"rho-rep-law[{X}|{Y}|{A}]", lhs == rhs,
-                           law="rho~(XY) = rho~(X) rho~(Y)",
-                           witness=f"{X}, {Y} on {A}")
+                rhs = rho_tilde_generic(then, rho_tilde_generic(first, A, phi), phi)
+                record("rep-law", f"[{X}|{Y}|{A}]", lhs == rhs,
+                       f"{X}, {Y} on {A}")
+    return rho, ind
+
+
+def ind_generic_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport:
+    """The left generic checks, plus two that only the left case makes:
+    the trivial corepresentation is unitary and the induced space is a
+    module over the homogeneous space."""
+    rep = CheckReport("ind-generic", preset="galilei", params={"degree": degree})
+    rho, ind = _generic_checks(rep, sub, degree, "left")
+    rep.record("trivial-corep-unitary", rho.is_unitary(),
+               law="tau_K(a_ij) = a_ji", witness="trivial corep")
+    v = sub.ambient.pres.gen("v")
+    for A in ind:
+        if A.components[0].degree() + 1 <= degree:
+            # closure: A v solves the membership equation again
+            rep.record(f"module-closure[{A}]",
+                       all(is_member(sub, c, side="left")
+                           for c in A.times(v).components),
+                       law="ind is a module over the homogeneous space",
+                       witness=str(A))
     return rep.finalize()
 
 
 def mirror_right_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport:
     """The right-sided mirror of the generic checks."""
-    from .quasiinv import RegularModule, epsilon_weight
     rep = CheckReport("mirror-right", preset="galilei", params={"degree": degree})
-    uq = builtin("uq-g1")
-
-    rho = trivial_corep(sub, side="left")
-    for d in range(degree + 1):
-        ind = ind_space(sub, rho, d)
-        hom = homogeneous_space(sub, d, side="right")
-        ok = (len(ind) == len(hom)
-              and sorted(str(a.components[0]) for a in ind)
-              == sorted(str(b) for b in hom))
-        rep.record(f"ind-right-equals-homspace[{d}]", ok,
-                   law="right ind of the trivial corep = right homogeneous space",
-                   witness=f"degree {d}")
-
-    ind = ind_space(sub, rho, degree)
-    for A in ind:
-        for Bv in ind:
-            form = sesq_form(A, Bv, side="right")
-            rep.record(f"sesq-right-membership[{A}|{Bv}]",
-                       is_member(sub, form, side="right"),
-                       law="<A, B>_R lies in the right homogeneous space",
-                       witness=f"{A} | {Bv}")
-        rep.record(f"eq-legs-right[{A}]",
-                   eq_sesq_defect(A, rho, 0).is_zero(),
-                   law="sum A_(1) (x) b S^-1(A_(2)) = A (x) pi(1)",
-                   witness=str(A))
-
-    psi = epsilon_weight(RegularModule())
-    one_ind = IndElement([sub.ambient.pres.one()], "right")
-    rep.record("lambda-unit",
-               lambda_tilde_generic(uq.pres.one(), one_ind, psi) == one_ind,
-               law="lambda~(1) = id", witness="1")
-    from .pairing import act as regular_act
-    v = sub.ambient.pres.gen("v")
-    vk = IndElement([v * v], "right")
-    acted = lambda_tilde_generic(uq.pres.gen("K"), vk, psi)
-    rep.record("lambda-epsilon-weight-is-right-action",
-               acted.components[0] == regular_act(uq.pres.gen("K"), v * v,
-                                                  side="right"),
-               law="with the counit weight lambda~ is the right regular action",
-               witness="K on (v^2)")
-    gens = [uq.pres.gen(g) for g in ("M", "K", "T", "B")]
-    for X in gens:
-        for Y in gens:
-            for A in ind[:2]:
-                lhs = lambda_tilde_generic(X * Y, A, psi)
-                rhs = lambda_tilde_generic(Y, lambda_tilde_generic(X, A, psi), psi)
-                rep.record(f"lambda-rep-law[{X}|{Y}|{A}]", lhs == rhs,
-                           law="lambda~(XY) = lambda~(Y) lambda~(X)",
-                           witness=f"{X}, {Y} on {A}")
+    _generic_checks(rep, sub, degree, "right")
     return rep.finalize()

@@ -22,11 +22,12 @@ with the regular action.  The fraction field keeps num/den pairs as
 built, with no gcd: LAURENT is an integral domain, and the checks only
 ask whether a value is zero or whether two values are equal.
 
-One twisted action, twisted_action(phi, X, a), computes the sum
+One twisted action, twisted_action(phi, X, a, side), computes the sum
 sum X_(1).a phi[X_(2)] (its right mirror sum phi[X_(1)] a.X_(2)) behind
-the cocycle law, the coboundary twist and, in induce, the unitarized
-induced representation.  Left and right checks share code paths; the
-right fixture mirrors the action table.
+the cocycle law, the coboundary twist, the lemma form of quasi-invariance
+and, in induce, the unitarized representations rho_tilde_generic and
+rho_from_weight.  A chi module is its action, a Morphism uq-g1 -> OPS, so
+rho_from_weight passes the Galilei module action to it as module=.
 """
 
 from __future__ import annotations
@@ -189,12 +190,14 @@ class ChiFraction:
 class ChiModule:
     """The chi algebra as the module *-algebra target of the checks.
 
-    Action table, a checked Morphism uq-g1 -> OPS used on both sides (the
-    right fixture mirrors the left one): K -> 1, B -> iwm chi E, T -> 0 and
-    M -> 0, so B shifts and scales, chi^l |-> iwm l chi^(l+1).
+    A chi module is its action, a checked Morphism uq-g1 -> OPS used on
+    both sides (the right fixture mirrors the left one).  The default is
+    the weight's: K -> 1, B -> iwm chi E, T -> 0 and M -> 0, so B shifts
+    and scales, chi^l |-> iwm l chi^(l+1).
     """
 
-    name = "h0-irr"
+    def __init__(self, action: Morphism | None = None):
+        self.action = action or _chi_action()
 
     def one(self):
         return LAURENT.one()
@@ -202,19 +205,13 @@ class ChiModule:
     def zero(self):
         return LAURENT.zero()
 
-    def mul(self, f, g):
-        return f * g
-
     def star(self, f):
         # chi is real: conjugate coefficients only
         return AlgebraElement(LAURENT, {k: c.conjugate()
                                         for k, c in f.terms.items()})
 
-    def invert(self, f):
-        return f.inverse()
-
     def act_mono(self, umon, f, side="left"):
-        return act(_chi_action()._mono_image(umon), f)
+        return act(self.action._mono_image(umon), f)
 
     def act(self, X: AlgebraElement, f, side="left"):
         out = self.zero()
@@ -227,9 +224,12 @@ class ChiModule:
 
 
 class ChiFractionModule(ChiModule):
-    """Fraction-field target: B extends as a derivation, K as identity."""
+    """Fraction-field target of the default chi action: B extends as a
+    derivation, K as identity, T and M as zero.  That rule holds for no
+    other action, so this module takes none."""
 
-    name = "h0-irr-fractions"
+    def __init__(self):
+        super().__init__()
 
     def one(self):
         return ChiFraction.one()
@@ -246,7 +246,7 @@ class ChiFractionModule(ChiModule):
             return self.zero()
         # B is a derivation: with D = f.den fixed, B(n/D^k) is
         # (B(n) D - k n B(D)) / D^(k+1), so B^d f has denominator D^(d+1)
-        b_act = functools.partial(ChiModule().act_mono, (0, 0, 0, 1))
+        b_act = functools.partial(super().act_mono, (0, 0, 0, 1))
         num, den, b_den = f.num, f.den, b_act(f.den)
         for k in range(1, d + 1):
             num, den = b_act(num) * f.den - (num * b_den).scale(k), den * f.den
@@ -255,8 +255,6 @@ class ChiFractionModule(ChiModule):
 
 class RegularModule:
     """fq-g1 with the regular actions; homogeneous-space elements live here."""
-
-    name = "fq-g1"
 
     def __init__(self):
         self.fq = builtin("fq-g1")
@@ -268,18 +266,11 @@ class RegularModule:
     def zero(self):
         return self.fq.pres.zero()
 
-    def mul(self, f, g):
-        return f * g
-
     def star(self, f):
         return self.fq.star.apply(f)
 
-    def invert(self, f):
-        return f.inverse()
-
     def act_mono(self, umon, f, side="left"):
-        uq = builtin("uq-g1")
-        return self.eng.act(uq.pres.monomial(umon), f, side)
+        return self.eng.act(builtin("uq-g1").pres.monomial(umon), f, side)
 
     def act(self, X, f, side="left"):
         return self.eng.act(X, f, side)
@@ -308,7 +299,7 @@ class Functional:
         m = self.module
         xi_star = m.star(xi)
         return Functional(f"{self.name}[conj {xi}]", m,
-                          lambda a: self._fn(m.mul(m.mul(xi_star, a), xi)))
+                          lambda a: self._fn(xi_star * a * xi))
 
     def reality_report(self, window, rep=None, prefix="real"):
         rep = rep or CheckReport("functional-reality", preset=self.name)
@@ -394,29 +385,30 @@ def epsilon_weight(module) -> Weight:
                   lambda X: module.one().scale(uq.epsilon.apply(X)))
 
 
-def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left"):
+def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
+                   module=None):
     """sum X_(1).a phi[X_(2)] on the left, sum phi[X_(1)] a.X_(2) on the right.
 
-    The one sum behind the cocycle law, the coboundary twist and the
-    unitarized induced representation.
+    X acts through module, phi's own module by default.  The one sum
+    behind the cocycle law, the coboundary twist, the quasi-invariance
+    lemma and the unitarized induced representation.
     """
-    m = phi.module
+    m = module or phi.module
     out = m.zero()
     for (m1, m2), c in builtin("uq-g1").delta.apply(X).terms.items():
         if side == "left":
-            piece = m.mul(m.act_mono(m1, a), phi.of_mono(m2))
+            piece = m.act_mono(m1, a) * phi.of_mono(m2)
         else:
-            piece = m.mul(phi.of_mono(m1), m.act_mono(m2, a, side="right"))
+            piece = phi.of_mono(m1) * m.act_mono(m2, a, side="right")
         out = out + piece.scale(c)
     return out
 
 
 def transform_weight(phi: Weight, xi) -> Weight:
     """phi1[X] = sum X_(1).xi phi[X_(2)] xi^-1 (the coboundary twist)."""
-    m = phi.module
-    xi_inv = m.invert(xi)
-    return Weight(f"{phi.name}[xi={xi}]", m,
-                  lambda X: m.mul(twisted_action(phi, X, xi), xi_inv))
+    xi_inv = xi.inverse()
+    return Weight(f"{phi.name}[xi={xi}]", phi.module,
+                  lambda X: twisted_action(phi, X, xi) * xi_inv)
 
 
 def coboundary_weight(xi, module=None) -> Weight:
@@ -496,36 +488,28 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
     h.reality_report(window, rep)
     xs = uq.pres.monomials_up_to(degree)
     basis = [(a, str(a)) for a in m.basis(window)]
+    # the def form's legs: phi[Y*]* takes X_(1) and phi[S(Y)] takes X_(2)
+    # on the left; the right swaps them
+    star_leg = lambda mon: m.star(phi(star_u.apply(uq.pres.monomial(mon))))
+    s_leg = lambda mon: phi(S.apply(uq.pres.monomial(mon)))
+    leg1, leg2 = (star_leg, s_leg) if side == "left" else (s_leg, star_leg)
     for mx in xs:
         X = uq.pres.monomial(mx)
         xl = str(X)
-        dX = uq.delta.apply(X).terms
+        if form == "def":
+            legs = [(c, leg1(m1), leg2(m2))
+                    for (m1, m2), c in uq.delta.apply(X).terms.items()]
+        else:
+            p = m.star(phi(star_u.apply(X)))
         for a, al in basis:
-            if form == "def" and side == "left":
-                lhs = h(m.act(X, a))
+            if form == "def":
+                lhs = h(m.act(X, a, side=side))
                 rhs = ZERO
-                for (m1, m2), c in dX.items():
-                    p1 = m.star(phi(star_u.apply(uq.pres.monomial(m1))))
-                    p2 = phi(S.apply(uq.pres.monomial(m2)))
-                    rhs = rhs + c * h(m.mul(m.mul(p1, a), p2))
-            elif form == "def":
-                lhs = h(m.act(X, a, side="right"))
-                rhs = ZERO
-                for (m1, m2), c in dX.items():
-                    p1 = phi(S.apply(uq.pres.monomial(m1)))
-                    p2 = m.star(phi(star_u.apply(uq.pres.monomial(m2))))
-                    rhs = rhs + c * h(m.mul(m.mul(p1, a), p2))
-            elif side == "left":
-                lhs = ZERO
-                for (m1, m2), c in dX.items():
-                    lhs = lhs + c * h(m.mul(m.act_mono(m1, a), phi.of_mono(m2)))
-                rhs = h(m.mul(m.star(phi(star_u.apply(X))), a))
+                for c, p1, p2 in legs:
+                    rhs = rhs + c * h(p1 * a * p2)
             else:
-                lhs = ZERO
-                for (m1, m2), c in dX.items():
-                    lhs = lhs + c * h(m.mul(phi.of_mono(m1),
-                                            m.act_mono(m2, a, side="right")))
-                rhs = h(m.mul(a, m.star(phi(star_u.apply(X)))))
+                lhs = h(twisted_action(phi, X, a, side))
+                rhs = h(p * a if side == "left" else a * p)
             rep.record(f"cell[{xl}|{al}]", lhs == rhs,
                        law=f"quasi-invariance ({form}, {side})",
                        witness=lambda: f"X={xl}, a={al}")
@@ -613,7 +597,7 @@ def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):
     Sk = uq.antipode.apply(k)
     skphik = m.act(Sk, phi(k))
     phik = Weight(f"{phi.name}[k={k}]", m,
-                  lambda X: m.mul(phi(X * Sk), skphik))
+                  lambda X: phi(X * Sk) * skphik)
     return hk, phik, xi
 
 

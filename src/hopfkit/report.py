@@ -96,9 +96,9 @@ class CheckReport:
             "status": "pass" if self.passed else "fail",
             "counts": self.counts,
             "checks": [
-                {k: v for k, v in (("id", c.id), ("status", c.status),
-                                   ("law", c.law), ("witness", c.witness))
-                 if v is not None}
+                {"id": c.id, "status": c.status, "law": c.law}
+                if c.witness is None else {"id": c.id, "status": c.status,
+                                           "law": c.law, "witness": c.witness}
                 for c in self.checks
             ],
         }

@@ -9,6 +9,7 @@ from hopfkit.hopf import builtin
 from hopfkit.ncalg import AlgebraElement, Morphism
 from hopfkit.induce import (
     IndElement,
+    _galilei_table,
     eq_sesq_defect,
     equivalence_intertwiner,
     galilei_module_action,
@@ -19,7 +20,6 @@ from hopfkit.induce import (
     intertwiner_report,
     j_structure,
     jform_report,
-    lambda_tilde_generic,
     minkowski_form,
     mirror_right_report,
     relations_report,
@@ -32,8 +32,8 @@ from hopfkit.induce import (
     unitarity_report,
 )
 from hopfkit.pairing import pair
-from hopfkit.quasiinv import (LAURENT, OPS, RegularModule, Weight, act, chi,
-                              galilei_weight)
+from hopfkit.quasiinv import (LAURENT, OPS, ChiModule, RegularModule, Weight, act,
+                              chi, galilei_weight)
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 SUB = galilei_subgroup()
@@ -86,12 +86,22 @@ def test_module_action_differs_from_rep_by_half():
         assert galilei_module_action(UQ.pres.gen("B"), gv(l)) == gv(l, IWM * l)
 
 
+WINDOW2 = [UQ.pres.monomial(mon) for mon in UQ.pres.monomials_up_to(2)]
+
+
 def test_weight_reconstructs_closed_table():
     phi = galilei_weight()
-    for g in ("M", "K", "T", "B"):
-        X = UQ.pres.gen(g)
+    assert len(WINDOW2) == 50
+    for X in WINDOW2:
         for l in range(-3, 4):
             assert rho_from_weight(X, gv(l), phi) == galilei_rep_element(X, gv(l))
+
+
+def test_chi_module_with_galilei_action_is_the_module_action():
+    mod = ChiModule(_galilei_table(False))
+    for X in WINDOW2:
+        for l in range(-3, 4):
+            assert mod.act(X, gv(l)) == galilei_module_action(X, gv(l))
 
 
 # the closed table uq-g1 -> OPS written out independently of hopfkit.induce
@@ -233,10 +243,10 @@ def test_twisted_action_leg_order():
                                  * mod.act_mono(m2, a, side="right")).scale(c)
             assert (rho_tilde_generic(X, IndElement([a], "left"), psi)
                     == IndElement([left], "left"))
-            assert (lambda_tilde_generic(X, IndElement([a], "right"), psi)
+            assert (rho_tilde_generic(X, IndElement([a], "right"), psi)
                     == IndElement([right], "right"))
     B = UQ.pres.gen("B")
     assert (rho_tilde_generic(B, IndElement([v], "left"), psi).components[0]
             == mod.one().scale(-W))
-    assert (lambda_tilde_generic(B, IndElement([v], "right"), psi).components[0]
+    assert (rho_tilde_generic(B, IndElement([v], "right"), psi).components[0]
             == mod.one().scale(W))

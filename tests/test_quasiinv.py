@@ -351,6 +351,13 @@ def test_fraction_module_b_power_keeps_one_denominator(d):
     assert out == steps
 
 
+def test_fraction_module_takes_no_action():
+    # its derivation rule for B holds only for the default chi action
+    with pytest.raises(TypeError):
+        ChiFractionModule(ChiModule().action)
+    assert ChiFractionModule().action is ChiModule().action
+
+
 def test_fraction_module_has_no_star():
     with pytest.raises(StarUndefined):
         ChiFractionModule().star(ChiFraction.one())
