@@ -14,17 +14,17 @@ properties are bounded-degree verifications and are reported as such.
 from __future__ import annotations
 
 from .errors import (
-    InvalidArgument,
     NotCoalgebraMorphism,
     NotModuleMorphism,
     RelationNotPreserved,
     TauIncompatible,
+    check_choice,
 )
 from .hopf import HopfStructure, builtin
 from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
 from .report import CheckReport
 
-SIDES = ("left", "right", "two-sided")
+SUBGROUP_SIDES = ("left", "right", "two-sided")
 
 
 class CoisotropicSubgroup:
@@ -52,8 +52,7 @@ def build_subgroup(ambient: HopfStructure, quotient: HopfStructure, pi_table,
     Raises NotModuleMorphism / NotCoalgebraMorphism / TauIncompatible with
     the witness; deeper window checks live in subgroup_report.
     """
-    if side not in SIDES:
-        raise InvalidArgument(f"side must be one of {SIDES}")
+    check_choice("side", side, SUBGROUP_SIDES)
     try:
         pi = Morphism(ambient.pres, pi_table, kind="hom",
                       name=f"pi[{ambient.name}->{quotient.name}]")
@@ -102,6 +101,7 @@ def _check_surjective(sub, degree):
 
 def membership_defect(sub, a, side="left"):
     """(pi x id) Delta a - pi(1) (x) a (left), or the right mirror."""
+    check_choice("side", side)
     amb, pi = sub.ambient, sub.pi
     d = amb.delta.apply(a)
     pi1 = pi.apply(amb.pres.one())
@@ -144,6 +144,7 @@ def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
 
     On homogeneous-space members this collapses to eps(a) pi(1).
     """
+    check_choice("side", side)
     amb, pi = sub.ambient, sub.pi
     sinv = amb.antipode_inv
     d = amb.delta.apply(a)
@@ -215,6 +216,7 @@ def homogeneous_space_report(sub: CoisotropicSubgroup, degree: int,
                              side: str = "left") -> CheckReport:
     """Verify the homogeneous-space window: star closure, subalgebra,
     coideal, and the eps_side / pi(a*) identities."""
+    check_choice("side", side)
     rep = CheckReport("homogeneous-space", preset=sub.quotient.name,
                       params={"degree": degree, "side": side})
     amb, pi = sub.ambient, sub.pi

@@ -23,6 +23,16 @@ class InvalidArgument(HopfkitError, ValueError):
     """An argument outside its allowed values, such as a side or a kind."""
 
 
+SIDES = ("left", "right")
+
+
+def check_choice(what, value, allowed=SIDES):
+    """Raise InvalidArgument unless value is one of allowed (a side by
+    default); the one guard in front of every side= and form= switch."""
+    if value not in allowed:
+        raise InvalidArgument(f"{what} must be one of {allowed}, not {value!r}")
+
+
 class UnknownStructure(HopfkitError, KeyError):
     """No built-in Hopf structure has the requested name."""
 

@@ -92,9 +92,6 @@ class HopfStructure:
             out = tensor_map([None] * (out.rank - 1) + [self.delta], out)
         return out
 
-    def counit(self, e):
-        return self.epsilon.apply(e)
-
     def apply_antipode(self, e):
         if self.antipode is None:
             raise StarUndefined(f"{self.name} carries no antipode")
@@ -130,19 +127,18 @@ def _mul_slots(te):
     return AlgebraElement(pres, out)
 
 
-def verify_hopf(structure: HopfStructure, degree: int,
-                zrange: int | None = None) -> CheckReport:
+def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
     """Check the Hopf *-algebra axioms on the monomial window.
 
     All normal monomials of non-invertible degree <= degree (invertible
-    exponents bounded by the same number, or zrange) are tested; the
+    exponents bounded by the same number) are tested; the
     multiplicativity of Delta is checked on all pairs whose degrees fit
     inside the window.  Failures become report entries, never raises.
     """
     rep = CheckReport("hopf-axioms", preset=structure.name,
                       params={"degree": degree})
     pres = structure.pres
-    window = pres.monomials_up_to(degree, zrange)
+    window = pres.monomials_up_to(degree)
     eps, delta = structure.epsilon, structure.delta
     S, star, tau_m = structure.antipode, structure.star, structure.tau
 

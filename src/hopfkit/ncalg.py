@@ -72,7 +72,7 @@ class Presentation:
     given as a list of (Scalar, word) with word = tuple of (gen, exp).
     """
 
-    def __init__(self, name, generators, invertible, rules, check=True):
+    def __init__(self, name, generators, invertible, rules):
         self.name = name
         self.generators = tuple(generators)
         self.invertible = tuple(invertible)
@@ -86,10 +86,9 @@ class Presentation:
                        in self.rules.items()
                        if rhs == ((ONE, ((gr, sr), (gl, sl))),)}
         self._prod_cache = {}
-        if check:
-            self._check_complete()
-            self._check_termination()
-            self._check_confluence()
+        self._check_complete()
+        self._check_termination()
+        self._check_confluence()
 
     # -- build-time validation ----------------------------------------
 
@@ -613,7 +612,7 @@ class Morphism:
     """
 
     def __init__(self, source, images, kind="hom", conjugate=False,
-                 name="morphism", check=True):
+                 name="morphism"):
         if kind not in ("hom", "antihom"):
             raise InvalidArgument(f"bad morphism kind {kind!r}")
         self.source = source
@@ -633,8 +632,7 @@ class Morphism:
             if source.invertible[g]:
                 self._mono_cache[source._gen_mon(g, -1)] = \
                     ONE / img if isinstance(img, Scalar) else img.inverse()
-        if check:
-            self._check_relations()
+        self._check_relations()
 
     def _mono_image(self, mon):
         """Image of a normal monomial, built one letter at a time.

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
-                     PresentationMismatch, StarUndefined)
+                     PresentationMismatch, StarUndefined, check_choice)
 from .hopf import algebra_presentation, builtin
 from .ncalg import AlgebraElement, Morphism, Presentation
 from .pairing import engine as pairing_engine
@@ -393,6 +393,7 @@ def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
     behind the cocycle law, the coboundary twist, the quasi-invariance
     lemma and the unitarized induced representation.
     """
+    check_choice("side", side)
     m = module or phi.module
     out = m.zero()
     for (m1, m2), c in builtin("uq-g1").delta.apply(X).terms.items():
@@ -439,6 +440,7 @@ def d1_right_defect(psi: Weight, X, Y):
 
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
     """d1(phi) = 0 on all window monomial pairs, plus phi[1] = 1."""
+    check_choice("side", side)
     uq = builtin("uq-g1")
     rep = CheckReport("cocycle", preset=phi.name,
                       params={"degree": degree, "side": side})
@@ -470,6 +472,9 @@ def recurrence_report(max_n: int = 8, rep=None) -> CheckReport:
     return rep
 
 
+FORMS = ("def", "lemma")
+
+
 def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
                            window: int, form: str = "def",
                            side: str = "left") -> CheckReport:
@@ -480,6 +485,8 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
     form="lemma": sum h(X_(1).a phi[X_(2)]) = h(phi[X*]* a)       (left)
                   sum h(psi[X_(1)] a.X_(2)) = h(a psi[X*]*)       (right)
     """
+    check_choice("form", form, FORMS)
+    check_choice("side", side)
     uq = builtin("uq-g1")
     m = phi.module
     star_u, S = uq.star, uq.antipode

@@ -716,20 +716,6 @@ class Scalar:
         self.num = num
         self.den = P_ONE if den.is_const() else den
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_int(n):
-        return Scalar(Poly.const(GaussRat(n)))
-
-    @staticmethod
-    def from_fraction(f):
-        return Scalar(Poly.const(GaussRat(f)))
-
-    @staticmethod
-    def from_gauss(g):
-        return Scalar(Poly.const(g))
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
@@ -901,13 +887,11 @@ def _product(a, b, c, d):
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, int):
-        return Scalar.from_int(x)
-    if isinstance(x, Fraction):
-        return Scalar.from_fraction(x)
-    if isinstance(x, GaussRat):
-        return Scalar.from_gauss(x)
-    return None
+    if isinstance(x, (int, Fraction)):
+        x = GaussRat(x)
+    elif not isinstance(x, GaussRat):
+        return None
+    return Scalar(Poly.const(x))
 
 
 def scalar(x) -> Scalar:

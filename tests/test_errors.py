@@ -4,7 +4,15 @@ so callers that catch the builtin keep working."""
 
 import pytest
 
-from hopfkit.coiso import build_subgroup, galilei_subgroup
+from hopfkit.coiso import (
+    build_subgroup,
+    epsilon_side,
+    galilei_subgroup,
+    homogeneous_space,
+    homogeneous_space_report,
+    is_member,
+    membership_defect,
+)
 from hopfkit.errors import (
     HopfkitError,
     InvalidArgument,
@@ -18,7 +26,14 @@ from hopfkit.induce import Corepresentation, galilei_rep
 from hopfkit.ncalg import Morphism, Presentation, linear_solve, tensor_map
 from hopfkit.pairing import engine
 from hopfkit.parser import parse
-from hopfkit.quasiinv import chi
+from hopfkit.quasiinv import (
+    chi,
+    cocycle_check,
+    galilei_weight,
+    nu_w_functional,
+    quasi_invariance_check,
+    twisted_action,
+)
 from hopfkit.scalars import ONE, arith, conjugate, scalar
 
 UQ = builtin("uq-g1")
@@ -29,6 +44,7 @@ B = UQ.pres.gen("B")
 PI_TABLE = {"mu": FJ.pres.gen("muh"), "x": FJ.pres.gen("xh"),
             "t": FJ.pres.gen("th"), "v": FJ.pres.zero()}
 QUOTIENT_ONE = SUB.pi.apply(FQ.pres.one())
+V = FQ.pres.gen("v")
 
 CASES = {
     "builtin-unknown-name": (
@@ -48,6 +64,35 @@ CASES = {
         InvalidArgument, ValueError),
     "pair_engine_act-bad-side": (
         lambda: engine().act(B, FQ.pres.gen("v"), side="up"),
+        InvalidArgument, ValueError),
+    # a side or form that is not spelled exactly never runs another branch
+    "twisted_action-bad-side": (
+        lambda: twisted_action(galilei_weight(), B, chi(0), side="Left"),
+        InvalidArgument, ValueError),
+    "cocycle_check-bad-side": (
+        lambda: cocycle_check(galilei_weight(), 1, side="Left"),
+        InvalidArgument, ValueError),
+    "quasi_invariance_check-bad-form": (
+        lambda: quasi_invariance_check(nu_w_functional(), galilei_weight(),
+                                       1, 1, form="Def"),
+        InvalidArgument, ValueError),
+    "quasi_invariance_check-bad-side": (
+        lambda: quasi_invariance_check(nu_w_functional(), galilei_weight(),
+                                       1, 1, side="rgt"),
+        InvalidArgument, ValueError),
+    "membership_defect-bad-side": (
+        lambda: membership_defect(SUB, V, side="up"),
+        InvalidArgument, ValueError),
+    "is_member-bad-side": (
+        lambda: is_member(SUB, V, side="Right"), InvalidArgument, ValueError),
+    "homogeneous_space-bad-side": (
+        lambda: homogeneous_space(SUB, 2, side="lft"),
+        InvalidArgument, ValueError),
+    "epsilon_side-bad-side": (
+        lambda: epsilon_side(V, SUB, side="two-sided"),
+        InvalidArgument, ValueError),
+    "homogeneous_space_report-bad-side": (
+        lambda: homogeneous_space_report(SUB, 1, side=None),
         InvalidArgument, ValueError),
     "morphism-bad-kind": (
         lambda: Morphism(UQ.pres, [UQ.pres.gen(g) for g in UQ.pres.generators],

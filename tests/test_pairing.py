@@ -1,7 +1,10 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
 from hopfkit.hopf import builtin
-from hopfkit.pairing import PairEngine, act, dual_basis_element, engine, pair, pair_closed
+from hopfkit.pairing import (PairEngine, act, dual_basis_element, engine, pair,
+                             pair_closed, pairing_report)
 from hopfkit.scalars import I, ONE, W, ZERO, scalar
 
 UQ = builtin("uq-g1")
@@ -61,10 +64,8 @@ def test_pair_units():
 
 def test_recursive_matches_closed_small_window():
     for dual in itertools.product(range(2), range(-1, 2), range(2), range(2)):
-        X = dual_basis_element(dual)
         for fm in itertools.product(range(2), range(3), range(2), range(2)):
-            a = FQ.pres.monomial(fm)
-            assert pair(X, a) == pair_closed(dual, fm), (dual, fm)
+            assert ENG.pair_recursive(dual, fm) == pair_closed(dual, fm), (dual, fm)
 
 
 def test_left_action_of_k_on_x():
@@ -172,18 +173,49 @@ def test_act_module_algebra_law_on_products():
                 assert act(X, a * b) == want, (X, a, b)
 
 
-def test_dual_words_memo(monkeypatch):
+def test_pair_and_act_never_run_the_recursion(monkeypatch):
+    def no_recursion(self, letters, mon):
+        raise AssertionError("the letter recursion ran outside the oracle")
+
+    monkeypatch.setattr(PairEngine, "pair_mono", no_recursion)
     eng = PairEngine()
-    X = uq("B") * uq("T") + uq("M") * 2 * I
-    words = eng.dual_words(X)
-    rebuilt = {(ls.count("I"), ls.count("K") - ls.count("Kinv"),
-                ls.count("T"), ls.count("N")): c for c, ls in words}
-    assert rebuilt == eng.to_dual.apply(X).terms
+    xs = [UQ.pres.monomial(m) for m in UQ.pres.monomials_up_to(1)]
+    fs = [FQ.pres.monomial(m) for m in FQ.pres.monomials_up_to(2)]
+    for X in xs:
+        for Y in xs:
+            for a in fs:
+                eng.pair(X * Y, a)
+                eng.act(X * Y, a)
+                eng.act(X * Y, a, side="right")
 
-    def no_apply(e):
-        raise AssertionError("dual_words converted a memoized element again")
 
-    monkeypatch.setattr(eng.to_dual, "apply", no_apply)
-    again = uq("B") * uq("T") + uq("M") * 2 * I
-    assert eng.dual_words(again) == words
-    assert eng.pair(again, fq("v")) == pair(X, fq("v"))
+def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
+    # doubling <., v^d> for d >= 2 must be caught by the oracle grid and,
+    # since pair() runs the closed form, by the product-coproduct law
+    closed = PairEngine.pair_closed
+
+    def doubled(self, dual_mon, f_mon):
+        v = closed(self, dual_mon, f_mon)
+        return v * 2 if f_mon[3] >= 2 else v
+
+    monkeypatch.setattr(PairEngine, "pair_closed", doubled)
+    failed = {c.id.split("[")[0] for c in pairing_report().failures()}
+    assert "closed-vs-recursive" in failed
+    assert "product-coproduct" in failed
+
+
+UQ_LETTERS = [("M", 1), ("K", 1), ("K", -1), ("T", 1), ("B", 1)]
+FQ_MONS = FQ.pres.monomials_up_to(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(UQ_LETTERS), max_size=4),
+       st.sampled_from(FQ_MONS))
+def test_pair_matches_recursion_over_dual_letters(word, fm):
+    X = UQ.pres.one()
+    for g, e in word:
+        X = X * uq(g, e)
+    want = ZERO
+    for dual, c in ENG.to_dual.apply(X).terms.items():
+        want = want + c * ENG.pair_recursive(dual, fm)
+    assert pair(X, FQ.pres.monomial(fm)) == want, (word, fm)
