@@ -15,7 +15,11 @@ the defining relations (pair K B K^-1 = B - iw M against mu, or
 
 pair() and act() evaluate this closed form: X is rewritten into the dual
 basis by to_dual and each term is paired by pair_closed, which builds
-its one-term value from plain ints.
+its one-term value from plain ints.  pair() sums over basis pairs: the
+value P(umon, fmon) of one uq-g1 monomial against one fq-g1 monomial is
+kept in a dict on the engine, keyed by (umon, fmon), for the engine's
+lifetime (the engine() singleton lives as long as the process), and
+<X, a> = sum cx ca P(umon, fmon) over the terms of X and a.
 
 The letter recursion is kept only as the oracle (pair_recursive): split
 a dual monomial into single letters and peel them against coproduct
@@ -34,7 +38,7 @@ import functools
 from fractions import Fraction
 from math import factorial
 
-from .errors import UnknownGenerator, check_choice
+from .errors import PresentationMismatch, UnknownGenerator, check_choice
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
@@ -93,6 +97,7 @@ class PairEngine:
         }, kind="hom", name="dual->uq")
         self._row_cache = {}
         self._delta_index = {}
+        self._pair_memo = {}
 
     # -- closed formula: the production evaluation --------------------
 
@@ -116,12 +121,23 @@ class PairEngine:
         return out
 
     def pair(self, X: AlgebraElement, a: AlgebraElement) -> Scalar:
-        dual = self.to_dual.apply(X).terms
+        """sum cx ca <umon, fmon>, each basis pair evaluated once."""
+        if X.pres is not self.uq.pres or a.pres is not self.fq.pres:
+            raise PresentationMismatch(
+                f"pair takes a uq-g1 and an fq-g1 element, "
+                f"got {X.pres.name} and {a.pres.name}")
+        memo = self._pair_memo
         out = ZERO
-        for mon, ca in a.terms.items():
-            v = self._pair_dual(dual, mon)
-            if v:
-                out = out + ca * v
+        for umon, cx in X.terms.items():
+            for fmon, ca in a.terms.items():
+                key = (umon, fmon)
+                v = memo.get(key)
+                if v is None:
+                    v = self._pair_dual(self.to_dual._mono_image(umon).terms,
+                                        fmon)
+                    memo[key] = v
+                if v:
+                    out = out + cx * ca * v
         return out
 
     def act(self, X: AlgebraElement, a: AlgebraElement, side="left") -> AlgebraElement:

@@ -27,7 +27,12 @@ sum X_(1).a phi[X_(2)] (its right mirror sum phi[X_(1)] a.X_(2)) behind
 the cocycle law, the coboundary twist, the lemma form of quasi-invariance
 and, in induce, the unitarized representations rho_tilde_generic and
 rho_from_weight.  A chi module is its action, a Morphism uq-g1 -> OPS, so
-rho_from_weight passes the Galilei module action to it as module=.
+rho_from_weight passes the Galilei module action to it as module=.  The
+sum is bilinear in X and a, so on an AlgebraElement a it is evaluated
+once per basis pair: the value on one uq-g1 monomial and one basis
+element is kept in a dict on the Weight, keyed by (module, side, umon,
+amon), for as long as the Weight lives.  A ChiFraction a has no basis
+terms and is summed directly.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from fractions import Fraction
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
                      PresentationMismatch, StarUndefined, check_choice)
 from .hopf import algebra_presentation, builtin
-from .ncalg import AlgebraElement, Morphism, Presentation
+from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
 from .pairing import engine as pairing_engine
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, W, ZERO, scalar
@@ -315,7 +320,9 @@ class Weight:
     """Map from the enveloping algebra into a module algebra.
 
     The defining function is linear, so evaluation decomposes over
-    monomials and per-monomial values are cached.
+    monomials and per-monomial values are cached.  twisted_action keeps
+    its per-basis-pair values in _twist_cache, keyed by (module, side,
+    umon, amon).
     """
 
     def __init__(self, name, module, fn):
@@ -323,6 +330,7 @@ class Weight:
         self.module = module
         self._fn = fn
         self._mono_cache = {}
+        self._twist_cache = {}
 
     def of_mono(self, umon):
         hit = self._mono_cache.get(umon)
@@ -391,12 +399,41 @@ def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
 
     X acts through module, phi's own module by default.  The one sum
     behind the cocycle law, the coboundary twist, the quasi-invariance
-    lemma and the unitarized induced representation.
+    lemma and the unitarized induced representation.  An AlgebraElement
+    a is expanded over basis pairs whose values phi caches; a ChiFraction
+    a is summed by _leg_sum as it stands.
     """
     check_choice("side", side)
     m = module or phi.module
+    delta = builtin("uq-g1").delta
+    if not isinstance(a, AlgebraElement):
+        return _leg_sum(phi, m, side, delta.apply(X).terms, a)
+    # the cache key holds exponent tuples only, so check both algebras
+    zero = m.zero()
+    if X.pres is not delta.source or a.pres is not zero.pres:
+        raise PresentationMismatch(
+            f"twisted_action takes {delta.source.name} acting on "
+            f"{zero.pres.name}, got {X.pres.name} and {a.pres.name}")
+    if a.is_zero():
+        return zero
+    cache = phi._twist_cache
+    out = {}
+    for umon, cx in X.terms.items():
+        for amon, ca in a.terms.items():
+            key = (m, side, umon, amon)
+            hit = cache.get(key)
+            if hit is None:
+                hit = _leg_sum(phi, m, side, delta._mono_image(umon).terms,
+                               a.pres.monomial(amon))
+                cache[key] = hit
+            accumulate(out, hit.terms, ca if cx is ONE else cx * ca)
+    return AlgebraElement(zero.pres, out)
+
+
+def _leg_sum(phi: Weight, m, side: str, legs, a):
+    """The coproduct-leg sum of twisted_action over the terms of Delta X."""
     out = m.zero()
-    for (m1, m2), c in builtin("uq-g1").delta.apply(X).terms.items():
+    for (m1, m2), c in legs.items():
         if side == "left":
             piece = m.act_mono(m1, a) * phi.of_mono(m2)
         else:

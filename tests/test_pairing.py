@@ -1,11 +1,16 @@
 import itertools
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfkit import pairing
+from hopfkit.errors import PresentationMismatch
 from hopfkit.hopf import builtin
+from hopfkit.ncalg import AlgebraElement
 from hopfkit.pairing import (PairEngine, act, dual_basis_element, engine, pair,
                              pair_closed, pairing_report)
-from hopfkit.scalars import I, ONE, W, ZERO, scalar
+from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
 
 UQ = builtin("uq-g1")
 FQ = builtin("fq-g1")
@@ -191,7 +196,9 @@ def test_pair_and_act_never_run_the_recursion(monkeypatch):
 
 def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
     # doubling <., v^d> for d >= 2 must be caught by the oracle grid and,
-    # since pair() runs the closed form, by the product-coproduct law
+    # since pair() runs the closed form, by the product-coproduct law;
+    # a fresh engine, so no basis-pair value paired before the patch is
+    # reused from the shared engine's memo
     closed = PairEngine.pair_closed
 
     def doubled(self, dual_mon, f_mon):
@@ -199,6 +206,7 @@ def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
         return v * 2 if f_mon[3] >= 2 else v
 
     monkeypatch.setattr(PairEngine, "pair_closed", doubled)
+    monkeypatch.setattr(pairing, "_ENGINE", None)
     failed = {c.id.split("[")[0] for c in pairing_report().failures()}
     assert "closed-vs-recursive" in failed
     assert "product-coproduct" in failed
@@ -219,3 +227,56 @@ def test_pair_matches_recursion_over_dual_letters(word, fm):
     for dual, c in ENG.to_dual.apply(X).terms.items():
         want = want + c * ENG.pair_recursive(dual, fm)
     assert pair(X, FQ.pres.monomial(fm)) == want, (word, fm)
+
+
+# -- the basis-pair memo of pair() -------------------------------------------
+
+MEMO_COEFFS = [ONE, -ONE, I, ONE / (W + M), I / (2 * W), W * M + I,
+               scalar(Fraction(-3, 2))]
+
+
+def elements(pres, mons, max_terms=3):
+    return st.dictionaries(st.sampled_from(mons), st.sampled_from(MEMO_COEFFS),
+                           max_size=max_terms).map(
+        lambda d: AlgebraElement(pres, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(UQ.pres, UQ.pres.monomials_up_to(2)),
+       elements(FQ.pres, FQ.pres.monomials_up_to(2)))
+def test_memoized_pair_matches_direct_closed_form(X, a):
+    want = ZERO
+    for dual, c in ENG.to_dual.apply(X).terms.items():
+        for fm, ca in a.terms.items():
+            want = want + c * ca * pair_closed(dual, fm)
+    assert pair(X, a) == want, (X, a)
+
+
+def test_pair_rejects_swapped_or_foreign_presentations():
+    # the memo is keyed by exponent tuples alone, and both algebras have
+    # four generators, so the presentations are checked before any lookup
+    for X, a in ((fq("v"), fq("v")), (uq("B"), uq("B")), (fq("v"), uq("B"))):
+        with pytest.raises(PresentationMismatch):
+            pair(X, a)
+
+
+def test_repeated_pair_makes_no_closed_form_sums(monkeypatch):
+    # the second pair() on basis pairs already seen reads the memo only,
+    # whatever the coefficients on those pairs
+    eng = PairEngine()
+    X = uq("B") * uq("K") + uq("T").scale(ONE / (W + M)) + uq("M", 2)
+    a = fq("v") * fq("v") + fq("x").scale(I) + fq("mu") * fq("t")
+    calls = []
+    real = PairEngine._pair_dual
+
+    def counting(self, dual, f_mon):
+        calls.append(f_mon)
+        return real(self, dual, f_mon)
+
+    monkeypatch.setattr(PairEngine, "_pair_dual", counting)
+    first = eng.pair(X, a)
+    assert calls
+    calls.clear()
+    assert eng.pair(X, a) == first
+    assert eng.pair(X.scale(I), a.scale(W)) == first * I * W
+    assert calls == []

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hopfkit.errors import (NotGroupLike, NotInvertible, NotTauReal,
                             PresentationMismatch, StarUndefined)
 from hopfkit.hopf import algebra_presentation, builtin
-from hopfkit.ncalg import AlgebraElement
+from hopfkit.induce import _galilei_module
+from hopfkit.ncalg import AlgebraElement, Presentation
 from hopfkit.quasiinv import (
     LAURENT,
     OPS,
@@ -31,6 +32,7 @@ from hopfkit.quasiinv import (
     recurrence_report,
     transform_weight,
     translate_functional,
+    twisted_action,
     weight_coefficient,
 )
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
@@ -60,8 +62,8 @@ COEFFS = [ONE, -ONE, I, ONE / (W * M), I / (2 * W), W * M + I,
           scalar(Fraction(-3, 2)), U / M]
 
 
-def laurent_elements(max_terms=4):
-    terms = st.dictionaries(st.integers(-4, 4), st.sampled_from(COEFFS),
+def laurent_elements(max_terms=4, coeffs=COEFFS):
+    terms = st.dictionaries(st.integers(-4, 4), st.sampled_from(coeffs),
                             max_size=max_terms)
     return terms.map(lambda d: AlgebraElement(
         LAURENT, {(l,): c for l, c in d.items()}))
@@ -374,3 +376,155 @@ def test_d0_of_non_invertible_sample():
 def test_d1_d0_vanishes():
     rep = coboundary_vanishing_report(degree=1)
     assert rep.passed, [c.id for c in rep.failures()]
+
+
+# -- the basis-pair memo of twisted_action -----------------------------------
+
+
+def leg_sum_reference(phi, X, a, side, module=None):
+    """sum X_(1).a phi[X_(2)] (left) or sum phi[X_(1)] a.X_(2) (right),
+    through the module's act and phi's __call__ on whole legs."""
+    m = module or phi.module
+    out = m.zero()
+    for (m1, m2), c in UQ.delta.apply(X).terms.items():
+        X1, X2 = UQ.pres.monomial(m1), UQ.pres.monomial(m2)
+        if side == "left":
+            piece = m.act(X1, a) * phi(X2)
+        else:
+            piece = phi(X1) * m.act(X2, a, side="right")
+        out = out + piece.scale(c)
+    return out
+
+
+# one weight for every example, so left and right, and both modules, meet
+# on the same basis pairs in one cache
+SHARED_PHI = galilei_weight()
+TWIST_COEFFS = COEFFS + [ONE / (W + M)]
+
+
+def uq_elements(max_terms=3):
+    return st.dictionaries(st.sampled_from(UQ.pres.monomials_up_to(2)),
+                           st.sampled_from(TWIST_COEFFS),
+                           max_size=max_terms).map(
+        lambda d: AlgebraElement(UQ.pres, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uq_elements(), laurent_elements(3, TWIST_COEFFS),
+       st.sampled_from(["left", "right"]), st.booleans())
+def test_twisted_action_matches_leg_sum(X, a, side, galilei):
+    module = _galilei_module() if galilei else None
+    got = twisted_action(SHARED_PHI, X, a, side, module)
+    assert got == leg_sum_reference(SHARED_PHI, X, a, side, module), \
+        (X, a, side, galilei)
+
+
+# K - 1 acts as zero: K and 1 act as the identity on the default chi module
+# and phi[K] = phi[1] = 1, so its two terms cancel
+CANCELLING = [uq("K") - UQ.pres.one(),
+              (uq("K", 2) - uq("K")).scale(ONE / (W + M))]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_twisted_action_on_zero_and_cancelling_terms(side):
+    a = chi(2) + chi(-1, I)
+    for X in CANCELLING:
+        got = twisted_action(SHARED_PHI, X, a, side)
+        assert got.is_zero() and got.terms == {}
+        assert got == leg_sum_reference(SHARED_PHI, X, a, side)
+    X = uq("B") * uq("K") + uq("T", 2).scale(I)
+    for module in (None, _galilei_module()):
+        zero = twisted_action(SHARED_PHI, X, LAURENT.zero(), side, module)
+        assert zero.is_zero()
+        assert zero == leg_sum_reference(SHARED_PHI, X, LAURENT.zero(), side,
+                                         module)
+        with_cancel = X + CANCELLING[0]
+        assert twisted_action(SHARED_PHI, with_cancel, a, side, module) == \
+            leg_sum_reference(SHARED_PHI, with_cancel, a, side, module)
+
+
+def test_twisted_action_memo_keeps_sides_and_modules_apart():
+    # one weight, one basis pair, met in this order: on the Galilei module
+    # the left and right sums differ, and its left sum differs from the
+    # default chi module's (where left and right agree)
+    phi = galilei_weight()
+    gal = _galilei_module()
+    X, a = uq("B") * uq("B"), chi(1)
+    seen = {}
+    for module in (None, gal):
+        for side in ("left", "right"):
+            got = twisted_action(phi, X, a, side, module)
+            assert got == leg_sum_reference(phi, X, a, side, module), \
+                (module, side)
+            seen[(module, side)] = got
+    assert seen[(gal, "left")] != seen[(gal, "right")]
+    assert seen[(gal, "left")] != seen[(None, "left")]
+
+
+def test_twisted_action_rejects_an_element_of_another_algebra():
+    # chi^1 and y^1 share the exponent tuple (1,) that keys the cache, and
+    # B in uq-g1 and v in fq-g1 the tuple (0, 0, 0, 1)
+    phi = galilei_weight()
+    twisted_action(phi, uq("B"), chi(1))
+    other = Presentation("y", ("y",), (True,), {})
+    v = builtin("fq-g1").pres.gen("v")
+    for X, a in ((uq("B"), other.monomial((1,))), (uq("B"), other.zero()),
+                 (v, chi(1)), (v, LAURENT.zero())):
+        with pytest.raises(PresentationMismatch):
+            twisted_action(phi, X, a)
+
+
+def test_twisted_action_caches_are_per_weight():
+    # two weights on one module: each gets its own sums, never the other's
+    phi = galilei_weight()
+    eps = epsilon_weight(phi.module)
+    X, a = uq("B") * uq("K") + uq("B", 2), chi(1) + chi(-2, W)
+    first = twisted_action(phi, X, a)
+    assert first == leg_sum_reference(phi, X, a, "left")
+    assert eps._twist_cache == {}
+    assert twisted_action(eps, X, a) == leg_sum_reference(eps, X, a, "left")
+    assert twisted_action(eps, X, a) != first
+    assert twisted_action(phi, X, a) == first
+
+
+nonzero_small_laurent = laurent_elements(2, TWIST_COEFFS).filter(
+    lambda e: not e.is_zero())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(UQ.pres.monomials_up_to(1)),
+       st.sampled_from(UQ.pres.monomials_up_to(1)),
+       laurent_elements(2, TWIST_COEFFS), nonzero_small_laurent,
+       st.sampled_from(["left", "right"]))
+def test_twisted_action_on_fractions_matches_leg_sum(mx, my, num, den, side):
+    # a ChiFraction has no basis terms: it is summed as it stands, and
+    # nothing enters the weight's cache
+    w = coboundary_weight(LAURENT.one() + chi(1))
+    X = UQ.pres.monomial(mx) + UQ.pres.monomial(my).scale(I)
+    a = ChiFraction(num, den)
+    assert twisted_action(w, X, a, side) == leg_sum_reference(w, X, a, side)
+    assert w._twist_cache == {}
+
+
+def test_repeated_twisted_action_makes_no_module_actions(monkeypatch):
+    # the second call on basis pairs already seen reads phi's cache only,
+    # whatever the coefficients on those pairs
+    phi = galilei_weight()
+    X = uq("B") * uq("B") + uq("K").scale(ONE / (W + M)) + uq("T")
+    a = chi(2) + chi(-1, I)
+    calls = []
+    real = ChiModule.act_mono
+
+    def counting(self, umon, f, side="left"):
+        calls.append(umon)
+        return real(self, umon, f, side)
+
+    monkeypatch.setattr(ChiModule, "act_mono", counting)
+    for side in ("left", "right"):
+        first = twisted_action(phi, X, a, side)
+        assert calls
+        calls.clear()
+        assert twisted_action(phi, X, a, side) == first
+        assert twisted_action(phi, X.scale(I), a.scale(3), side) == \
+            first.scale(3 * I)
+        assert calls == []
