@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from datetime import datetime, timezone
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
 from .errors import ConfigError, HopfkitError, UnknownSuite
@@ -212,8 +211,6 @@ def _open_out(path: str | None):
 
 def _emit(payload: dict, out):
     """Print payload as JSON, and write the same text to out if given."""
-    payload = dict(payload)
-    payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = dumps(payload)
     print(text)
     if out is not None:

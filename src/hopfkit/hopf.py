@@ -3,8 +3,8 @@
 A HopfStructure attaches generator tables for the coproduct, counit,
 antipode and involution to a Presentation and extends them to the whole
 algebra through validated morphisms.  tau = * o S.  Structures without an
-involution (coalgebra quotients carrying only tau) refuse star/antipode
-access with StarUndefined.
+involution (coalgebra quotients carrying only tau) refuse star access
+with StarUndefined, and their antipode is None.
 
 Built-ins, keyed by their CLI names:
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (AntipodeNotInvertible, CounitLawViolated, InvalidArgument,
-                     StarUndefined, UnknownStructure)
+from .errors import (AntipodeNotInvertible, CounitLawViolated, StarUndefined,
+                     UnknownStructure)
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
                     tensor_map)
 from .report import CheckReport
@@ -78,24 +78,7 @@ class HopfStructure:
             if left != e or right != e:
                 raise CounitLawViolated(f"{name}: counit law fails on {g}")
 
-    # -- coalgebra operations ------------------------------------------
-
-    def coproduct(self, e):
-        return self.delta.apply(e)
-
-    def coproduct_iter(self, e, k):
-        """Iterated coproduct: rank k+1 tensor, coassociative."""
-        if k < 1:
-            raise InvalidArgument("k must be >= 1")
-        out = self.delta.apply(e)
-        for _ in range(k - 1):
-            out = tensor_map([None] * (out.rank - 1) + [self.delta], out)
-        return out
-
-    def apply_antipode(self, e):
-        if self.antipode is None:
-            raise StarUndefined(f"{self.name} carries no antipode")
-        return self.antipode.apply(e)
+    # -- involutions and group-likes ------------------------------------
 
     def apply_star(self, e):
         if self.star is None:

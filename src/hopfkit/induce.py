@@ -55,13 +55,7 @@ def _galilei_table(half: bool) -> Morphism:
         ONE / (2 * W * W * SM))
     b = OPS.gen("E") + one.scale(Fraction(1, 2) if half else 0)
     return Morphism(builtin("uq-g1").pres, [one.scale(SM), c, t, b.scale(IWM)],
-                    name="galilei_rep" if half else "galilei_module_action")
-
-
-@functools.cache
-def _rep_image(name: str) -> AlgebraElement:
-    g, exp = ("K", -1) if name in ("Kinv", "K^-1") else (name, 1)
-    return _galilei_table(True).apply(builtin("uq-g1").pres.gen(g, exp))
+                    name="galilei_rep" if half else "galilei_module")
 
 
 # -- corepresentations of the quotient ------------------------------------
@@ -262,17 +256,13 @@ def star_pairing(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
 
 def galilei_rep(name: str, A: AlgebraElement) -> AlgebraElement:
     """The closed table on a uq-g1 generator name (Kinv or K^-1 for K^-1)."""
-    return act(_rep_image(name), A)
+    g, exp = ("K", -1) if name in ("Kinv", "K^-1") else (name, 1)
+    return galilei_rep_element(builtin("uq-g1").pres.gen(g, exp), A)
 
 
 def galilei_rep_element(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
     """Linear extension of the closed table to uq-g1 elements."""
     return act(_galilei_table(True).apply(X), A)
-
-
-def galilei_module_action(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
-    """The module action: the closed table with B -> iwm E (no 1/2 shift)."""
-    return act(_galilei_table(False).apply(X), A)
 
 
 @functools.cache

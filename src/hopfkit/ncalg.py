@@ -452,9 +452,6 @@ class AlgebraElement(_Combination):
             raise NotInvertible("zero element")
         return AlgebraElement(self.pres, {self.pres.mono_inverse(mon): ONE / c})
 
-    def coefficient(self, mon):
-        return self.terms.get(tuple(mon), ZERO)
-
     def degree(self):
         """Total degree counting non-invertible generators only."""
         inv = self.pres.invertible

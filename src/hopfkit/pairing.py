@@ -13,13 +13,13 @@ the defining relations (pair K B K^-1 = B - iw M against mu, or
 [B, T] = i(K - K^-1)/(2w) against x) and by the star law
 <X*, a> = conj(<X, tau(a)>), each of which pins <K, x> = iw.
 
-pair() and act() evaluate this closed form: X is rewritten into the dual
-basis by to_dual and each term is paired by pair_closed, which builds
-its one-term value from plain ints.  pair() sums over basis pairs: the
-value P(umon, fmon) of one uq-g1 monomial against one fq-g1 monomial is
-kept in a dict on the engine, keyed by (umon, fmon), for the engine's
-lifetime (the engine() singleton lives as long as the process), and
-<X, a> = sum cx ca P(umon, fmon) over the terms of X and a.
+pair() evaluates this closed form: X is rewritten into the dual basis
+by to_dual and each term is paired by pair_closed, which builds its
+one-term value from plain ints.  The value P(umon, fmon) of one uq-g1
+monomial against one fq-g1 monomial is kept in a dict on the engine,
+keyed by (umon, fmon), for the engine's lifetime (the engine() singleton
+lives as long as the process), and <X, a> = sum cx ca P(umon, fmon).
+act() pairs X with each coproduct leg through pair(), reading that dict.
 
 The letter recursion is kept only as the oracle (pair_recursive): split
 a dual monomial into single letters and peel them against coproduct
@@ -38,7 +38,7 @@ import functools
 from fractions import Fraction
 from math import factorial
 
-from .errors import PresentationMismatch, UnknownGenerator, check_choice
+from .errors import PresentationMismatch, check_choice
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
@@ -88,13 +88,6 @@ class PairEngine:
             "T": d.gen("T"),
             "B": d.gen("K", -1) * d.gen("N"),
         }, kind="hom", name="uq->dual")
-        u = self.uq.pres
-        self.from_dual = Morphism(d, {
-            "I": u.gen("K", -1) * u.gen("M"),
-            "K": u.gen("K"),
-            "T": u.gen("T"),
-            "N": u.gen("K") * u.gen("B"),
-        }, kind="hom", name="dual->uq")
         self._row_cache = {}
         self._delta_index = {}
         self._pair_memo = {}
@@ -120,12 +113,16 @@ class PairEngine:
                 out = out + c * v
         return out
 
-    def pair(self, X: AlgebraElement, a: AlgebraElement) -> Scalar:
-        """sum cx ca <umon, fmon>, each basis pair evaluated once."""
+    def _check_args(self, what, X, a):
+        # the memo's keys are exponent tuples, read as uq-g1 and fq-g1
         if X.pres is not self.uq.pres or a.pres is not self.fq.pres:
             raise PresentationMismatch(
-                f"pair takes a uq-g1 and an fq-g1 element, "
+                f"{what} takes a uq-g1 and an fq-g1 element, "
                 f"got {X.pres.name} and {a.pres.name}")
+
+    def pair(self, X: AlgebraElement, a: AlgebraElement) -> Scalar:
+        """sum cx ca <umon, fmon>, each basis pair evaluated once."""
+        self._check_args("pair", X, a)
         memo = self._pair_memo
         out = ZERO
         for umon, cx in X.terms.items():
@@ -143,21 +140,16 @@ class PairEngine:
     def act(self, X: AlgebraElement, a: AlgebraElement, side="left") -> AlgebraElement:
         """Left regular action X.a = (id x X) Delta a; right a.X mirrors it."""
         check_choice("side", side)
-        dual = self.to_dual.apply(X).terms
-        delta = self.fq.delta
+        self._check_args("act", X, a)
+        delta, monomial = self.fq.delta, self.fq.pres.monomial
         out = {}
         for mon, ca in a.terms.items():
             for (m1, m2), c in delta._mono_image(mon).terms.items():
                 keep, paired = (m1, m2) if side == "left" else (m2, m1)
-                v = self._pair_dual(dual, paired)
+                v = self.pair(X, monomial(paired))
                 if v:
                     accumulate(out, {keep: c * v}, ca)
         return AlgebraElement(a.pres, out)
-
-    def n_degree(self, X: AlgebraElement) -> int:
-        """Largest N-exponent of X in the dual basis (pairs with v powers)."""
-        e = self.to_dual.apply(X)
-        return max((mon[3] for mon in e.terms), default=0)
 
     # -- letter recursion: the oracle ------------------------------------
 
@@ -264,14 +256,6 @@ def pair(X: AlgebraElement, a: AlgebraElement) -> Scalar:
 
 def act(X: AlgebraElement, a: AlgebraElement, side: str = "left") -> AlgebraElement:
     return engine().act(X, a, side)
-
-
-def dual_basis_element(exps) -> AlgebraElement:
-    """The uq-g1 element I^a' K^l T^g' N^d' for the exponent tuple."""
-    if len(exps) != 4:
-        raise UnknownGenerator("dual basis exponents are (a', l, g', d')")
-    eng = engine()
-    return eng.from_dual.apply(eng.dual.monomial(tuple(exps)))
 
 
 def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,

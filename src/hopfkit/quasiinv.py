@@ -111,18 +111,6 @@ def chi_from_h0(e: AlgebraElement) -> AlgebraElement:
     return _h0_to_chi().apply(e)
 
 
-def chi_to_h0(x: AlgebraElement) -> AlgebraElement:
-    """Inverse conversion: chi^l = (1 + wm v1)^l, chi^-l = (1 - wm v0)^l."""
-    h0 = algebra_presentation("h0-irr")
-    wm = W * SM
-    chi_pos = h0.one() + h0.gen("v1") * wm
-    chi_neg = h0.one() - h0.gen("v0") * wm
-    out = h0.zero()
-    for (l,), c in x.terms.items():
-        out = out + (chi_pos if l >= 0 else chi_neg) ** abs(l) * c
-    return out
-
-
 # -- fraction field of the chi algebra -----------------------------------
 
 
@@ -142,10 +130,6 @@ class ChiFraction:
         elif den.is_zero():
             raise NotInvertible("zero denominator in the chi fraction field")
         self.num, self.den = num, den
-
-    @staticmethod
-    def from_chi(e: AlgebraElement):
-        return ChiFraction(e)
 
     @staticmethod
     def one():
@@ -192,6 +176,18 @@ class ChiFraction:
 # -- module *-algebra wrappers -------------------------------------------
 
 
+def _sum_over_terms(what, X, zero, image):
+    """sum c image(umon) over the terms c umon of a uq-g1 element X; the
+    images are keyed by exponent tuples, so X's algebra is checked."""
+    if X.pres is not builtin("uq-g1").pres:
+        raise PresentationMismatch(
+            f"{what} takes a uq-g1 element, got {X.pres.name}")
+    out = zero
+    for umon, c in X.terms.items():
+        out = out + image(umon).scale(c)
+    return out
+
+
 class ChiModule:
     """The chi algebra as the module *-algebra target of the checks.
 
@@ -219,10 +215,8 @@ class ChiModule:
         return act(self.action._mono_image(umon), f)
 
     def act(self, X: AlgebraElement, f, side="left"):
-        out = self.zero()
-        for mon, c in X.terms.items():
-            out = out + self.act_mono(mon, f, side).scale(c)
-        return out
+        # apply() rejects an X from another algebra
+        return act(self.action.apply(X), f)
 
     def basis(self, window):
         return [chi(l) for l in range(-window, window + 1)]
@@ -244,6 +238,10 @@ class ChiFractionModule(ChiModule):
 
     def star(self, f):
         raise StarUndefined("no involution on the fraction-field target")
+
+    def act(self, X: AlgebraElement, f, side="left"):
+        return _sum_over_terms("the fraction-field action", X, self.zero(),
+                               lambda umon: self.act_mono(umon, f, side))
 
     def act_mono(self, umon, f, side="left"):
         a, _ell, c, d = umon
@@ -340,10 +338,8 @@ class Weight:
         return hit
 
     def __call__(self, X: AlgebraElement):
-        out = self.module.zero()
-        for umon, c in X.terms.items():
-            out = out + self.of_mono(umon).scale(c)
-        return out
+        return _sum_over_terms(f"the weight {self.name}", X,
+                               self.module.zero(), self.of_mono)
 
 
 def nu_w_functional() -> Functional:
@@ -371,13 +367,12 @@ def weight_coefficient(n: int) -> Scalar:
 
 def galilei_weight_of(X: AlgebraElement) -> AlgebraElement:
     """phi[X] = eps(X) + sum c_n <X, v^n> chi^n (a finite sum)."""
-    uq = builtin("uq-g1")
     eng = pairing_engine()
     fqp = builtin("fq-g1").pres
-    out = chi(0, uq.epsilon.apply(X))
-    for n in range(1, eng.n_degree(X) + 1):
-        vn = fqp.monomial((0, 0, 0, n))
-        val = eng.pair(X, vn)
+    out = chi(0, builtin("uq-g1").epsilon.apply(X))
+    # <X, v^n> = 0 past the largest B-exponent: to_dual(B) = K^-1 N
+    for n in range(1, max((mon[3] for mon in X.terms), default=0) + 1):
+        val = eng.pair(X, fqp.monomial((0, 0, 0, n)))
         if not val.is_zero():
             out = out + chi(n, weight_coefficient(n) * val)
     return out
@@ -453,7 +448,7 @@ def coboundary_weight(xi, module=None) -> Weight:
     """d0(xi)[X] = X.xi xi^-1, over the fraction field by default."""
     module = module or ChiFractionModule()
     if isinstance(xi, AlgebraElement):
-        xi = ChiFraction.from_chi(xi)
+        xi = ChiFraction(xi)
     xi_inv = xi.inverse()
 
     def fn(X):
@@ -603,25 +598,6 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
             terms = " + ".join(f"({c})*a[{l}]" for l, c in sorted(row.items()))
             cert.append(f"{terms} = 0")
     return EssentialInvarianceResult("refuted", None, dim, cert)
-
-
-def group_like_monomials(window: int):
-    """Scan the PBW window for group-likes; they are exactly the K powers."""
-    uq = builtin("uq-g1")
-    out = []
-    for mon in uq.pres.monomials_up_to(window):
-        e = uq.pres.monomial(mon)
-        if uq.is_group_like(e):
-            out.append(e)
-    return out
-
-
-def tau_real_group_likes(window: int):
-    """Group-likes fixed by tau.  Since tau(K^l) = K^-l, only the unit
-    qualifies, so translation is only ever exercised trivially."""
-    uq = builtin("uq-g1")
-    return [k for k in group_like_monomials(window)
-            if uq.tau.apply(k) == k]
 
 
 def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):

@@ -100,7 +100,3 @@ class CheckReport:
                 for c in self.checks
             ],
         }
-
-    def to_json(self):
-        """The report as the CLI prints it, without generated_at."""
-        return dumps(self.to_dict())

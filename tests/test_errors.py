@@ -18,13 +18,14 @@ from hopfkit.errors import (
     InvalidArgument,
     NotAScalar,
     NotCorepresentation,
+    PresentationMismatch,
     UnknownGenerator,
     UnknownStructure,
 )
 from hopfkit.hopf import builtin
 from hopfkit.induce import Corepresentation, galilei_rep
 from hopfkit.ncalg import Morphism, Presentation, linear_solve, tensor_map
-from hopfkit.pairing import engine
+from hopfkit.pairing import act as pairing_act, engine
 from hopfkit.parser import parse
 from hopfkit.quasiinv import (
     chi,
@@ -65,6 +66,12 @@ CASES = {
     "pair_engine_act-bad-side": (
         lambda: engine().act(B, FQ.pres.gen("v"), side="up"),
         InvalidArgument, ValueError),
+    # B in uq-g1 has the exponent tuple of v in fq-g1, so a uq-g1 a would
+    # be read as v
+    "pairing_act-foreign-a-left": (
+        lambda: pairing_act(B, B), PresentationMismatch, None),
+    "pairing_act-foreign-a-right": (
+        lambda: pairing_act(B, B, side="right"), PresentationMismatch, None),
     # a side or form that is not spelled exactly never runs another branch
     "twisted_action-bad-side": (
         lambda: twisted_action(galilei_weight(), B, chi(0), side="Left"),
@@ -104,8 +111,6 @@ CASES = {
     "tensor_map-wrong-number-of-maps": (
         lambda: tensor_map([UQ.epsilon], UQ.delta.apply(B)),
         InvalidArgument, ValueError),
-    "coproduct_iter-k-below-1": (
-        lambda: UQ.coproduct_iter(B, 0), InvalidArgument, ValueError),
     "to_element-rank-2": (
         lambda: UQ.delta.apply(B).to_element(), InvalidArgument, ValueError),
     "arith-unknown-kind": (

@@ -9,10 +9,10 @@ from hopfkit.hopf import builtin
 from hopfkit.ncalg import AlgebraElement, Morphism
 from hopfkit.induce import (
     IndElement,
+    _galilei_module,
     _galilei_table,
     eq_sesq_defect,
     equivalence_intertwiner,
-    galilei_module_action,
     galilei_rep,
     galilei_rep_element,
     ind_generic_report,
@@ -80,10 +80,23 @@ def test_bt_commutator_closed_form():
         assert lhs == rhs
 
 
+# the closed table uq-g1 -> OPS written out independently of hopfkit.induce
+OPS_CHI, OPS_ONE = OPS.gen("chi"), OPS.one()
+T_COEFF = ONE / (2 * W * W * M)
+REP_TABLE = [OPS_ONE.scale(M), OPS_CHI,
+             OPS_ONE.scale(U) - (OPS_ONE.scale(2) - OPS_CHI
+                                 - OPS_CHI.inverse()).scale(T_COEFF),
+             (OPS.gen("E") + OPS_ONE.scale(Fraction(1, 2))).scale(IWM)]
+
+
+# the module action: the same table with B -> iwm E, no 1/2 shift
+MODULE_TABLE = REP_TABLE[:3] + [OPS.gen("E").scale(IWM)]
+
+
 def test_module_action_differs_from_rep_by_half():
     # B acts as iwm*l on the module, iwm*(l+1/2) in the representation
     for l in range(-2, 3):
-        assert galilei_module_action(UQ.pres.gen("B"), gv(l)) == gv(l, IWM * l)
+        assert _galilei_module().act(UQ.pres.gen("B"), gv(l)) == gv(l, IWM * l)
 
 
 WINDOW2 = [UQ.pres.monomial(mon) for mon in UQ.pres.monomials_up_to(2)]
@@ -99,18 +112,10 @@ def test_weight_reconstructs_closed_table():
 
 def test_chi_module_with_galilei_action_is_the_module_action():
     mod = ChiModule(_galilei_table(False))
+    table = Morphism(UQ.pres, MODULE_TABLE)
     for X in WINDOW2:
         for l in range(-3, 4):
-            assert mod.act(X, gv(l)) == galilei_module_action(X, gv(l))
-
-
-# the closed table uq-g1 -> OPS written out independently of hopfkit.induce
-OPS_CHI, OPS_ONE = OPS.gen("chi"), OPS.one()
-T_COEFF = ONE / (2 * W * W * M)
-REP_TABLE = [OPS_ONE.scale(M), OPS_CHI,
-             OPS_ONE.scale(U) - (OPS_ONE.scale(2) - OPS_CHI
-                                 - OPS_CHI.inverse()).scale(T_COEFF),
-             (OPS.gen("E") + OPS_ONE.scale(Fraction(1, 2))).scale(IWM)]
+            assert mod.act(X, gv(l)) == act(table.apply(X), gv(l))
 
 
 def test_rep_table_matches_galilei_rep():

@@ -299,7 +299,7 @@ def _image_oracle(phi, mon):
 @pytest.mark.parametrize("name", [
     f"{h}.{m}" for h in ("uq-g1", "fq-g1", "fq-j")
     for m in ("delta", "epsilon", "antipode", "star", "tau", "antipode_inv")
-] + ["pairing.to_dual", "pairing.from_dual", "chi_from_h0"])
+] + ["pairing.to_dual", "chi_from_h0"])
 def test_mono_image_is_product_of_generator_power_images(name):
     phi = _fresh_morphism(name)
     window = phi.source.monomials_up_to(3, zrange=2)

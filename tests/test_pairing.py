@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hopfkit import pairing
 from hopfkit.errors import PresentationMismatch
 from hopfkit.hopf import builtin
-from hopfkit.ncalg import AlgebraElement
-from hopfkit.pairing import (PairEngine, act, dual_basis_element, engine, pair,
-                             pair_closed, pairing_report)
+from hopfkit.ncalg import AlgebraElement, Morphism
+from hopfkit.pairing import (PairEngine, act, engine, pair, pair_closed,
+                             pairing_report)
 from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
 
 UQ = builtin("uq-g1")
@@ -44,9 +44,22 @@ def test_closed_factorials():
     assert pair_closed((0, 2, 1, 0), (0, 1, 1, 0)) == -2 * W
 
 
+def from_dual(eng):
+    """The inverse of eng.to_dual, I = K^-1 M and N = K B, as a checked
+    Morphism from the dual presentation into uq-g1."""
+    u = eng.uq.pres
+    return Morphism(eng.dual, {
+        "I": u.gen("K", -1) * u.gen("M"),
+        "K": u.gen("K"),
+        "T": u.gen("T"),
+        "N": u.gen("K") * u.gen("B"),
+    }, kind="hom", name="dual->uq")
+
+
 def test_dual_conversion_round_trip():
+    back_map = from_dual(ENG)
     for exps in itertools.product(range(2), range(-2, 3), range(2), range(2)):
-        e = dual_basis_element(exps)
+        e = back_map.apply(ENG.dual.monomial(exps))
         back = ENG.to_dual.apply(e)
         assert back == ENG.dual.monomial(exps)
 
@@ -133,7 +146,7 @@ def test_pair_multiplicative_in_second_argument():
     gens_u = [uq(g) for g in ("M", "K", "T", "B")]
     elems = [fq("mu"), fq("x"), fq("v"), fq("t"), fq("v") * fq("x")]
     for X in gens_u:
-        dX = UQ.coproduct(X)
+        dX = UQ.delta.apply(X)
         for a in elems:
             for b in elems:
                 total = ZERO
@@ -166,7 +179,7 @@ def test_act_module_algebra_law_on_products():
     gens_u = [uq(g) for g in ("M", "K", "T", "B")]
     samples = [fq("mu"), fq("x"), fq("v"), fq("v") * fq("v"), fq("x") * fq("t")]
     for X in gens_u:
-        dX = UQ.coproduct(X)
+        dX = UQ.delta.apply(X)
         for a in samples:
             for b in samples:
                 if a.degree() + b.degree() > 3:
