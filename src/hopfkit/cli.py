@@ -49,10 +49,16 @@ def _merge(reports, suite_name, params):
     return out.finalize()
 
 
+_HOPF_PRESETS = ("uq-g1", "fq-g1", "fq-j")
+
+
 def _suite_hopf_axioms(cfg):
     degree = cfg.get("degree", 4)
-    names = [cfg["preset"]] if cfg.get("preset") in ("uq-g1", "fq-g1", "fq-j") \
-        else ["uq-g1", "fq-g1", "fq-j"]
+    preset = cfg.get("preset")
+    if preset is not None and preset not in _HOPF_PRESETS:
+        raise ConfigError(f"unknown hopf-axioms preset {preset!r}; choose "
+                          f"from {', '.join(_HOPF_PRESETS)}")
+    names = _HOPF_PRESETS if preset is None else [preset]
     return _merge([verify_hopf(builtin(n), degree) for n in names],
                   "hopf-axioms", {"degree": degree})
 
@@ -272,31 +278,11 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_homogeneous_space(args) -> int:
-    if args.preset != "galilei":
-        raise ConfigError(f"unknown preset {args.preset!r}")
     _check_sizes({"degree": args.degree})
     basis = homogeneous_space(galilei_subgroup(), args.degree, args.side)
     for b in basis:
         print(print_element(b))
     return 0
-
-
-def _cmd_induce(args) -> int:
-    cfg = {"window": args.window, "degree": args.degree}
-    _check_sizes(cfg)
-    if args.generic:
-        if args.corep != "trivial":
-            raise ConfigError(f"unknown corepresentation {args.corep!r}")
-        rep = ind_generic_report(galilei_subgroup(), args.degree)
-    else:
-        if args.preset != "galilei":
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        if args.suite not in ("relations", "unitarity", "jform", "intertwiner"):
-            raise UnknownSuite(f"unknown induce suite {args.suite!r}")
-        rep = run_suite(args.suite, cfg)
-    with _open_out(args.out) as out:
-        _emit(rep.to_dict(), out)
-    return 0 if rep.passed else 1
 
 
 def build_arg_parser():
@@ -335,20 +321,9 @@ def build_arg_parser():
 
     p = sub.add_parser("homogeneous-space",
                        help="print a basis of the homogeneous-space window")
-    p.add_argument("--preset", default="galilei")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.set_defaults(fn=_cmd_homogeneous_space)
-
-    p = sub.add_parser("induce", help="induced-representation suites")
-    p.add_argument("--preset", default="galilei")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--suite", default="relations")
-    p.add_argument("--generic", action="store_true")
-    p.add_argument("--corep", default="trivial")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_induce)
 
     return ap
 

@@ -28,15 +28,13 @@ SUBGROUP_SIDES = ("left", "right", "two-sided")
 
 
 class CoisotropicSubgroup:
-    """Validated quotient data: ambient, quotient, pi, side, kernel."""
+    """Validated quotient data: ambient, quotient, pi and side."""
 
-    def __init__(self, ambient, quotient, pi, side, kernel_generators,
-                 check_degree):
+    def __init__(self, ambient, quotient, pi, side, check_degree):
         self.ambient = ambient
         self.quotient = quotient
         self.pi = pi
         self.side = side
-        self.kernel_generators = kernel_generators
         self.check_degree = check_degree
 
     def __repr__(self):
@@ -72,13 +70,11 @@ def build_subgroup(ambient: HopfStructure, quotient: HopfStructure, pi_table,
             if pi.apply(ambient.tau.apply(e)) != quotient.tau.apply(pi.apply(e)):
                 raise TauIncompatible(f"pi tau != tau_K pi on {g}")
 
-    kernel_generators = [k for k in kernel_generators]
     for k in kernel_generators:
         if not pi.apply(k).is_zero():
             raise NotModuleMorphism(f"declared kernel element {k} survives pi")
 
-    sub = CoisotropicSubgroup(ambient, quotient, pi, side,
-                              kernel_generators, check_degree)
+    sub = CoisotropicSubgroup(ambient, quotient, pi, side, check_degree)
     _check_surjective(sub, check_degree)
     return sub
 

@@ -17,6 +17,7 @@ Built-ins, keyed by their CLI names:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import (AntipodeNotInvertible, CounitLawViolated, StarUndefined,
@@ -229,6 +230,7 @@ def _fqj_presentation():
     return Presentation("fq-j", gens, inv, rules)
 
 
+@functools.cache
 def _h0_presentation():
     gens = ("v0", "v1")
     inv = (False, False)
@@ -286,27 +288,15 @@ def _build_fqj():
     return HopfStructure("fq-j", p, delta, eps, antipode, star)
 
 
-_CACHE = {}
+_BUILDERS = {"uq-g1": _build_uq, "fq-g1": _build_fq, "fq-j": _build_fqj}
 
 
-def _h0():
-    if "h0-irr" not in _CACHE:
-        _CACHE["h0-irr"] = _h0_presentation()
-    return _CACHE["h0-irr"]
-
-
+@functools.cache
 def builtin(name: str) -> HopfStructure:
     """The built-in Hopf structures by CLI name."""
-    if name not in _CACHE:
-        if name == "uq-g1":
-            _CACHE[name] = _build_uq()
-        elif name == "fq-g1":
-            _CACHE[name] = _build_fq()
-        elif name == "fq-j":
-            _CACHE[name] = _build_fqj()
-        else:
-            raise UnknownStructure(f"no built-in Hopf structure named {name!r}")
-    return _CACHE[name]
+    if name not in _BUILDERS:
+        raise UnknownStructure(f"no built-in Hopf structure named {name!r}")
+    return _BUILDERS[name]()
 
 
 BUILTIN_NAMES = ("uq-g1", "fq-g1", "fq-j", "h0-irr")
@@ -314,5 +304,5 @@ BUILTIN_NAMES = ("uq-g1", "fq-g1", "fq-j", "h0-irr")
 
 def algebra_presentation(name: str) -> Presentation:
     if name == "h0-irr":
-        return _h0()
+        return _h0_presentation()
     return builtin(name).pres

@@ -38,8 +38,10 @@ from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
 from .errors import NotCorepresentation, SideMismatch
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
-from .quasiinv import (IWM, LAURENT, OPS, ChiModule, Weight, act, chi,
-                       galilei_weight, nu_w_functional, twisted_action)
+from .pairing import act as regular_act
+from .quasiinv import (IWM, LAURENT, OPS, ChiModule, RegularModule, Weight,
+                       act, chi, epsilon_weight, galilei_weight,
+                       nu_w_functional, transform_weight, twisted_action)
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO
 
@@ -397,7 +399,6 @@ def intertwiner_report(window: int = 4) -> CheckReport:
     """Equivalence transport for xi = chi: F(A) = A chi intertwines the
     transformed-weight representation into the reference one, and carries
     the twisted form back to the Minkowski form."""
-    from .quasiinv import transform_weight
     rep = CheckReport("intertwiner", preset="galilei", params={"window": window})
     uq = builtin("uq-g1")
     xi = CHI
@@ -461,8 +462,6 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
     is the homogeneous space, forms land where the lemma says, the leg
     identity holds, and the generic representation is a representation.
     Returns the corepresentation and the induced basis at degree."""
-    from .pairing import act as regular_act
-    from .quasiinv import RegularModule, epsilon_weight
 
     def record(key, suffix, ok, witness):
         check, law = _GENERIC_CHECKS[side][key]

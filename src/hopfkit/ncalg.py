@@ -43,6 +43,7 @@ from .errors import (
     RelationNotPreserved,
     RewriteLimitExceeded,
     UnknownGenerator,
+    WindowOverflow,
 )
 from .scalars import ONE, Scalar, ZERO, scalar
 
@@ -121,18 +122,11 @@ class Presentation:
                         f"({self.generators[gl]},{self.generators[gr]}) does "
                         f"not decrease the word order")
 
-    def _reducible(self, l1, l2):
-        g1, e1 = l1
-        g2, e2 = l2
-        if g1 == g2:
-            return True
-        key = (g1, 1 if e1 > 0 else -1, g2, 1 if e2 > 0 else -1)
-        return key in self.rules or g1 > g2
-
     def _check_confluence(self):
         letters = self._letters()
         for l1, l2, l3 in itertools.product(letters, repeat=3):
-            if not (self._reducible(l1, l2) and self._reducible(l2, l3)):
+            if (self._find_redex((l1, l2)) is None
+                    or self._find_redex((l2, l3)) is None):
                 continue
             word = (l1, l2, l3)
             left = self._normalize_terms([(ONE, word)])
@@ -166,18 +160,17 @@ class Presentation:
         return [(coeff * c, left + w + right) for c, w in rhs]
 
     def _find_redex(self, word):
+        """The first position p at which word[p] word[p + 1] reduces (a
+        merge, a rule or a disordered pair), or None for a normal word.
+        Words hold no zero exponents: element() strips them."""
         for p in range(len(word) - 1):
-            if word[p][1] == 0:
-                return p, "drop"
             l1, l2 = word[p], word[p + 1]
             if l1[0] == l2[0]:
-                return p, "merge"
+                return p
             key = (l1[0], 1 if l1[1] > 0 else -1, l2[0], 1 if l2[1] > 0 else -1)
             if key in self.rules or l1[0] > l2[0]:
-                return p, "rule"
-        if word and word[-1][1] == 0:
-            return len(word) - 1, "drop"
-        return None, None
+                return p
+        return None
 
     def _normalize_terms(self, items):
         out = {}
@@ -191,8 +184,8 @@ class Presentation:
             coeff, word = stack.pop()
             if coeff.is_zero():
                 continue
-            p, what = self._find_redex(word)
-            if what is None:
+            p = self._find_redex(word)
+            if p is None:
                 mon = self._word_to_mon(word)
                 s = out.get(mon)
                 s = coeff if s is None else s + coeff
@@ -200,8 +193,6 @@ class Presentation:
                     out.pop(mon, None)
                 else:
                     out[mon] = s
-            elif what == "drop":
-                stack.append((coeff, word[:p] + word[p + 1:]))
             else:
                 stack.extend(self._step_at(coeff, word, p))
         return out
@@ -243,8 +234,10 @@ class Presentation:
         return AlgebraElement(self, {self._gen_mon(g, e): ONE})
 
     def element(self, terms):
-        """Build from raw (coefficient, word) pairs; words may be disordered."""
-        items = [(scalar(c), self._validate_word(w)) for c, w in terms]
+        """Build from raw (coefficient, word) pairs; words may be disordered
+        and may hold zero exponents, which are dropped before rewriting."""
+        items = [(scalar(c), tuple(l for l in self._validate_word(w) if l[1]))
+                 for c, w in terms]
         return AlgebraElement(self, self._normalize_terms(items))
 
     def monomial(self, mon):
@@ -316,7 +309,7 @@ class Presentation:
         for exps in itertools.product(*ranges):
             if sum(e for g, e in enumerate(exps)
                    if not self.invertible[g]) <= degree:
-                if self._find_redex(self.mon_to_word(exps))[0] is None:
+                if self._find_redex(self.mon_to_word(exps)) is None:
                     out.append(exps)
         out.sort(key=lambda mon: (sum(abs(e) for e in mon), mon))
         return out
@@ -760,7 +753,6 @@ def linear_solve(constraints, unknowns):
     A constraint touching a name outside `unknowns` means an element
     escaped the declared window: WindowOverflow, enlarge and retry.
     """
-    from .errors import WindowOverflow
     order = {u: k for k, u in enumerate(unknowns)}
     pivots = {}  # column -> reduced row (dict col -> Scalar)
     for raw in constraints:

@@ -35,12 +35,14 @@ Regular actions: X.a = (id x X) Delta a and a.X = (X x id) Delta a.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import factorial
 
 from .errors import PresentationMismatch, check_choice
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
+from .report import CheckReport
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
 
 IW = IMAG * W
@@ -236,14 +238,9 @@ def _letters(dual_mon):
             + ("N",) * dp)
 
 
-_ENGINE = None
-
-
+@functools.cache
 def engine() -> PairEngine:
-    global _ENGINE
-    if _ENGINE is None:
-        _ENGINE = PairEngine()
-    return _ENGINE
+    return PairEngine()
 
 
 def pair_closed(dual_mon, f_mon) -> Scalar:
@@ -267,10 +264,6 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
     b <= x_power_bound; the law battery runs over monomial windows of
     degree law_degree.
     """
-    import itertools
-
-    from .report import CheckReport
-
     eng = engine()
     uq, fq = eng.uq, eng.fq
     rep = CheckReport("pairing", params={

@@ -44,7 +44,8 @@ from fractions import Fraction
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
                      PresentationMismatch, StarUndefined, check_choice)
 from .hopf import algebra_presentation, builtin
-from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
+from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
+                    linear_solve)
 from .pairing import engine as pairing_engine
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, W, ZERO, scalar
@@ -194,7 +195,8 @@ class ChiModule:
     A chi module is its action, a checked Morphism uq-g1 -> OPS used on
     both sides (the right fixture mirrors the left one).  The default is
     the weight's: K -> 1, B -> iwm chi E, T -> 0 and M -> 0, so B shifts
-    and scales, chi^l |-> iwm l chi^(l+1).
+    and scales, chi^l |-> iwm l chi^(l+1).  act is the linear extension
+    of act_mono, which subclasses override.
     """
 
     def __init__(self, action: Morphism | None = None):
@@ -215,8 +217,8 @@ class ChiModule:
         return act(self.action._mono_image(umon), f)
 
     def act(self, X: AlgebraElement, f, side="left"):
-        # apply() rejects an X from another algebra
-        return act(self.action.apply(X), f)
+        return _sum_over_terms("a chi module action", X, self.zero(),
+                               lambda umon: self.act_mono(umon, f, side))
 
     def basis(self, window):
         return [chi(l) for l in range(-window, window + 1)]
@@ -238,10 +240,6 @@ class ChiFractionModule(ChiModule):
 
     def star(self, f):
         raise StarUndefined("no involution on the fraction-field target")
-
-    def act(self, X: AlgebraElement, f, side="left"):
-        return _sum_over_terms("the fraction-field action", X, self.zero(),
-                               lambda umon: self.act_mono(umon, f, side))
 
     def act_mono(self, umon, f, side="left"):
         a, _ell, c, d = umon
@@ -269,18 +267,8 @@ class RegularModule:
     def zero(self):
         return self.fq.pres.zero()
 
-    def star(self, f):
-        return self.fq.star.apply(f)
-
     def act_mono(self, umon, f, side="left"):
         return self.eng.act(builtin("uq-g1").pres.monomial(umon), f, side)
-
-    def act(self, X, f, side="left"):
-        return self.eng.act(X, f, side)
-
-    def basis(self, window):
-        p = self.fq.pres
-        return [p.monomial((0, 0, 0, k)) for k in range(window + 1)]
 
 
 # -- functionals and weights ---------------------------------------------
@@ -460,14 +448,13 @@ def coboundary_weight(xi, module=None) -> Weight:
 # -- the checks -----------------------------------------------------------
 
 
-def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement):
-    """d1(phi)[X (x) Y] = phi[XY] - sum X_(1).phi[Y] phi[X_(2)]."""
-    return phi(X * Y) - twisted_action(phi, X, phi(Y))
-
-
-def d1_right_defect(psi: Weight, X, Y):
-    """Right mirror: psi[XY] - sum psi[Y_(1)] (psi[X].Y_(2))."""
-    return psi(X * Y) - twisted_action(psi, Y, psi(X), side="right")
+def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement,
+              side: str = "left"):
+    """d1(phi)[X (x) Y] = phi[XY] - sum X_(1).phi[Y] phi[X_(2)]; its right
+    mirror is psi[XY] - sum psi[Y_(1)] (psi[X].Y_(2))."""
+    if side == "left":
+        return phi(X * Y) - twisted_action(phi, X, phi(Y))
+    return phi(X * Y) - twisted_action(phi, Y, phi(X), side)
 
 
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
@@ -481,10 +468,9 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
     # each window element is printed once, not once per check id
     window = map(uq.pres.monomial, uq.pres.monomials_up_to(degree))
     window = [(X, str(X)) for X in window]
-    defect = d1_defect if side == "left" else d1_right_defect
     for X, xl in window:
         for Y, yl in window:
-            ok = defect(phi, X, Y).is_zero()
+            ok = d1_defect(phi, X, Y, side).is_zero()
             rep.record(f"cocycle[{xl}|{yl}]", ok,
                        law="phi[XY] = sum X_(1).phi[Y] phi[X_(2)]"
                        if side == "left" else
@@ -571,7 +557,6 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
     iff one of its vectors is a monomial, so the scan is complete.  On
     refutation the forced-zero rows are returned as the certificate.
     """
-    from .ncalg import linear_solve
     uq = builtin("uq-g1")
     m = ChiModule()
     unknowns = list(range(-window, window + 1))

@@ -42,6 +42,19 @@ def test_normal_form_of_unit():
         assert pres.element([(ONE, [])]) == pres.one()
 
 
+def test_element_drops_zero_exponents():
+    # K^0 must not be read as a K^-1 letter by the K^-1 B rule
+    cases = [(UQ, [("K", 0), ("B", 1), ("K", 0)], [("B", 1)]),
+             (UQ, [("B", 1), ("K", 0), ("T", 1)], [("B", 1), ("T", 1)]),
+             (UQ, [("K", 0)], []),
+             (FQ, [("x", 0), ("mu", 1), ("v", 0), ("x", 1)],
+              [("mu", 1), ("x", 1)])]
+    for pres, with_zeros, without in cases:
+        assert (pres.element([(ONE, with_zeros)])
+                == pres.element([(ONE, without)]))
+    assert UQ.element([(ONE, [("K", 0), ("B", 1), ("K", 0)])]) == UQ.gen("B")
+
+
 def test_normal_form_idempotent():
     e = FQ.element([(ONE, [("v", 2), ("mu", 1), ("x", 1)])])
     again = FQ.element([(c, FQ.mon_to_word(m)) for m, c in e.terms.items()])

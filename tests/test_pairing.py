@@ -219,8 +219,12 @@ def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
         return v * 2 if f_mon[3] >= 2 else v
 
     monkeypatch.setattr(PairEngine, "pair_closed", doubled)
-    monkeypatch.setattr(pairing, "_ENGINE", None)
-    failed = {c.id.split("[")[0] for c in pairing_report().failures()}
+    pairing.engine.cache_clear()
+    try:
+        failed = {c.id.split("[")[0] for c in pairing_report().failures()}
+    finally:
+        # later tests must not read the mutant's pairing memo
+        pairing.engine.cache_clear()
     assert "closed-vs-recursive" in failed
     assert "product-coproduct" in failed
 

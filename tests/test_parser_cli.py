@@ -1,11 +1,13 @@
 import json
+import pathlib
 import random
 import re
+import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.cli import _merge, load_config, main, run_suite
+from hopfkit.cli import _merge, build_arg_parser, load_config, main, run_suite
 from hopfkit.errors import (
     ConfigError,
     DivisionByZero,
@@ -234,8 +236,30 @@ def test_run_suite_unknown():
 
 
 def test_run_suite_hopf_axioms_degree_one():
+    # with no preset, all three Hopf built-ins are checked
     rep = run_suite("hopf-axioms", {"degree": 1})
     assert rep.passed
+    assert {c.id.split("::")[0] for c in rep.checks} == {"uq-g1", "fq-g1",
+                                                         "fq-j"}
+
+
+@pytest.mark.parametrize("preset", ["uq-g2", "h0-irr", "galilei"])
+def test_hopf_axioms_rejects_an_unknown_preset(preset, capsys):
+    # a preset that names no Hopf built-in is an error, not "run them all"
+    assert main(["verify", "hopf-axioms", "--preset", preset,
+                 "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown hopf-axioms preset" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ConfigError):
+        run_suite("hopf-axioms", {"degree": 1, "preset": preset})
+
+
+def test_hopf_axioms_preset_runs_one_structure():
+    rep = run_suite("hopf-axioms", {"degree": 1, "preset": "fq-j"})
+    assert rep.passed
+    assert rep.params == {"degree": 1, "fq-j.degree": 1}
+    assert {c.id.split("::")[0] for c in rep.checks} == {"fq-j"}
 
 
 def test_run_suite_coisotropic_degree_zero():
@@ -295,8 +319,7 @@ def test_cli_matrix(capsys, tmp_path):
 
 
 def test_cli_homogeneous_space(capsys):
-    assert main(["homogeneous-space", "--preset", "galilei",
-                 "--degree", "3", "--side", "left"]) == 0
+    assert main(["homogeneous-space", "--degree", "3", "--side", "left"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["1", "v", "v^2", "v^3"]
 
@@ -313,13 +336,29 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_cli_induce(capsys):
-    assert main(["induce", "--preset", "galilei", "--window", "2",
-                 "--suite", "relations"]) == 0
-    capsys.readouterr()
-    assert main(["induce", "--generic", "--corep", "trivial",
-                 "--degree", "2"]) == 0
-    capsys.readouterr()
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The concrete hopfkit lines of the README "Command line" block, with
+    continuation lines joined; template lines (holding "<") are left out."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines
+            if line.startswith("hopfkit ") and "<" not in line]
+
+
+def test_readme_commands_parse():
+    # a deleted command or flag cannot stay documented
+    commands = readme_commands()
+    assert len(commands) >= 5
+    ap = build_arg_parser()
+    for line in commands:
+        try:
+            ap.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_record_calls_witness_only_on_failure():
@@ -348,7 +387,6 @@ def test_empty_report_does_not_pass():
     ["verify", "hopf-axioms", "--degree", "-1"],
     ["matrix", "--op", "B", "--window", "-1"],
     ["homogeneous-space", "--degree", "-2"],
-    ["induce", "--generic", "--degree", "-1"],
 ])
 def test_negative_sizes_are_config_errors(argv, capsys):
     assert main(argv) == 2

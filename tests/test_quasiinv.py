@@ -15,6 +15,7 @@ from hopfkit.quasiinv import (
     ChiFraction,
     ChiFractionModule,
     ChiModule,
+    Weight,
     act,
     chi,
     chi_from_h0,
@@ -228,6 +229,38 @@ def test_chi_modules_and_weight_reject_an_fq_element():
     for call in calls:
         with pytest.raises(PresentationMismatch):
             call()
+
+
+def test_chi_module_act_is_the_linear_extension_of_act_mono():
+    X = uq("B") * uq("K") + uq("T").scale(2) - uq("K", -1)
+    assert len(X.terms) > 2
+    for mod in (ChiModule(), _galilei_module()):
+        for l in range(-3, 4):
+            f = chi(l) + chi(l + 1, I)
+            assert mod.act(X, f) == act(mod.action.apply(X), f)
+    frac = ChiFractionModule()
+    for f in (ChiFraction(chi(2)), ChiFraction(chi(-1), LAURENT.one() + chi(1))):
+        want = frac.zero()
+        for umon, c in X.terms.items():
+            want = want + frac.act_mono(umon, f).scale(c)
+        assert frac.act(X, f) == want
+
+
+def test_d1_defect_right_is_the_right_mirror():
+    # the Galilei weight is a right cocycle, so a weight that is not one
+    # checks the defect's value as well as its zeros
+    not_cocycle = Weight("eps-chi", ChiModule(),
+                         lambda X: chi(1, UQ.epsilon.apply(X)))
+    window = [UQ.pres.monomial(m) for m in UQ.pres.monomials_up_to(1)]
+    nonzero = 0
+    for psi in (galilei_weight(), not_cocycle):
+        for X in window:
+            for Y in window:
+                got = d1_defect(psi, X, Y, side="right")
+                assert got == psi(X * Y) - twisted_action(psi, Y, psi(X),
+                                                          side="right")
+                nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_weight_coefficient_recurrence():
