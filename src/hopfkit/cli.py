@@ -52,12 +52,17 @@ def _merge(reports, suite_name, params):
 _HOPF_PRESETS = ("uq-g1", "fq-g1", "fq-j")
 
 
-def _suite_hopf_axioms(cfg):
-    degree = cfg.get("degree", 4)
-    preset = cfg.get("preset")
+def _check_preset(preset):
+    """A preset names one Hopf built-in; with none, hopf-axioms runs all."""
     if preset is not None and preset not in _HOPF_PRESETS:
         raise ConfigError(f"unknown hopf-axioms preset {preset!r}; choose "
                           f"from {', '.join(_HOPF_PRESETS)}")
+
+
+def _suite_hopf_axioms(cfg):
+    degree = cfg.get("degree", 4)
+    preset = cfg.get("preset")
+    _check_preset(preset)
     names = _HOPF_PRESETS if preset is None else [preset]
     return _merge([verify_hopf(builtin(n), degree) for n in names],
                   "hopf-axioms", {"degree": degree})
@@ -171,11 +176,15 @@ def _check_sizes(cfg):
             raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
-def run_suite(name: str, config: dict | None = None) -> CheckReport:
-    """Run one registered verification suite with the given configuration."""
+def _check_suite(name):
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
                            + ", ".join(sorted(SUITES)))
+
+
+def run_suite(name: str, config: dict | None = None) -> CheckReport:
+    """Run one registered verification suite with the given configuration."""
+    _check_suite(name)
     cfg = dict(config or {})
     _check_sizes(cfg)
     return SUITES[name](cfg)
@@ -234,6 +243,13 @@ def _cmd_verify(args) -> int:
         names = sorted(SUITES)
     elif "suites" in cfg and args.suite == "config":
         names = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
+    # reject the whole command before any report is printed
+    for name in names:
+        _check_suite(name)
+    _check_preset(cfg.get("preset"))
+    if "preset" in cfg and "hopf-axioms" not in names:
+        raise ConfigError("a preset selects the structure of hopf-axioms, "
+                          "which is not among the suites to run")
     status = 0
     with _open_out(args.out or cfg.get("output")) as out:
         for name in names:

@@ -62,7 +62,8 @@ class RewriteLimitExceeded(HopfkitError):
 
 
 class RelationNotPreserved(HopfkitError):
-    """A generator table does not kill a defining relation.
+    """A generator table does not kill a defining relation, or a rule
+    does not keep the degree of a grading.
 
     Carries the offending relation as a string in args[0].
     """

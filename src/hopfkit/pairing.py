@@ -29,6 +29,16 @@ are reproduced rather than assumed.  The closed-vs-recursive row of
 pairing_report compares the two on a full window, and every law row of
 that report tests the closed form.
 
+A one-letter row pairs only with mu, t, v or x^b: first legs of degree
+<= 1 in (mu, t, v), with x of degree 0.  Every fq-g1 rule keeps that
+degree (x mu -> mu x - 2iw mu, v mu -> mu v + iw v^2, ...), so fq-g1 is
+graded by it, and the oracle builds each coproduct already truncated to
+first-leg degree <= 1, one letter at a time from the generator images of
+fq.delta, never forming a product it cannot read.  The weights are read
+off the one-letter rows when the engine is built, and a rule that breaks
+the grading raises RelationNotPreserved there.  pair, act and the Hopf
+layer keep the full coproduct.
+
 Regular actions: X.a = (id x X) Delta a and a.X = (X x id) Delta a.
 """
 
@@ -39,9 +49,10 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import PresentationMismatch, check_choice
+from .errors import PresentationMismatch, RelationNotPreserved, check_choice
 from .hopf import builtin
-from .ncalg import AlgebraElement, Morphism, Presentation, accumulate
+from .ncalg import (AlgebraElement, Morphism, Presentation, TensorElement,
+                    accumulate)
 from .report import CheckReport
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
 
@@ -91,8 +102,26 @@ class PairEngine:
             "B": d.gen("K", -1) * d.gen("N"),
         }, kind="hom", name="uq->dual")
         self._row_cache = {}
-        self._delta_index = {}
         self._pair_memo = {}
+        pres = self.fq.pres
+        # the (mu, t, v) weights: 1 on each generator that the one-letter
+        # rows of I, T and N read, 0 on the rest (x, which K's row reads)
+        rows = (self._row_support(letter, 0)[0] for letter in "ITN")
+        self._weights = tuple(map(sum, zip(*rows)))
+        _check_graded(pres, self._weights)
+        # the oracle's truncated coproducts: each fq monomial maps to the
+        # first-leg degree 0 and degree 1 parts of Delta(mon), seeded
+        # with the unit and the generator images of fq.delta
+        spaces = (pres, pres)
+        self._delta_parts = {pres.one_mon: (
+            TensorElement(spaces, {(pres.one_mon, pres.one_mon): ONE}),
+            TensorElement(spaces, {}))}
+        for g, img in enumerate(self.fq.delta.images):
+            self._delta_parts[pres._gen_mon(g, 1)] = tuple(
+                TensorElement(spaces, {key: c for key, c in img.terms.items()
+                                       if self._degree(key[0]) == d})
+                for d in (0, 1))
+        self._delta_index = {}
 
     # -- closed formula: the production evaluation --------------------
 
@@ -177,14 +206,40 @@ class PairEngine:
         sw = IW if letter == "K" else -IW
         return sw ** b
 
+    def _degree(self, mon):
+        """The (mu, t, v)-degree of a normal fq monomial."""
+        return sum(w * e for w, e in zip(self._weights, mon))
+
+    def _truncated_delta(self, mon):
+        """The first-leg degree 0 and 1 parts (D0, D1) of Delta(mon).
+
+        Built like Morphism._mono_image, one last letter L at a time:
+        with prefix*L = mon and both factors graded, the degree <= 1
+        part of Delta(prefix) Delta(L) is (A0 B0, A0 B1 + A1 B0), so no
+        product of degree >= 2 is ever formed.  Each prefix is cached.
+        """
+        cache = self._delta_parts
+        hit = cache.get(mon)
+        peeled = []  # (parts of the last letter, the monomial it ends)
+        while hit is None:
+            g = max(k for k, e in enumerate(mon) if e)
+            peeled.append((cache[self.fq.pres._gen_mon(g, 1)], mon))
+            mon = mon[:g] + (mon[g] - 1,) + mon[g + 1:]
+            hit = cache.get(mon)
+        for (b0, b1), prefix in reversed(peeled):
+            a0, a1 = hit
+            hit = (a0 * b0, a0 * b1 + a1 * b0)
+            cache[prefix] = hit
+        return hit
+
     def _delta_terms(self, mon):
-        """Coproduct of an fq monomial, indexed by the first slot."""
+        """Truncated coproduct of an fq monomial, indexed by the first slot."""
         hit = self._delta_index.get(mon)
         if hit is None:
-            te = self.fq.delta._mono_image(mon)
             hit = {}
-            for (m1, m2), c in te.terms.items():
-                hit.setdefault(m1, []).append((m2, c))
+            for part in self._truncated_delta(mon):
+                for (m1, m2), c in part.terms.items():
+                    hit.setdefault(m1, []).append((m2, c))
             self._delta_index[mon] = hit
         return hit
 
@@ -225,6 +280,22 @@ class PairEngine:
                         out = out + c * r * tail
         self._row_cache[key] = out
         return out
+
+
+def _check_graded(pres, weights):
+    """Raise RelationNotPreserved unless every rule of pres keeps the
+    weighted degree: each word on a rule's right has its left's degree."""
+    def degree(word):
+        return sum(weights[g] * e for g, e in word)
+
+    for (gl, sl, gr, sr), rhs in pres.rules.items():
+        want = degree(((gl, sl), (gr, sr)))
+        for _, word in rhs:
+            if degree(word) != want:
+                names = pres.generators
+                raise RelationNotPreserved(
+                    f"{pres.name}: the rule for {names[gl]} {names[gr]} "
+                    f"is not graded by weights {weights}")
 
 
 @functools.cache

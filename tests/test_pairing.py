@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit import pairing
-from hopfkit.errors import PresentationMismatch
+from hopfkit.errors import PresentationMismatch, RelationNotPreserved
 from hopfkit.hopf import builtin
-from hopfkit.ncalg import AlgebraElement, Morphism
+from hopfkit.ncalg import AlgebraElement, Morphism, TensorElement
 from hopfkit.pairing import (PairEngine, act, engine, pair, pair_closed,
                              pairing_report)
 from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
@@ -227,6 +227,82 @@ def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
         pairing.engine.cache_clear()
     assert "closed-vs-recursive" in failed
     assert "product-coproduct" in failed
+
+
+# -- the oracle's truncated coproducts and its grading guard ------------------
+
+GRID_FQ = list(itertools.product(range(3), range(4), range(3), range(3)))
+GRID_DUAL = list(itertools.product(range(3), range(-2, 3), range(3), range(3)))
+X_MON = (0, 1, 0, 0)
+
+
+def test_grading_weights_come_from_the_one_letter_rows():
+    # I, T and N read mu, t and v; K reads powers of x, which weigh 0
+    assert ENG._weights == (1, 0, 1, 1)
+    assert all(ENG._degree(m) == 0
+               for m in PairEngine._row_support("K", 3))
+
+
+def test_non_graded_rule_is_refused_when_the_engine_is_built(monkeypatch):
+    # x mu -> mu x - 2iw mu^2 raises the (mu, t, v)-degree of one word
+    x, mu = FQ.pres.index["x"], FQ.pres.index["mu"]
+    rules = dict(FQ.pres.rules)
+    rules[(x, 1, mu, 1)] = ((ONE, ((mu, 1), (x, 1))),
+                            (-2 * I * W, ((mu, 2),)))
+    monkeypatch.setattr(FQ.pres, "rules", rules)
+    with pytest.raises(RelationNotPreserved, match="x mu"):
+        PairEngine()
+
+
+def test_truncated_coproduct_is_the_filtered_full_one():
+    # on all 108 grid monomials: D0 holds the first-leg degree-0 terms
+    # of Delta(mon), D1 the degree-1 terms, and nothing else is kept
+    eng = PairEngine()
+    for mon in GRID_FQ:
+        d0, d1 = eng._truncated_delta(mon)
+        full = FQ.delta._mono_image(mon).terms
+        for d, part in enumerate((d0, d1)):
+            want = {k: c for k, c in full.items() if eng._degree(k[0]) == d}
+            assert part.terms == want, (mon, d)
+    assert len(GRID_FQ) == 108
+
+
+def test_recursion_reads_neither_the_full_coproduct_nor_the_closed_form(
+        monkeypatch):
+    want = {(dual, fm): pair_closed(dual, fm)
+            for dual in GRID_DUAL for fm in GRID_FQ}
+
+    def refused(*args):
+        raise AssertionError("the oracle left the letter recursion")
+
+    image = Morphism._mono_image
+
+    def generator_images_only(self, mon):
+        if self is FQ.delta:
+            refused()
+        return image(self, mon)
+
+    eng = PairEngine()
+    monkeypatch.setattr(Morphism, "_mono_image", generator_images_only)
+    monkeypatch.setattr(PairEngine, "pair_closed", refused)
+    got = {key: eng.pair_recursive(*key) for key in want}
+    monkeypatch.undo()
+    assert len(got) == 14580
+    assert got == want
+
+
+def test_oracle_mutant_in_a_letter_coproduct_fails_the_grid(monkeypatch):
+    # doubling the 1 (x) x leg of Delta(x) inside the oracle only must be
+    # caught by closed-vs-recursive: the truncated oracle still reads it
+    eng = PairEngine()
+    d0, d1 = eng._delta_parts[X_MON]
+    terms = dict(d0.terms)
+    key = (FQ.pres.one_mon, X_MON)
+    terms[key] = terms[key] * 2
+    eng._delta_parts[X_MON] = (TensorElement(d0.spaces, terms), d1)
+    monkeypatch.setattr(pairing, "engine", lambda: eng)
+    failed = {c.id.split("[")[0] for c in pairing_report().failures()}
+    assert failed == {"closed-vs-recursive"}
 
 
 UQ_LETTERS = [("M", 1), ("K", 1), ("K", -1), ("T", 1), ("B", 1)]

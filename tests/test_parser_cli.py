@@ -262,6 +262,47 @@ def test_hopf_axioms_preset_runs_one_structure():
     assert {c.id.split("::")[0] for c in rep.checks} == {"fq-j"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "jform", "--preset", "nonsense", "--window", "1"],
+     "unknown hopf-axioms preset"),
+    (["verify", "all", "--preset", "galilei"], "unknown hopf-axioms preset"),
+    (["verify", "jform", "--preset", "uq-g1", "--window", "1"],
+     "hopf-axioms, which is not among the suites"),
+])
+def test_verify_rejects_a_bad_preset_before_any_suite_runs(argv, message,
+                                                           capsys):
+    # a preset is checked once for the whole command: no report is printed
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suites, status", [
+    ("jform,coisotropic", 2),
+    ("jform,hopf-axioms", 0),
+])
+def test_config_preset_needs_hopf_axioms_among_its_suites(tmp_path, capsys,
+                                                          suites, status):
+    cfg = tmp_path / "hopfkit.conf"
+    cfg.write_text(f"preset = fq-j\nsuites = {suites}\n"
+                   "degree = 1\nwindow = 1\n")
+    assert main(["verify", "config", "--config", str(cfg)]) == status
+    out = capsys.readouterr().out
+    if status:
+        assert out == ""
+    else:
+        assert '"id": "fq-j::' in out and '"id": "uq-g1::' not in out
+
+
+def test_verify_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "hopfkit.conf"
+    cfg.write_text("suites = jform, no-such-suite\nwindow = 1\n")
+    assert main(["verify", "config", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_run_suite_coisotropic_degree_zero():
     # degree 0 is a real window (the unit only), not "use the default"
     rep = run_suite("coisotropic", {"degree": 0})
