@@ -18,8 +18,15 @@ by to_dual and each term is paired by pair_closed, which builds its
 one-term value from plain ints.  The value P(umon, fmon) of one uq-g1
 monomial against one fq-g1 monomial is kept in a dict on the engine,
 keyed by (umon, fmon), for the engine's lifetime (the engine() singleton
-lives as long as the process), and <X, a> = sum cx ca P(umon, fmon).
-act() pairs X with each coproduct leg through pair(), reading that dict.
+lives as long as the process); pair_basis is the one reader of that
+dict, and <X, a> = sum cx ca P(umon, fmon).  act() pairs X with each
+coproduct leg through pair().
+
+The law rows of pairing_report read P through pair_basis too.  Each
+window element's antipode, star, coproduct and products are built once
+per report; in a sum over coproduct legs sum c P(., m1) P(., m2), the
+first value of each leg is read once and multiplied by c, and a leg
+whose first value is zero is dropped before the second values are read.
 
 The letter recursion is kept only as the oracle (pair_recursive): split
 a dual monomial into single letters and peel them against coproduct
@@ -151,19 +158,24 @@ class PairEngine:
                 f"{what} takes a uq-g1 and an fq-g1 element, "
                 f"got {X.pres.name} and {a.pres.name}")
 
+    def pair_basis(self, umon, fmon) -> Scalar:
+        """P(umon, fmon) of one uq-g1 and one fq-g1 monomial, read from
+        the basis-pair memo and evaluated on its first request only."""
+        key = (umon, fmon)
+        v = self._pair_memo.get(key)
+        if v is None:
+            v = self._pair_dual(self.to_dual._mono_image(umon).terms, fmon)
+            self._pair_memo[key] = v
+        return v
+
     def pair(self, X: AlgebraElement, a: AlgebraElement) -> Scalar:
-        """sum cx ca <umon, fmon>, each basis pair evaluated once."""
+        """sum cx ca P(umon, fmon) over the terms of X and a."""
         self._check_args("pair", X, a)
-        memo = self._pair_memo
+        basis = self.pair_basis
         out = ZERO
         for umon, cx in X.terms.items():
             for fmon, ca in a.terms.items():
-                key = (umon, fmon)
-                v = memo.get(key)
-                if v is None:
-                    v = self._pair_dual(self.to_dual._mono_image(umon).terms,
-                                        fmon)
-                    memo[key] = v
+                v = basis(umon, fmon)
                 if v:
                     out = out + cx * ca * v
         return out
@@ -363,45 +375,57 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
                law=f"both evaluations agree on {total} basis pairs",
                witness=first_witness or "")
 
-    # window elements with their labels, each printed once per report
+    # window elements with their monomials and labels, each printed once
+    # per report; the images and products the law rows pair are built
+    # once per report too, and seconds holds (m2, c P(., m1)) for each
+    # coproduct leg c m1 (x) m2 whose first value is nonzero
     def window(pres, degree):
-        elements = map(pres.monomial, pres.monomials_up_to(degree))
-        return [(e, str(e)) for e in elements]
+        out = []
+        for mon in pres.monomials_up_to(degree):
+            e = pres.monomial(mon)
+            out.append((e, mon, str(e)))
+        return out
 
+    P = eng.pair_basis
     xs = window(uq.pres, law_degree)
     fs = window(fq.pres, law_degree + 1)
     small_fs = window(fq.pres, law_degree)
-    for X, xl in xs:
-        dX = uq.delta.apply(X).terms
-        for a, al in fs:
-            amon = next(iter(a.terms))
-            for Y, yl in xs:
+    f_images = {am: (fq.delta._mono_image(am).terms, fq.antipode.apply(a),
+                     fq.tau.apply(a)) for a, am, _ in fs}
+    ab = {(am, bm): a * b for a, am, _ in small_fs for b, bm, _ in small_fs}
+    for X, xm, xl in xs:
+        SX, X_star = uq.antipode.apply(X), uq.star.apply(X)
+        dX = uq.delta._mono_image(xm).terms
+        xys = [(X * Y, ym, yl) for Y, ym, yl in xs]
+        for a, am, al in fs:
+            legs, Sa, tau_a = f_images[am]
+            seconds = [(m2, c * v) for (m1, m2), c in legs.items()
+                       if (v := P(xm, m1))]
+            for XY, ym, yl in xys:
                 want = ZERO
-                for (m1, m2), c in fq.delta._mono_image(amon).terms.items():
-                    want = want + c * eng.pair(X, fq.pres.monomial(m1)) \
-                        * eng.pair(Y, fq.pres.monomial(m2))
+                for m2, cv in seconds:
+                    want = want + cv * P(ym, m2)
                 rep.record(f"product-coproduct[{xl}|{yl}|{al}]",
-                           eng.pair(X * Y, a) == want,
+                           eng.pair(XY, a) == want,
                            law="<XY, a> = sum <X, a_(1)> <Y, a_(2)>",
                            witness=lambda: f"{xl}, {yl}, {al}")
             rep.record(f"antipode-transpose[{xl}|{al}]",
-                       eng.pair(uq.antipode.apply(X), a)
-                       == eng.pair(X, fq.antipode.apply(a)),
+                       eng.pair(SX, a) == eng.pair(X, Sa),
                        law="<S X, a> = <X, S a>",
                        witness=lambda: f"{xl}, {al}")
             rep.record(f"star-transpose[{xl}|{al}]",
-                       eng.pair(uq.star.apply(X), a)
-                       == eng.pair(X, fq.tau.apply(a)).conjugate(),
+                       eng.pair(X_star, a) == eng.pair(X, tau_a).conjugate(),
                        law="<X*, a> = conj(<X, tau(a)>)",
                        witness=lambda: f"{xl}, {al}")
-        for a, al in small_fs:
-            for b, bl in small_fs:
+        for a, am, al in small_fs:
+            seconds = [(m2, c * v) for (m1, m2), c in dX.items()
+                       if (v := P(m1, am))]
+            for b, bm, bl in small_fs:
                 want = ZERO
-                for (m1, m2), c in dX.items():
-                    want = want + c * eng.pair(uq.pres.monomial(m1), a) \
-                        * eng.pair(uq.pres.monomial(m2), b)
+                for m2, cv in seconds:
+                    want = want + cv * P(m2, bm)
                 rep.record(f"coproduct-product[{xl}|{al}|{bl}]",
-                           eng.pair(X, a * b) == want,
+                           eng.pair(X, ab[am, bm]) == want,
                            law="<X, ab> = sum <X_(1), a> <X_(2), b>",
                            witness=lambda: f"{xl}, {al}, {bl}")
     return rep.finalize()

@@ -120,7 +120,8 @@ class ChiFraction:
 
     LAURENT is an integral domain, so the pair is kept as built, with no
     gcd and no normal form: num/den is zero iff num is, a/b == c/d iff
-    a d == c b, and a sum is (a d + c b)/(b d).
+    a d == c b, and a sum is (a d + c b)/(b d), except that a zero
+    summand returns the other operand as it stands, with no product.
     """
 
     __slots__ = ("num", "den")
@@ -145,6 +146,10 @@ class ChiFraction:
         return self.num * other.den == other.num * self.den
 
     def __add__(self, other):
+        if self.num.is_zero():
+            return other
+        if other.num.is_zero():
+            return self
         return ChiFraction(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 
@@ -457,6 +462,14 @@ def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement,
     return phi(X * Y) - twisted_action(phi, Y, phi(X), side)
 
 
+def _labelled_window(degree):
+    """(X, str(X)) for the uq-g1 monomials X of degree <= degree: each
+    window element is printed once, not once per check id."""
+    uq = builtin("uq-g1")
+    return [(X, str(X))
+            for X in map(uq.pres.monomial, uq.pres.monomials_up_to(degree))]
+
+
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
     """d1(phi) = 0 on all window monomial pairs, plus phi[1] = 1."""
     check_choice("side", side)
@@ -465,9 +478,7 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
                       params={"degree": degree, "side": side})
     rep.record("unit", phi(uq.pres.one()) == phi.module.one(),
                law="phi[1] = 1", witness="1")
-    # each window element is printed once, not once per check id
-    window = map(uq.pres.monomial, uq.pres.monomials_up_to(degree))
-    window = [(X, str(X)) for X in window]
+    window = _labelled_window(degree)
     for X, xl in window:
         for Y, yl in window:
             ok = d1_defect(phi, X, Y, side).is_zero()
@@ -608,20 +619,18 @@ def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):
 
 def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
     """d1(d0 xi) = 0 over the fraction field for sampled xi."""
-    uq = builtin("uq-g1")
     frac = ChiFractionModule()
     if samples is None:
         samples = [chi(1), chi(-2), LAURENT.one() + chi(1)]
     rep = CheckReport("cohomology-d1d0", params={"degree": degree})
-    window = uq.pres.monomials_up_to(degree)
+    window = _labelled_window(degree)
     for xi in samples:
         w = coboundary_weight(xi, frac)
-        for mx in window:
-            X = uq.pres.monomial(mx)
-            for my in window:
-                Y = uq.pres.monomial(my)
+        xil = str(xi)
+        for X, xl in window:
+            for Y, yl in window:
                 ok = d1_defect(w, X, Y).is_zero()
-                rep.record(f"d1d0[{xi}|{X}|{Y}]", ok,
+                rep.record(f"d1d0[{xil}|{xl}|{yl}]", ok,
                            law="d1 o d0 = 0",
-                           witness=lambda: f"xi={xi}, {X}|{Y}")
+                           witness=lambda: f"xi={xil}, {xl}|{yl}")
     return rep.finalize()

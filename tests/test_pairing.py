@@ -305,6 +305,71 @@ def test_oracle_mutant_in_a_letter_coproduct_fails_the_grid(monkeypatch):
     assert failed == {"closed-vs-recursive"}
 
 
+DUAL_LETTERS = ("I", "K", "Kinv", "T", "N")
+MU_MON, T_MON, V_MON = (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
+def two_letter_mismatches(eng):
+    """The ordered two-letter words over I, K, Kinv, T, N on which the
+    letter recursion differs from the closed form summed over the word's
+    normal-ordered product in the dual basis, on some grid monomial."""
+    d = eng.dual
+    gens = {"I": d.gen("I"), "K": d.gen("K"), "Kinv": d.gen("K", -1),
+            "T": d.gen("T"), "N": d.gen("N")}
+    out = set()
+    for word in itertools.product(DUAL_LETTERS, repeat=2):
+        product = gens[word[0]] * gens[word[1]]
+        for fm in GRID_FQ:
+            want = ZERO
+            for mon, c in product.terms.items():
+                want = want + c * eng.pair_closed(mon, fm)
+            if eng.pair_mono(word, fm) != want:
+                out.add(word)
+                break
+    return out
+
+
+def test_two_letter_words_match_the_closed_form():
+    # every letter order, where the grid peels I, K, T, N in that order
+    assert two_letter_mismatches(PairEngine()) == set()
+
+
+@pytest.mark.parametrize("mon, leg, word", [
+    (MU_MON, (V_MON, X_MON), ("N", "I")),
+    (X_MON, (V_MON, T_MON), ("N", "T")),
+])
+def test_two_letter_words_see_the_v_legs(mon, leg, word):
+    # the grid never follows a first leg v by a tail reading x or t, so
+    # doubling v (x) x in Delta(mu) or v (x) t in Delta(x) inside the
+    # oracle only shows on a word with N before I or T
+    eng = PairEngine()
+    d0, d1 = eng._delta_parts[mon]
+    terms = dict(d1.terms)
+    terms[leg] = terms[leg] * 2
+    eng._delta_parts[mon] = (d0, TensorElement(d1.spaces, terms))
+    assert word in two_letter_mismatches(eng)
+
+
+def test_law_rows_make_fewer_than_two_pair_calls_per_row(monkeypatch):
+    # the law rows read basis values through pair_basis and build each
+    # image and product once per report, so pair() runs about once a row
+    eng = PairEngine()
+    calls = []
+    real = PairEngine.pair
+
+    def counting(self, X, a):
+        calls.append(1)
+        return real(self, X, a)
+
+    monkeypatch.setattr(PairEngine, "pair", counting)
+    monkeypatch.setattr(pairing, "engine", lambda: eng)
+    rep = pairing_report()
+    rows = [c for c in rep.checks if c.id != "closed-vs-recursive"]
+    assert rep.passed
+    assert len(rows) == 2820
+    assert len(calls) < 2 * len(rows)
+
+
 UQ_LETTERS = [("M", 1), ("K", 1), ("K", -1), ("T", 1), ("B", 1)]
 FQ_MONS = FQ.pres.monomials_up_to(3)
 

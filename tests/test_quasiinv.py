@@ -459,6 +459,32 @@ def test_d1_d0_vanishes():
     assert rep.passed, [c.id for c in rep.failures()]
 
 
+def test_fraction_sum_with_a_zero_summand_returns_the_other_operand():
+    f = ChiFraction(chi(1) + chi(-2, I), LAURENT.one() + chi(1))
+    for zero in (ChiFraction(LAURENT.zero()),
+                 ChiFraction(LAURENT.zero(), chi(2))):
+        assert zero + f is f
+        assert f + zero is f
+    assert f + ChiFraction(LAURENT.zero()) == f
+
+
+def test_general_sum_mutant_fails_d1_d0(monkeypatch):
+    # a wrong general path (a d + c b)/(b b) behind the zero shortcut must
+    # still fail the d1 d0 rows: most of their sums start from a zero
+    def wrong_add(self, other):
+        if self.num.is_zero():
+            return other
+        if other.num.is_zero():
+            return self
+        return ChiFraction(self.num * other.den + other.num * self.den,
+                           self.den * self.den)
+
+    monkeypatch.setattr(ChiFraction, "__add__", wrong_add)
+    failed = [c.id for c in coboundary_vanishing_report().failures()]
+    assert failed
+    assert all(cid.startswith("d1d0[") for cid in failed)
+
+
 # -- the basis-pair memo of twisted_action -----------------------------------
 
 
