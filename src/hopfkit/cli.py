@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
@@ -301,6 +302,7 @@ def _cmd_homogeneous_space(args) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser():
     ap = argparse.ArgumentParser(
         prog="hopfkit",

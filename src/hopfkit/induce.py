@@ -35,7 +35,7 @@ import functools
 from fractions import Fraction
 
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
-from .errors import NotCorepresentation, SideMismatch
+from .errors import ConfigError, NotCorepresentation, SideMismatch
 from .hopf import builtin
 from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
 from .pairing import act as regular_act
@@ -467,6 +467,8 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
         check, law = _GENERIC_CHECKS[side][key]
         rep.record(check + suffix, ok, law=law, witness=witness)
 
+    if degree < 0:
+        raise ConfigError(f"degree must be >= 0, got {degree}")
     uq = builtin("uq-g1")
     rho = trivial_corep(sub, side="right" if side == "left" else "left")
     for d in range(degree + 1):
@@ -477,7 +479,7 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
               == sorted(str(b) for b in hom))
         record("space", f"[{d}]", ok, f"degree {d}")
 
-    ind = ind_space(sub, rho, degree)
+    # the loop's last ind is the basis at degree
     for A in ind:
         for Bv in ind:
             record("sesq", f"[{A}|{Bv}]",

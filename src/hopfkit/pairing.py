@@ -32,9 +32,12 @@ The letter recursion is kept only as the oracle (pair_recursive): split
 a dual monomial into single letters and peel them against coproduct
 legs, <g1 g2, a> = sum <g1, a_(1)> <g2, a_(2)>.  Only the one-letter
 rows enter it, so the factorials and the l-dependence of the closed form
-are reproduced rather than assumed.  The closed-vs-recursive row of
-pairing_report compares the two on a full window, and every law row of
-that report tests the closed form.
+are reproduced rather than assumed.  The nonzero one-letter values a
+head letter can take against a monomial depend only on the letter and
+the monomial's x-exponent, so the engine keeps them in a row table keyed
+by (letter, x-exponent), built on first use.  The closed-vs-recursive
+row of pairing_report compares the two on a full window, and every law
+row of that report tests the closed form.
 
 A one-letter row pairs only with mu, t, v or x^b: first legs of degree
 <= 1 in (mu, t, v), with x of degree 0.  Every fq-g1 rule keeps that
@@ -109,6 +112,7 @@ class PairEngine:
             "B": d.gen("K", -1) * d.gen("N"),
         }, kind="hom", name="uq->dual")
         self._row_cache = {}
+        self._head_rows = {}
         self._pair_memo = {}
         pres = self.fq.pres
         # the (mu, t, v) weights: 1 on each generator that the one-letter
@@ -279,12 +283,15 @@ class PairEngine:
             out = ZERO
             head, rest = letters[0], letters[1:]
             index = self._delta_terms(mon)
-            for first in self._row_support(head, mon[1]):
+            # the nonzero (first, <head, first>), per head and x-exponent
+            rows = self._head_rows.get((head, mon[1]))
+            if rows is None:
+                rows = self._head_rows[head, mon[1]] = tuple(
+                    (first, r) for first in self._row_support(head, mon[1])
+                    if not (r := self._row(head, first)).is_zero())
+            for first, r in rows:
                 bucket = index.get(first)
                 if bucket is None:
-                    continue
-                r = self._row(head, first)
-                if r.is_zero():
                     continue
                 for m2, c in bucket:
                     tail = self.pair_mono(rest, m2)

@@ -347,6 +347,7 @@ def nu_w(a) -> Scalar:
     return a.terms.get((0,), ZERO)
 
 
+@functools.cache
 def weight_coefficient(n: int) -> Scalar:
     """c_n = (wm/2)^n (2n-1)!!/n!."""
     dfac = 1
@@ -371,7 +372,10 @@ def galilei_weight_of(X: AlgebraElement) -> AlgebraElement:
     return out
 
 
+@functools.cache
 def galilei_weight() -> Weight:
+    """The one Galilei weight of the process, so every suite shares its
+    of_mono and twisted-action memos."""
     return Weight("galilei", ChiModule(), galilei_weight_of)
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit.coiso import galilei_subgroup, homogeneous_space
-from hopfkit.errors import NotInvertible, RelationNotPreserved, SideMismatch
+from hopfkit.errors import (ConfigError, NotInvertible, RelationNotPreserved,
+                            SideMismatch)
 from hopfkit.hopf import builtin
 from hopfkit.ncalg import AlgebraElement, Morphism
 from hopfkit.induce import (
@@ -228,6 +229,13 @@ def test_ind_generic_report():
 def test_mirror_right_report():
     rep = mirror_right_report(SUB, 2)
     assert rep.passed, [c.id for c in rep.failures()]
+
+
+@pytest.mark.parametrize("report", [ind_generic_report, mirror_right_report])
+def test_generic_reports_refuse_a_negative_degree(report):
+    # a negative degree has no induced basis: an error, not a vacuous pass
+    with pytest.raises(ConfigError, match="degree must be >= 0"):
+        report(SUB, -1)
 
 
 def test_twisted_action_leg_order():

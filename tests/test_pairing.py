@@ -10,6 +10,7 @@ from hopfkit.hopf import builtin
 from hopfkit.ncalg import AlgebraElement, Morphism, TensorElement
 from hopfkit.pairing import (PairEngine, act, engine, pair, pair_closed,
                              pairing_report)
+from hopfkit.quasiinv import galilei_weight
 from hopfkit.scalars import I, M, ONE, W, ZERO, scalar
 
 UQ = builtin("uq-g1")
@@ -220,11 +221,14 @@ def test_closed_form_mutant_fails_the_grid_and_the_laws(monkeypatch):
 
     monkeypatch.setattr(PairEngine, "pair_closed", doubled)
     pairing.engine.cache_clear()
+    galilei_weight.cache_clear()
     try:
         failed = {c.id.split("[")[0] for c in pairing_report().failures()}
     finally:
-        # later tests must not read the mutant's pairing memo
+        # later tests must read neither the mutant's pairing memo nor a
+        # Galilei weight built on it
         pairing.engine.cache_clear()
+        galilei_weight.cache_clear()
     assert "closed-vs-recursive" in failed
     assert "product-coproduct" in failed
 
@@ -289,6 +293,28 @@ def test_recursion_reads_neither_the_full_coproduct_nor_the_closed_form(
     monkeypatch.undo()
     assert len(got) == 14580
     assert got == want
+
+
+def test_oracle_grid_reads_one_letter_rows_from_a_table(monkeypatch):
+    # the recursion reads a head letter's nonzero rows from a table keyed
+    # by (letter, x-exponent): the 14,580-pair grid evaluates few one-letter
+    # rows (16,638 with a _row call per recursion step), and still agrees
+    # with the closed form everywhere
+    rows = []
+    real = PairEngine._row
+
+    def counting(letter, mon):
+        rows.append((letter, mon))
+        return real(letter, mon)
+
+    monkeypatch.setattr(PairEngine, "_row", staticmethod(counting))
+    eng = PairEngine()
+    rows.clear()
+    mismatches = sum(eng.pair_recursive(dual, fm) != eng.pair_closed(dual, fm)
+                     for dual in GRID_DUAL for fm in GRID_FQ)
+    assert len(GRID_DUAL) * len(GRID_FQ) == 14580
+    assert mismatches == 0
+    assert len(rows) < 1000
 
 
 def test_oracle_mutant_in_a_letter_coproduct_fails_the_grid(monkeypatch):

@@ -1,8 +1,11 @@
 import json
+import os
 import pathlib
 import random
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +378,37 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert "generated_at" not in payload
     assert main(["verify", "no-such-suite"]) == 2
     capsys.readouterr()
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    # main reuses one parser for the process: a refused command and a
+    # command with other options leave nothing behind for the next call
+    assert build_arg_parser() is build_arg_parser()
+    assert main(["verify", "no-such-suite"]) == 2
+    assert main(["matrix", "--op", "B", "--window", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "jform", "--window", "2"]) == 0
+    want = dumps(run_suite("jform", {"window": 2}).to_dict()) + "\n"
+    assert capsys.readouterr().out == want
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("suite", ["mirror-right", "functional-lemma"])
+def test_suite_order_does_not_change_report_bytes(suite, capsys):
+    # after cocycle has warmed the shared Galilei weight, a suite prints
+    # the bytes it prints in a fresh process that runs it alone
+    assert main(["verify", "cocycle"]) == 0
+    capsys.readouterr()
+    assert main(["verify", suite]) == 0
+    warm = capsys.readouterr().out
+    code = ("import sys; from hopfkit.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    cold = subprocess.run([sys.executable, "-c", code, "verify", suite],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert cold.stdout == warm
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -568,6 +568,28 @@ def test_twisted_action_memo_keeps_sides_and_modules_apart():
     assert seen[(gal, "left")] != seen[(None, "left")]
 
 
+def test_shared_weight_keeps_the_sides_apart_on_the_galilei_module():
+    # the one galilei_weight() serves both sides: on the Galilei module
+    # the left and right sums differ on 100 of these 250 basis pairs, so
+    # a memo key without side would hand the right sum the left one; each
+    # side's reference comes from a fresh weight that sees that side only
+    phi, gal = galilei_weight(), _galilei_module()
+    fresh = {side: Weight("galilei", ChiModule(), galilei_weight_of)
+             for side in ("left", "right")}
+    differ = 0
+    for umon in UQ.pres.monomials_up_to(2):
+        X = UQ.pres.monomial(umon)
+        for l in range(-2, 3):
+            got = {}
+            for side in ("left", "right"):
+                got[side] = twisted_action(phi, X, chi(l), side, module=gal)
+                assert got[side] == twisted_action(fresh[side], X, chi(l),
+                                                   side, gal), (umon, l, side)
+            differ += got["left"] != got["right"]
+    assert len(UQ.pres.monomials_up_to(2)) == 50
+    assert differ == 100
+
+
 def test_twisted_action_rejects_an_element_of_another_algebra():
     # chi^1 and y^1 share the exponent tuple (1,) that keys the cache, and
     # B in uq-g1 and v in fq-g1 the tuple (0, 0, 0, 1)
@@ -615,8 +637,9 @@ def test_twisted_action_on_fractions_matches_leg_sum(mx, my, num, den, side):
 
 def test_repeated_twisted_action_makes_no_module_actions(monkeypatch):
     # the second call on basis pairs already seen reads phi's cache only,
-    # whatever the coefficients on those pairs
-    phi = galilei_weight()
+    # whatever the coefficients on those pairs; a weight of its own, since
+    # earlier tests have warmed the shared galilei_weight()
+    phi = Weight("galilei", ChiModule(), galilei_weight_of)
     X = uq("B") * uq("B") + uq("K").scale(ONE / (W + M)) + uq("T")
     a = chi(2) + chi(-1, I)
     calls = []
