@@ -14,6 +14,7 @@ from .pairing import act, pair, pair_closed
 from .coiso import build_subgroup, epsilon_side, galilei_subgroup, homogeneous_space
 from .quasiinv import (
     cocycle_check,
+    d1_defect,
     essential_invariance_decide,
     galilei_weight,
     galilei_weight_of,
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "HopfkitError", "Morphism", "Presentation", "Scalar",
     "TensorElement", "act", "algebra_presentation", "arith", "build_subgroup",
-    "builtin", "cocycle_check", "conjugate", "epsilon_side",
+    "builtin", "cocycle_check", "conjugate", "d1_defect", "epsilon_side",
     "essential_invariance_decide", "galilei_rep", "galilei_subgroup",
     "galilei_weight", "galilei_weight_of", "homogeneous_space", "ind_space",
     "j_structure", "linear_solve", "minkowski_form", "morphism_apply", "nu_w",

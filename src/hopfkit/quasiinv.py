@@ -33,6 +33,13 @@ once per basis pair: the value on one uq-g1 monomial and one basis
 element is kept in a dict on the Weight, keyed by (module, side, umon,
 amon), for as long as the Weight lives.  A ChiFraction a has no basis
 terms and is summed directly.
+
+The check batteries work row by row.  The cocycle battery (both sides)
+and the d1 d0 rows weigh each window element once, read XY from the
+engine's product cache and compare the law's two sides with ==, where
+d1_defect subtracts the same two sides.  The def form of the
+quasi-invariance check builds each leg value once per monomial and each
+cell value h(p1 a p2) once per distinct (p1, p2, a) in a report.
 """
 
 from __future__ import annotations
@@ -457,21 +464,39 @@ def coboundary_weight(xi, module=None) -> Weight:
 # -- the checks -----------------------------------------------------------
 
 
+def _d1_sides(phi: Weight, X, Y, XY, phi_x, phi_y, side: str):
+    """The two sides of the cocycle law at X (x) Y, given the product XY
+    and the values phi[X], phi[Y]: phi[XY] and sum X_(1).phi[Y] phi[X_(2)]
+    on the left, psi[XY] and sum psi[Y_(1)] (psi[X].Y_(2)) on the right."""
+    if side == "left":
+        return phi(XY), twisted_action(phi, X, phi_y)
+    return phi(XY), twisted_action(phi, Y, phi_x, side)
+
+
 def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement,
               side: str = "left"):
     """d1(phi)[X (x) Y] = phi[XY] - sum X_(1).phi[Y] phi[X_(2)]; its right
     mirror is psi[XY] - sum psi[Y_(1)] (psi[X].Y_(2))."""
-    if side == "left":
-        return phi(X * Y) - twisted_action(phi, X, phi(Y))
-    return phi(X * Y) - twisted_action(phi, Y, phi(X), side)
+    lhs, rhs = _d1_sides(phi, X, Y, X * Y, phi(X), phi(Y), side)
+    return lhs - rhs
 
 
-def _labelled_window(degree):
-    """(X, str(X)) for the uq-g1 monomials X of degree <= degree: each
-    window element is printed once, not once per check id."""
-    uq = builtin("uq-g1")
-    return [(X, str(X))
-            for X in map(uq.pres.monomial, uq.pres.monomials_up_to(degree))]
+def _cocycle_rows(phi: Weight, degree: int, side: str):
+    """(str(X), str(Y), whether the cocycle law holds at X (x) Y) for the
+    pairs of uq-g1 monomials of degree <= degree, row by row.  Each window
+    element is printed and weighed once, not once per pair; XY is the
+    engine's cached normal form, and the two sides are compared, not
+    subtracted."""
+    pres = builtin("uq-g1").pres
+    rows = []
+    for mon in pres.monomials_up_to(degree):
+        X = pres.monomial(mon)
+        rows.append((mon, X, str(X), phi(X)))
+    for xm, X, xl, phi_x in rows:
+        for ym, Y, yl, phi_y in rows:
+            lhs, rhs = _d1_sides(phi, X, Y, pres.mono_product(xm, ym),
+                                 phi_x, phi_y, side)
+            yield xl, yl, lhs == rhs
 
 
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
@@ -482,15 +507,11 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
                       params={"degree": degree, "side": side})
     rep.record("unit", phi(uq.pres.one()) == phi.module.one(),
                law="phi[1] = 1", witness="1")
-    window = _labelled_window(degree)
-    for X, xl in window:
-        for Y, yl in window:
-            ok = d1_defect(phi, X, Y, side).is_zero()
-            rep.record(f"cocycle[{xl}|{yl}]", ok,
-                       law="phi[XY] = sum X_(1).phi[Y] phi[X_(2)]"
-                       if side == "left" else
-                       "psi[XY] = sum psi[Y_(1)] psi[X].Y_(2)",
-                       witness=lambda: f"{xl} | {yl}")
+    law = ("phi[XY] = sum X_(1).phi[Y] phi[X_(2)]" if side == "left" else
+           "psi[XY] = sum psi[Y_(1)] psi[X].Y_(2)")
+    for xl, yl, ok in _cocycle_rows(phi, degree, side):
+        rep.record(f"cocycle[{xl}|{yl}]", ok, law=law,
+                   witness=lambda: f"{xl} | {yl}")
     return rep.finalize()
 
 
@@ -529,10 +550,17 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
     xs = uq.pres.monomials_up_to(degree)
     basis = [(a, str(a)) for a in m.basis(window)]
     # the def form's legs: phi[Y*]* takes X_(1) and phi[S(Y)] takes X_(2)
-    # on the left; the right swaps them
+    # on the left; the right swaps them.  Each leg value is built once per
+    # monomial and numbered once per distinct value, so that each cell
+    # value h(p1 a p2) is built once per (p1, p2, a) in this report.
     star_leg = lambda mon: m.star(phi(star_u.apply(uq.pres.monomial(mon))))
     s_leg = lambda mon: phi(S.apply(uq.pres.monomial(mon)))
-    leg1, leg2 = (star_leg, s_leg) if side == "left" else (s_leg, star_leg)
+    distinct = {}  # leg value -> (its number, the value)
+    number = lambda value: distinct.setdefault(value, (len(distinct), value))
+    leg1, leg2 = (functools.cache(lambda mon, leg=leg: number(leg(mon)))
+                  for leg in ((star_leg, s_leg) if side == "left"
+                              else (s_leg, star_leg)))
+    cells = {}
     for mx in xs:
         X = uq.pres.monomial(mx)
         xl = str(X)
@@ -541,12 +569,15 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
                     for (m1, m2), c in uq.delta.apply(X).terms.items()]
         else:
             p = m.star(phi(star_u.apply(X)))
-        for a, al in basis:
+        for k, (a, al) in enumerate(basis):
             if form == "def":
                 lhs = h(m.act(X, a, side=side))
                 rhs = ZERO
-                for c, p1, p2 in legs:
-                    rhs = rhs + c * h(p1 * a * p2)
+                for c, (n1, p1), (n2, p2) in legs:
+                    value = cells.get((n1, n2, k))
+                    if value is None:
+                        value = cells[n1, n2, k] = h(p1 * a * p2)
+                    rhs = rhs + c * value
             else:
                 lhs = h(twisted_action(phi, X, a, side))
                 rhs = h(p * a if side == "left" else a * p)
@@ -627,14 +658,10 @@ def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
     if samples is None:
         samples = [chi(1), chi(-2), LAURENT.one() + chi(1)]
     rep = CheckReport("cohomology-d1d0", params={"degree": degree})
-    window = _labelled_window(degree)
     for xi in samples:
-        w = coboundary_weight(xi, frac)
         xil = str(xi)
-        for X, xl in window:
-            for Y, yl in window:
-                ok = d1_defect(w, X, Y).is_zero()
-                rep.record(f"d1d0[{xil}|{xl}|{yl}]", ok,
-                           law="d1 o d0 = 0",
-                           witness=lambda: f"xi={xil}, {xl}|{yl}")
+        for xl, yl, ok in _cocycle_rows(coboundary_weight(xi, frac), degree,
+                                        "left"):
+            rep.record(f"d1d0[{xil}|{xl}|{yl}]", ok, law="d1 o d0 = 0",
+                       witness=lambda: f"xi={xil}, {xl}|{yl}")
     return rep.finalize()

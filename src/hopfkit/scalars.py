@@ -39,8 +39,14 @@ Multiplication skips work whose answer is known: x * ONE and ONE * x
 return x itself (after coercing an int, Fraction or GaussRat operand),
 a product with a zero numerator returns the shared ZERO, and a product
 of two single-term polynomials is one exponent add and one coefficient
-product.  Values are never mutated after construction, so handing back
-an operand is safe.
+product (the GaussRat arithmetic is inlined there and in a sum's loop
+over shared exponents).  Two one-term scalars over monic monomial
+denominators (P_ONE among them) multiply by adding exponent vectors: the
+negative part of the sum is the denominator, so the result is reduced
+with no gcd and no division.  Multi-term operands keep the Henrici path.
+Values are never mutated after construction, so handing back an operand
+is safe.  Every reduced result is built by one private constructor,
+_scalar; the public Scalar(num, den) always reduces.
 
 Conjugation sends i to -i and fixes w, m, u.
 """
@@ -251,12 +257,17 @@ class Poly:
             s = terms.get(e)
             if s is None:
                 terms[e] = c
+                continue
+            # s + c, the GaussRat sum inlined
+            d, f = s.d, c.d
+            if d == f:
+                a, b = s.a + c.a, s.b + c.b
             else:
-                s = s + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+                a, b, d = s.a * f + c.a * d, s.b * f + c.b * d, d * f
+            if a or b:
+                terms[e] = _reduce(a, b, d)
+            else:
+                del terms[e]
         return Poly(terms)
 
     def __sub__(self, other):
@@ -269,11 +280,13 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly({})
         if len(self.terms) == 1 and len(other.terms) == 1:
-            # Q(i) is a field, so the one coefficient product is nonzero
+            # Q(i) is a field, so the one coefficient product is nonzero;
+            # the GaussRat product is inlined
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
+            a, b, c, e = c1.a, c1.b, c2.a, c2.b
             return Poly({(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]):
-                         c1 * c2})
+                         _reduce(a * c - b * e, a * e + b * c, c1.d * c2.d)})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -691,11 +704,7 @@ class Scalar:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=P_ONE, _reduced=False):
-        if _reduced:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num, den=P_ONE):
         if den.is_zero():
             raise DivisionByZero("zero polynomial denominator")
         if num.is_zero():
@@ -754,7 +763,7 @@ class Scalar:
             return other
         a, b, c, d = self.num, self.den, other.num, other.den
         if b is P_ONE and d is P_ONE:
-            return Scalar(a + c, P_ONE, _reduced=True)
+            return _scalar(a + c, P_ONE)
         g = P_ONE if b is P_ONE or d is P_ONE else poly_gcd(b, d)
         if g.is_const():
             return _fraction(a * d + c * b, b * d)
@@ -783,7 +792,7 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _reduced=True)
+        return _scalar(-self.num, self.den)
 
     def __mul__(self, other):
         if other is ONE:
@@ -797,7 +806,11 @@ class Scalar:
         if not self.num.terms or not other.num.terms:
             return ZERO
         if self.den is P_ONE and other.den is P_ONE:
-            return Scalar(self.num * other.num, P_ONE, _reduced=True)
+            return _scalar(self.num * other.num, P_ONE)
+        n1, d1 = self.num.terms, self.den.terms
+        n2, d2 = other.num.terms, other.den.terms
+        if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+            return _one_term_product(n1, d1, n2, d2)
         return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
@@ -830,8 +843,8 @@ class Scalar:
         if n > 1 and self.den is P_ONE and len(self.num.terms) == 1:
             # one term: scale its exponents, power its coefficient
             (e, c), = self.num.terms.items()
-            return Scalar(Poly({(e[0] * n, e[1] * n, e[2] * n): c ** n}),
-                          P_ONE, _reduced=True)
+            return _scalar(Poly({(e[0] * n, e[1] * n, e[2] * n): c ** n}),
+                           P_ONE)
         out = ONE
         base = self
         while n:
@@ -849,7 +862,7 @@ class Scalar:
         if den is not P_ONE:
             # den stays monic: its leading coefficient 1 is real
             den = den.conjugate()
-        return Scalar(self.num.conjugate(), den, _reduced=True)
+        return _scalar(self.num.conjugate(), den)
 
     def __str__(self):
         if self.den is P_ONE:
@@ -860,11 +873,46 @@ class Scalar:
         return f"Scalar({self!s})"
 
 
+_new_scalar = object.__new__
+
+
+def _scalar(num, den):
+    """Scalar from num and den already in canonical form: the one
+    constructor of every reduced result, with no gcd and no check."""
+    s = _new_scalar(Scalar)
+    s.num, s.den = num, den
+    return s
+
+
 def _fraction(num, den):
     """Scalar num/den from coprime num and monic den, with no gcd."""
     if not num.terms:
         return ZERO
-    return Scalar(num, P_ONE if den.is_const() else den, _reduced=True)
+    return _scalar(num, P_ONE if den.is_const() else den)
+
+
+def _one_term_product(n1, d1, n2, d2):
+    """(a/b)(c/d) from the term dicts of one-term a, c over monic
+    monomials b, d (P_ONE is the monomial 1).
+
+    The product is one term times w, m, u to the exponent sum a + c - b - d.
+    Its positive part stays in the numerator and its negative part is the
+    monic monomial denominator, so the result is reduced with no gcd.
+    """
+    (e1, c1), = n1.items()
+    (e2, c2), = n2.items()
+    f1, = d1
+    f2, = d2
+    x = e1[0] + e2[0] - f1[0] - f2[0]
+    y = e1[1] + e2[1] - f1[1] - f2[1]
+    z = e1[2] + e2[2] - f1[2] - f2[2]
+    c = c1 * c2
+    if x >= 0 and y >= 0 and z >= 0:
+        return _scalar(Poly({(x, y, z): c}), P_ONE)
+    return _scalar(Poly({(x if x > 0 else 0, y if y > 0 else 0,
+                          z if z > 0 else 0): c}),
+                   Poly({(0 if x > 0 else -x, 0 if y > 0 else -y,
+                          0 if z > 0 else -z): GR_ONE}))
 
 
 def _product(a, b, c, d):
@@ -902,8 +950,8 @@ def scalar(x) -> Scalar:
     return s
 
 
-ZERO = Scalar(P_ZERO, P_ONE, _reduced=True)
-ONE = Scalar(P_ONE, P_ONE, _reduced=True)
+ZERO = _scalar(P_ZERO, P_ONE)
+ONE = _scalar(P_ONE, P_ONE)
 I = Scalar(Poly.const(GR_I))
 W = Scalar(Poly.var(0))
 M = Scalar(Poly.var(1))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfkit.cli import run_suite
 from hopfkit.errors import (NotGroupLike, NotInvertible, NotTauReal,
                             PresentationMismatch, StarUndefined)
 from hopfkit.hopf import algebra_presentation, builtin
@@ -15,6 +16,7 @@ from hopfkit.quasiinv import (
     ChiFraction,
     ChiFractionModule,
     ChiModule,
+    Functional,
     Weight,
     act,
     chi,
@@ -658,3 +660,172 @@ def test_repeated_twisted_action_makes_no_module_actions(monkeypatch):
         assert twisted_action(phi, X.scale(I), a.scale(3), side) == \
             first.scale(3 * I)
         assert calls == []
+
+
+# -- the row-wise batteries ---------------------------------------------------
+
+
+def window(degree):
+    return [UQ.pres.monomial(m) for m in UQ.pres.monomials_up_to(degree)]
+
+
+def perturbed_weight():
+    """A fresh weight equal to the Galilei weight except at B, where chi^2
+    is added: its cocycle law fails at some pairs and holds at others."""
+    def fn(X):
+        value = galilei_weight_of(X)
+        return value + chi(2) if (0, 0, 0, 1) in X.terms else value
+    return Weight("galilei + chi^2 at B", ChiModule(), fn)
+
+
+def outcomes(rep, prefix):
+    """check id -> (passed, witness) for the report's ids with a prefix."""
+    return {c.id: (c.status == "pass", c.witness) for c in rep.checks
+            if c.id.startswith(prefix)}
+
+
+def per_pair_cocycle(phi, degree, side):
+    """The cocycle rows as per-pair d1_defect values decide them; each
+    defect is checked against the law written out with X * Y."""
+    out = {}
+    for X in window(degree):
+        for Y in window(degree):
+            defect = d1_defect(phi, X, Y, side)
+            if side == "left":
+                rhs = twisted_action(phi, X, phi(Y))
+            else:
+                rhs = twisted_action(phi, Y, phi(X), side)
+            assert defect == phi(X * Y) - rhs, (str(X), str(Y))
+            ok = defect.is_zero()
+            out[f"cocycle[{X}|{Y}]"] = (ok, None if ok else f"{X} | {Y}")
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("make", [galilei_weight, perturbed_weight])
+def test_row_wise_cocycle_battery_matches_per_pair_defects(make, side):
+    phi = make()
+    got = outcomes(cocycle_check(phi, 2, side), "cocycle[")
+    assert got == per_pair_cocycle(phi, 2, side)
+    assert len(got) == 2500
+    failed = sum(not ok for ok, _ in got.values())
+    if phi is galilei_weight():
+        assert failed == 0
+    else:
+        assert 0 < failed < 2500
+
+
+def test_row_wise_d1d0_rows_match_per_pair_defects():
+    frac = ChiFractionModule()
+    want = {}
+    for xi in (chi(1), chi(-2), LAURENT.one() + chi(1)):
+        w = coboundary_weight(xi, frac)
+        for X in window(1):
+            for Y in window(1):
+                ok = d1_defect(w, X, Y).is_zero()
+                want[f"d1d0[{xi}|{X}|{Y}]"] = \
+                    (ok, None if ok else f"xi={xi}, {X}|{Y}")
+    assert outcomes(coboundary_vanishing_report(), "d1d0[") == want
+    assert len(want) == 3 * 12 * 12
+
+
+def unhoisted_def_cells(h, phi, degree, width, side):
+    """The def-form cells with each X's legs built anew and h(p1 a p2)
+    evaluated for every leg of every cell."""
+    m = phi.module
+    star_leg = lambda mon: m.star(phi(UQ.star.apply(UQ.pres.monomial(mon))))
+    s_leg = lambda mon: phi(UQ.antipode.apply(UQ.pres.monomial(mon)))
+    leg1, leg2 = (star_leg, s_leg) if side == "left" else (s_leg, star_leg)
+    out = {}
+    for X in window(degree):
+        legs = [(c, leg1(m1), leg2(m2))
+                for (m1, m2), c in UQ.delta.apply(X).terms.items()]
+        for a in m.basis(width):
+            lhs = h(m.act(X, a, side=side))
+            rhs = ZERO
+            for c, p1, p2 in legs:
+                rhs = rhs + c * h(p1 * a * p2)
+            ok = lhs == rhs
+            out[f"cell[{X}|{a}]"] = (ok, None if ok else f"X={X}, a={a}")
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("make", [galilei_weight, perturbed_weight])
+def test_hoisted_def_cells_match_the_unhoisted_leg_sum(make, side):
+    h, phi = nu_w_functional(), make()
+    rep = quasi_invariance_check(h, phi, 2, 5, "def", side)
+    got = outcomes(rep, "cell[")
+    assert got == unhoisted_def_cells(h, phi, 2, 5, side)
+    assert len(got) == 50 * 11
+    failed = sum(not ok for ok, _ in got.values())
+    assert (failed == 0) == (phi is galilei_weight())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cocycle_check_weighs_each_window_element_once(monkeypatch, side):
+    calls = []
+    real = Weight.__call__
+
+    def counting(self, X):
+        calls.append(X)
+        return real(self, X)
+
+    monkeypatch.setattr(Weight, "__call__", counting)
+    assert cocycle_check(galilei_weight(), 2, side).passed
+    # phi[1], then phi once per window element and once per product XY:
+    # 1 + 50 + 2,500 calls, where rebuilding phi[Y] (left) or phi[X]
+    # (right) for every pair made 5,001
+    assert len(calls) == 2551
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_def_form_builds_each_leg_and_cell_value_once(monkeypatch, side):
+    nu = nu_w_functional()
+    h_calls, w_calls = [], []
+    h = Functional("nu_w", nu.module, lambda a: h_calls.append(1) or nu(a))
+    real = Weight.__call__
+
+    def counting(self, X):
+        w_calls.append(X)
+        return real(self, X)
+
+    monkeypatch.setattr(Weight, "__call__", counting)
+    assert quasi_invariance_check(h, galilei_weight(), 2, 5, "def",
+                                  side).passed
+    xs, basis = window(2), ChiModule().basis(5)
+    legs = {leg for X in xs for leg in UQ.delta.apply(X).terms}
+    # one weight value per leg monomial on either side of the tensor
+    assert len(w_calls) == len({m1 for m1, _ in legs}) + \
+        len({m2 for _, m2 in legs})
+    # h reads each basis element and its star for the reality rows, each
+    # cell's left side, and each product p1 a p2 of distinct values once:
+    # 11 value pairs of the 140 leg pairs, where the 50 coproducts have
+    # 150 legs
+    monkeypatch.setattr(Weight, "__call__", real)
+    phi, m = galilei_weight(), ChiModule()
+    star_leg = lambda mon: m.star(phi(UQ.star.apply(UQ.pres.monomial(mon))))
+    s_leg = lambda mon: phi(UQ.antipode.apply(UQ.pres.monomial(mon)))
+    leg1, leg2 = (star_leg, s_leg) if side == "left" else (s_leg, star_leg)
+    pairs = {(leg1(m1), leg2(m2)) for m1, m2 in legs}
+    assert (len(pairs), len(legs)) == (11, 140)
+    assert sum(len(UQ.delta.apply(X).terms) for X in xs) == 150
+    assert len(h_calls) == 2 * len(basis) + len(xs) * len(basis) + \
+        len(pairs) * len(basis)
+
+
+def test_chi_fraction_equality_mutant_fails_the_cocycle_suite(monkeypatch):
+    # the d1 d0 rows compare the two sides with ChiFraction.__eq__, which
+    # cross-multiplies; an equality reading other.den twice must fail them
+    def wrong_eq(self, other):
+        if not isinstance(other, ChiFraction):
+            return NotImplemented
+        return self.num * other.den == other.num * other.den
+
+    assert run_suite("cocycle").passed
+    monkeypatch.setattr(ChiFraction, "__eq__", wrong_eq)
+    rep = run_suite("cocycle")
+    failed = [c.id for c in rep.failures()]
+    assert len(rep.checks) == 2941
+    assert failed
+    assert all(cid.startswith("cohomology-d1d0::d1d0[") for cid in failed)

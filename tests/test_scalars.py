@@ -595,3 +595,102 @@ def test_gauss_rat_foreign_operand_is_a_type_error():
         scalars.GR_I * "x"
     with pytest.raises(TypeError):
         scalars.GR_I + "x"
+
+
+# -- the one-term kernel ------------------------------------------------------
+
+
+def fails_if_called(*args):
+    raise AssertionError("the one-term product took the general path")
+
+
+# coefficients (a + b*i)/d with d > 1 after reduction
+reduced_fractions = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+    st.integers(-30, 30), st.integers(-30, 30),
+    st.integers(2, 30)).filter(lambda c: c and c.d > 1)
+signed_exponents = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+def one_term(c, v):
+    """c times w, m, u to the signed exponents v, built by the general
+    constructor: the positive part over the negative part."""
+    pos = tuple(max(x, 0) for x in v)
+    neg = tuple(max(-x, 0) for x in v)
+    return Scalar(Poly({pos: c}), Poly({neg: scalars.GR_ONE}))
+
+
+@st.composite
+def one_term_pairs(draw):
+    """Two one-term scalars whose exponents are drawn freely, cancel in
+    part, or cancel fully."""
+    v1 = draw(signed_exponents)
+    how = draw(st.sampled_from(["free", "part", "full"]))
+    if how == "free":
+        v2 = draw(signed_exponents)
+    elif how == "part":
+        nudge = draw(st.tuples(*[st.integers(-1, 1)] * 3))
+        v2 = tuple(-x + n for x, n in zip(v1, nudge))
+    else:
+        v2 = tuple(-x for x in v1)
+    return (one_term(draw(reduced_fractions), v1),
+            one_term(draw(reduced_fractions), v2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_pairs())
+def test_one_term_product_matches_the_general_constructor(pair):
+    from unittest import mock
+    x, y = pair
+    for s in (x, y):
+        assert len(s.num.terms) == 1 and len(s.den.terms) == 1
+    # no gcd, no exact division and no Henrici product on this path
+    with mock.patch.object(scalars, "poly_gcd", fails_if_called), \
+            mock.patch.object(scalars, "_exact_div", fails_if_called), \
+            mock.patch.object(scalars, "_product", fails_if_called):
+        got = x * y
+    assert got == Scalar(x.num * y.num, x.den * y.den)
+    # canonical form: P_ONE itself exactly when the denominator is
+    # constant, a monic denominator, and no variable shared by both
+    assert (got.den is P_ONE) == got.den.is_const()
+    assert got.den.leading()[1] == scalars.GR_ONE
+    (ne, _), = got.num.terms.items()
+    (de, _), = got.den.terms.items()
+    assert all(min(a, b) == 0 for a, b in zip(ne, de))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_parts, gauss_parts, gauss_parts, gauss_parts,
+       st.tuples(*[st.integers(0, 2)] * 3))
+def test_sum_on_a_shared_exponent_matches_gauss_rat(p, q, r, s, e):
+    assume((p or q) and (r or s))
+    x, y = GaussRat(p, q), GaussRat(r, s)
+    got = Poly({e: x, (3, 3, 3): x}) + Poly({e: y})
+    want = x + y
+    assert got.terms == ({e: want, (3, 3, 3): x} if want else {(3, 3, 3): x})
+    for c in got.terms.values():
+        assert_canonical(c)
+
+
+def test_multi_term_operands_keep_the_henrici_product():
+    from unittest import mock
+    calls = []
+    real = scalars._product
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    # multi-term numerators, then one-term ones over multi-term denominators
+    pairs = [((W + M) / U, U / (W - M)), (W / (W + M), M / (W - U))]
+    wants = [Scalar((W + M).num, (W - M).num), (W * M) / ((W + M) * (W - U))]
+    with mock.patch.object(scalars, "_product", counting):
+        got = [x * y for x, y in pairs]
+    assert got == wants
+    assert len(calls) == 2
+
+
+def test_the_constructor_always_reduces():
+    with pytest.raises(TypeError):
+        Scalar(P_ONE, P_ONE, _reduced=True)
+    assert Scalar((W * M).num, (W * U).num) == M / U
