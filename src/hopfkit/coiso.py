@@ -21,7 +21,8 @@ from .errors import (
     check_choice,
 )
 from .hopf import HopfStructure, builtin
-from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
+from .ncalg import (AlgebraElement, Morphism, constraint_rows, linear_solve,
+                    tensor_map)
 from .report import CheckReport
 
 SUBGROUP_SIDES = ("left", "right", "two-sided")
@@ -30,12 +31,11 @@ SUBGROUP_SIDES = ("left", "right", "two-sided")
 class CoisotropicSubgroup:
     """Validated quotient data: ambient, quotient, pi and side."""
 
-    def __init__(self, ambient, quotient, pi, side, check_degree):
+    def __init__(self, ambient, quotient, pi, side):
         self.ambient = ambient
         self.quotient = quotient
         self.pi = pi
         self.side = side
-        self.check_degree = check_degree
 
     def __repr__(self):
         return (f"CoisotropicSubgroup({self.ambient.name} -> "
@@ -74,7 +74,7 @@ def build_subgroup(ambient: HopfStructure, quotient: HopfStructure, pi_table,
         if not pi.apply(k).is_zero():
             raise NotModuleMorphism(f"declared kernel element {k} survives pi")
 
-    sub = CoisotropicSubgroup(ambient, quotient, pi, side, check_degree)
+    sub = CoisotropicSubgroup(ambient, quotient, pi, side)
     _check_surjective(sub, check_degree)
     return sub
 
@@ -121,18 +121,12 @@ def homogeneous_space(sub: CoisotropicSubgroup, degree: int,
     Returns AlgebraElements; the span is *-closed (verified separately in
     homogeneous_space_report).
     """
-    amb = sub.ambient
-    window = amb.pres.monomials_up_to(degree)
-    rows = {}
-    for mon in window:
-        defect = membership_defect(sub, amb.pres.monomial(mon), side)
-        for key, c in defect.terms.items():
-            rows.setdefault(key, {})[mon] = c
-    basis = linear_solve(rows.values(), window)
-    out = []
-    for vec in basis:
-        out.append(AlgebraElement(amb.pres, dict(vec)))
-    return out
+    pres = sub.ambient.pres
+    window = pres.monomials_up_to(degree)
+    rows = constraint_rows(window, lambda mon: membership_defect(
+        sub, pres.monomial(mon), side).terms)
+    return [AlgebraElement(pres, vec)
+            for vec in linear_solve(rows.values(), window)]
 
 
 def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
@@ -155,10 +149,8 @@ def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
     return out
 
 
-def subgroup_report(sub: CoisotropicSubgroup, degree: int | None = None) -> CheckReport:
+def subgroup_report(sub: CoisotropicSubgroup, degree: int) -> CheckReport:
     """Window verification of the subgroup axioms (ideal, coideal, tau)."""
-    if degree is None:
-        degree = sub.check_degree
     rep = CheckReport("coisotropic", preset=sub.quotient.name,
                       params={"degree": degree, "side": sub.side})
     amb, quo, pi = sub.ambient, sub.quotient, sub.pi
@@ -171,12 +163,9 @@ def subgroup_report(sub: CoisotropicSubgroup, degree: int | None = None) -> Chec
                    law="(pi x pi) Delta = Delta_K pi", witness=str(a))
 
     # kernel window: solutions of pi(a) = 0, a in window
-    rows = {}
-    for mon in window:
-        img = pi.apply(amb.pres.monomial(mon))
-        for qm, c in img.terms.items():
-            rows.setdefault(qm, {})[mon] = c
-    kernel = [AlgebraElement(amb.pres, dict(v))
+    rows = constraint_rows(
+        window, lambda mon: pi.apply(amb.pres.monomial(mon)).terms)
+    kernel = [AlgebraElement(amb.pres, v)
               for v in linear_solve(rows.values(), window)]
     rep.record("kernel-dimension", len(kernel) > 0 or degree == 0,
                law="proper quotient has a kernel", witness=f"degree {degree}")

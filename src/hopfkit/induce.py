@@ -37,7 +37,8 @@ from fractions import Fraction
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
 from .errors import ConfigError, NotCorepresentation, SideMismatch
 from .hopf import builtin
-from .ncalg import AlgebraElement, Morphism, linear_solve, tensor_map
+from .ncalg import (AlgebraElement, Morphism, accumulate, constraint_rows,
+                    linear_solve, tensor_map)
 from .pairing import act as regular_act
 from .quasiinv import (IWM, LAURENT, OPS, ChiModule, RegularModule, Weight,
                        act, chi, epsilon_weight, galilei_weight,
@@ -119,29 +120,9 @@ class IndElement:
         return (isinstance(other, IndElement) and self.side == other.side
                 and self.components == other.components)
 
-    def __add__(self, other):
-        self._check(other)
-        return IndElement([a + b for a, b in zip(self.components, other.components)],
-                          self.side)
-
-    def __sub__(self, other):
-        self._check(other)
-        return IndElement([a - b for a, b in zip(self.components, other.components)],
-                          self.side)
-
-    def scale(self, c):
-        return IndElement([a * c for a in self.components], self.side)
-
     def times(self, a):
         """Right multiplication by a homogeneous-space element."""
         return IndElement([comp * a for comp in self.components], self.side)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def _check(self, other):
-        if self.side != other.side:
-            raise SideMismatch(f"{self.side} vs {other.side}")
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -151,39 +132,38 @@ class IndElement:
 
 
 def ind_space(sub: CoisotropicSubgroup, rho: Corepresentation, degree: int):
-    """Exact basis of the induced space inside the monomial window."""
+    """Exact basis of the induced space inside the monomial window.
+
+    The unknown (i, mon) puts the monomial mon in component i.  Its column
+    is L(mon) (right corep) or R(mon) (left corep) in row block i, minus
+    m[j][i] (x) mon, or mon (x) m[i][j], in row block j for each j.
+    """
     amb, pi = sub.ambient, sub.pi
-    window = amb.pres.monomials_up_to(degree)
+    pres = amb.pres
+    window = pres.monomials_up_to(degree)
     n = rho.n
+    right = rho.side == "right"
+
+    def column(unknown):
+        i, mon = unknown
+        image = tensor_map([pi, None] if right else [None, pi],
+                           amb.delta.apply(pres.monomial(mon)))
+        col = {(i,) + key: c for key, c in image.terms.items()}
+        for j in range(n):
+            entry = rho.matrix[j][i] if right else rho.matrix[i][j]
+            accumulate(col, {(j, qm, mon) if right else (j, mon, qm): -cq
+                             for qm, cq in entry.terms.items()}, ONE)
+        return col
+
     unknowns = [(i, mon) for i in range(n) for mon in window]
-    rows = {}
-    for j in range(n):
-        for mon in window:
-            a = amb.pres.monomial(mon)
-            d = amb.delta.apply(a)
-            if rho.side == "right":
-                lhs = tensor_map([pi, None], d)  # L(A_j) rows
-            else:
-                lhs = tensor_map([None, pi], d)  # R(A_j) rows
-            for key, c in lhs.terms.items():
-                rows.setdefault((j,) + key, {})[(j, mon)] = c
-        for i in range(n):
-            entry = rho.matrix[j][i] if rho.side == "right" else rho.matrix[i][j]
-            for qm, cq in entry.terms.items():
-                for mon in window:
-                    if rho.side == "right":
-                        key = (j, qm, mon)
-                    else:
-                        key = (j, mon, qm)
-                    row = rows.setdefault(key, {})
-                    row[(i, mon)] = row.get((i, mon), ZERO) - cq
-    basis = linear_solve(rows.values(), unknowns)
+    rows = constraint_rows(unknowns, column)
     out = []
-    for vec in basis:
-        comps = [amb.pres.zero() for _ in range(n)]
+    for vec in linear_solve(rows.values(), unknowns):
+        comps = [{} for _ in range(n)]
         for (i, mon), c in vec.items():
-            comps[i] = comps[i] + amb.pres.monomial(mon) * c
-        out.append(IndElement(comps, "left" if rho.side == "right" else "right"))
+            comps[i][mon] = c
+        out.append(IndElement([AlgebraElement(pres, t) for t in comps],
+                              "left" if right else "right"))
     return out
 
 
@@ -305,8 +285,6 @@ def scalar_product(A: AlgebraElement, B: AlgebraElement) -> Scalar:
 def equivalence_intertwiner(xi, A):
     """F(A) = A xi, the unitary equivalence between weight-twisted reps."""
     xi.inverse()  # raises NotInvertible unless xi is a unit
-    if isinstance(A, IndElement):
-        return A.times(xi)
     return A * xi
 
 

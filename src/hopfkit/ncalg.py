@@ -48,6 +48,7 @@ from .errors import (
 from .scalars import ONE, Scalar, ZERO, scalar
 
 _MAX_REWRITE_STEPS = 2_000_000
+_MINUS_ONE = -ONE
 
 
 def _word_key(pres, word):
@@ -346,13 +347,7 @@ class _Combination:
         if not self.terms:
             return other
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+        accumulate(terms, other.terms, ONE)
         return self._like(terms)
 
     __radd__ = __add__
@@ -382,7 +377,7 @@ class _Combination:
     def tensor(self, other):
         out = {}
         _expand_slots(out, ONE, (self, other))
-        return TensorElement(_legs(self) + _legs(other), _strip_zeros(out))
+        return TensorElement(_legs(self) + _legs(other), out)
 
 
 class AlgebraElement(_Combination):
@@ -497,7 +492,7 @@ class TensorElement(_Combination):
                 _expand_slots(out, c2 if c1 is ONE else c1 * c2, [
                     product(m1, m2)
                     for product, m1, m2 in zip(products, k1, k2)])
-        return TensorElement(self.spaces, _strip_zeros(out))
+        return TensorElement(self.spaces, out)
 
     def inverse(self):
         if len(self.terms) != 1:
@@ -530,7 +525,8 @@ def _expand_slots(out, base, slots):
     This is the one outer product of the tensor layer.  A Scalar slot is
     contracted into the coefficient; an AlgebraElement or a {monomial:
     coeff} dict adds one leg, and a TensorElement as many as its rank.
-    A unit factor is never multiplied.
+    A unit factor is never multiplied.  The keys of one expansion are
+    distinct, as each slot's are, so they are added into out in one sum.
     """
     pairs = [((), base)]
     for slot in slots:
@@ -548,16 +544,16 @@ def _expand_slots(out, base, slots):
             pairs = [(key + (mon,),
                       c if k is ONE else k if c is ONE else k * c)
                      for key, c in pairs for mon, k in terms.items()]
-    for key, c in pairs:
-        s = out.get(key)
-        out[key] = c if s is None else s + c
+    if pairs:  # a zero slot leaves nothing to add
+        accumulate(out, dict(pairs), ONE)
 
 
 def accumulate(out, terms, c):
     """Add c * terms into the dict out, dropping keys whose sum cancels.
 
-    The one sparse sum of products and morphism images.  c must be
-    nonzero; a unit factor, c or a coefficient of terms, is never
+    The one sparse sum of the engine: sums, products, tensors, morphism
+    images and the eliminations of linear_solve merge through it.  c must
+    be nonzero; a unit factor, c or a coefficient of terms, is never
     multiplied.
     """
     for key, k in terms.items():
@@ -580,10 +576,6 @@ def _legs(x):
     if isinstance(x, AlgebraElement):
         return (x.pres,)
     return ()
-
-
-def _strip_zeros(d):
-    return {k: c for k, c in d.items() if not c.is_zero()}
 
 
 # -- morphisms ---------------------------------------------------------
@@ -731,14 +723,26 @@ def tensor_map(maps, te):
         _expand_slots(out, c.conjugate() if conj else c, [
             {mon: ONE} if mp is None else mp._mono_image(mon)
             for mp, mon in zip(maps, key)])
-    terms = _strip_zeros(out)
     if not spaces:
-        return terms.get((), ZERO)
-    result = TensorElement(spaces, terms)
+        return out.get((), ZERO)
+    result = TensorElement(spaces, out)
     return result.to_element() if len(spaces) == 1 else result
 
 
 # -- exact linear algebra over the scalar field ------------------------
+
+
+def constraint_rows(unknowns, column):
+    """The rows of the linear map sending each unknown u to column(u).
+
+    column(u) is the image of u, a dict key -> Scalar; the result maps
+    each key to its row {u: coeff}, in the shape linear_solve reads.
+    """
+    rows = {}
+    for u in unknowns:
+        for key, c in column(u).items():
+            rows.setdefault(key, {})[u] = c
+    return rows
 
 
 def linear_solve(constraints, unknowns):
@@ -754,42 +758,29 @@ def linear_solve(constraints, unknowns):
     escaped the declared window: WindowOverflow, enlarge and retry.
     """
     order = {u: k for k, u in enumerate(unknowns)}
-    pivots = {}  # column -> reduced row (dict col -> Scalar)
+    # pivot column -> its value as a combination of pivot-free columns, so
+    # eliminating col from a row adds row[col] times pivots[col]
+    pivots = {}
     for raw in constraints:
         try:
-            row = {order[u]: c for u, c in raw.items()
-                   if not scalar(c).is_zero()}
+            row = {order[u]: c for u, c0 in raw.items()
+                   if not (c := scalar(c0)).is_zero()}
         except KeyError as exc:
             raise WindowOverflow(
                 f"constraint involves {exc.args[0]!r}, outside the declared "
                 f"window; enlarge the window") from exc
+        # the fill-in lies in pivot-free columns: no further elimination
         for col in sorted(row):
             if col in row and col in pivots:
-                factor = row.pop(col)
-                for c2, v2 in pivots[col].items():
-                    if c2 == col:
-                        continue
-                    s = row.get(c2, ZERO) - factor * v2
-                    if s.is_zero():
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = s
+                accumulate(row, pivots[col], row.pop(col))
         if not row:
             continue
         lead = min(row)
-        inv = ONE / row[lead]
+        inv = _MINUS_ONE / row.pop(lead)
         row = {c: v * inv for c, v in row.items()}
         for prow in pivots.values():
             if lead in prow:
-                factor = prow.pop(lead)
-                for c2, v2 in row.items():
-                    if c2 == lead:
-                        continue
-                    s = prow.get(c2, ZERO) - factor * v2
-                    if s.is_zero():
-                        prow.pop(c2, None)
-                    else:
-                        prow[c2] = s
+                accumulate(prow, row, prow.pop(lead))
         pivots[lead] = row
     basis = []
     for col, u in enumerate(unknowns):
@@ -798,7 +789,7 @@ def linear_solve(constraints, unknowns):
         vec = {u: ONE}
         for pcol, prow in pivots.items():
             if col in prow:
-                vec[unknowns[pcol]] = -prow[col]
+                vec[unknowns[pcol]] = prow[col]
         basis.append(vec)
     return basis
 

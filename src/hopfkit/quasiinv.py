@@ -52,7 +52,7 @@ from .errors import (NotGroupLike, NotInvertible, NotTauReal,
                      PresentationMismatch, StarUndefined, check_choice)
 from .hopf import algebra_presentation, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
-                    linear_solve)
+                    constraint_rows, linear_solve)
 from .pairing import engine as pairing_engine
 from .report import CheckReport
 from .scalars import I, M as SM, ONE, Scalar, W, ZERO, scalar
@@ -304,12 +304,12 @@ class Functional:
         return Functional(f"{self.name}[conj {xi}]", m,
                           lambda a: self._fn(xi_star * a * xi))
 
-    def reality_report(self, window, rep=None, prefix="real"):
+    def reality_report(self, window, rep=None):
         rep = rep or CheckReport("functional-reality", preset=self.name)
         for a in self.module.basis(window):
             lhs = self._fn(self.module.star(a))
             rhs = self._fn(a).conjugate()
-            rep.record(f"{prefix}[{a}]", lhs == rhs,
+            rep.record(f"real[{a}]", lhs == rhs,
                        law="h(a*) = conj(h(a))", witness=str(a))
         return rep
 
@@ -607,15 +607,17 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
     m = ChiModule()
     unknowns = list(range(-window, window + 1))
     gens = [uq.pres.gen(g) for g in uq.pres.generators] + [uq.pres.gen("K", -1)]
-    rows = {}
-    for gi, g in enumerate(gens):
-        phig = phi(g)
-        for l in unknowns:
-            lhs = m.act(g, chi(l))  # X.chi^l
-            rhs = phig * chi(l)
-            diff = lhs - rhs
+    gen_weights = [(g, phi(g)) for g in gens]
+
+    def column(l):
+        col = {}
+        for gi, (g, phig) in enumerate(gen_weights):
+            diff = m.act(g, chi(l)) - phig * chi(l)  # X.chi^l - phi[X] chi^l
             for (out_exp,), c in diff.terms.items():
-                rows.setdefault((gi, out_exp), {})[l] = c
+                col[gi, out_exp] = c
+        return col
+
+    rows = constraint_rows(unknowns, column)
     basis = linear_solve(rows.values(), unknowns)
     dim = len(basis)
     for vec in basis:
@@ -624,10 +626,9 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
             (l, c), = live.items()
             return EssentialInvarianceResult("coboundary", chi(l, c), dim)
     cert = []
-    for (gi, out_exp), row in sorted(rows.items()):
-        if row:
-            terms = " + ".join(f"({c})*a[{l}]" for l, c in sorted(row.items()))
-            cert.append(f"{terms} = 0")
+    for _, row in sorted(rows.items()):
+        terms = " + ".join(f"({c})*a[{l}]" for l, c in sorted(row.items()))
+        cert.append(f"{terms} = 0")
     return EssentialInvarianceResult("refuted", None, dim, cert)
 
 

@@ -17,7 +17,9 @@ from hopfkit.errors import (
     HopfkitError,
     InvalidArgument,
     NotAScalar,
+    NotCoalgebraMorphism,
     NotCorepresentation,
+    NotModuleMorphism,
     PresentationMismatch,
     UnknownGenerator,
     UnknownStructure,
@@ -44,6 +46,8 @@ SUB = galilei_subgroup()
 B = UQ.pres.gen("B")
 PI_TABLE = {"mu": FJ.pres.gen("muh"), "x": FJ.pres.gen("xh"),
             "t": FJ.pres.gen("th"), "v": FJ.pres.zero()}
+# t -> th + th^2 keeps the defining relations but not Delta(t)
+NONCOALGEBRA_TABLE = dict(PI_TABLE, t=FJ.pres.gen("th") + FJ.pres.gen("th", 2))
 QUOTIENT_ONE = SUB.pi.apply(FQ.pres.one())
 V = FQ.pres.gen("v")
 
@@ -63,6 +67,14 @@ CASES = {
     "build_subgroup-bad-side": (
         lambda: build_subgroup(FQ, FJ, PI_TABLE, side="up"),
         InvalidArgument, ValueError),
+    "build_subgroup-breaks-coproduct": (
+        lambda: build_subgroup(FQ, FJ, NONCOALGEBRA_TABLE, check_degree=1),
+        NotCoalgebraMorphism, None),
+    "build_subgroup-kernel-generator-survives": (
+        lambda: build_subgroup(FQ, FJ, PI_TABLE,
+                               kernel_generators=[FQ.pres.gen("t")],
+                               check_degree=1),
+        NotModuleMorphism, None),
     "pair_engine_act-bad-side": (
         lambda: engine().act(B, FQ.pres.gen("v"), side="up"),
         InvalidArgument, ValueError),

@@ -7,8 +7,9 @@ from hopfkit.coiso import galilei_subgroup, homogeneous_space
 from hopfkit.errors import (ConfigError, NotInvertible, RelationNotPreserved,
                             SideMismatch)
 from hopfkit.hopf import builtin
-from hopfkit.ncalg import AlgebraElement, Morphism
+from hopfkit.ncalg import AlgebraElement, Morphism, tensor_map
 from hopfkit.induce import (
+    Corepresentation,
     IndElement,
     _galilei_module,
     _galilei_table,
@@ -180,6 +181,56 @@ def test_trivial_corep_and_ind_space():
         hom = homogeneous_space(SUB, degree)
         assert sorted(str(a.components[0]) for a in basis) \
             == sorted(str(b) for b in hom)
+
+
+def _shear_corep(side):
+    """The two-dimensional corepresentation [[1, th], [0, 1]] (1 = pi(1)),
+    whose off-diagonal entry couples the two components."""
+    q = SUB.quotient.pres
+    one = SUB.pi.apply(SUB.ambient.pres.one())
+    return Corepresentation(SUB, [[one, q.gen("th")], [q.zero(), one]],
+                            side=side)
+
+
+# sorted bases of the shear corepresentation's induced space at degrees 1, 2
+SHEAR_BASES = {
+    "right": {1: ["(1, 0)", "(t, 1)", "(v, 0)"],
+              2: ["(1, 0)", "(t*v, v)", "(t, 1)", "(v, 0)", "(v^2, 0)"]},
+    "left": {1: ["(0, 1)", "(0, v)", "(1, t)"],
+             2: ["(0, 1)", "(0, v)", "(0, v^2)", "(1, t)", "(v, t*v)"]},
+}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_ind_space_of_a_two_dimensional_corep(side):
+    # right corep: A_1 ranges over H_d = span{1, v, ..., v^d}, and
+    # A_0 = t A_1 + h with h in H_d exists only when t A_1 fits the
+    # window, so there are (d + 1) + d vectors; the left side mirrors
+    # this with the components swapped
+    rho = _shear_corep(side)
+    m = rho.matrix
+    assert not rho.is_unitary()  # tau_K(m[0][1]) = -th, not m[1][0] = 0
+    amb, pi = SUB.ambient, SUB.pi
+    for d in (1, 2, 3):
+        basis = ind_space(SUB, rho, d)
+        assert len(basis) == 2 * d + 1
+        if d in SHEAR_BASES[side]:
+            assert sorted(str(A) for A in basis) == SHEAR_BASES[side][d]
+        for A in basis:
+            comps = A.components
+            for j in range(2):
+                d_j = amb.delta.apply(comps[j])
+                if side == "right":
+                    # (pi x id) Delta A_j = sum_i m[j][i] (x) A_i
+                    lhs = tensor_map([pi, None], d_j)
+                    rhs = m[j][0].tensor(comps[0]) + m[j][1].tensor(comps[1])
+                else:
+                    # (id x pi) Delta A_j = sum_i A_i (x) m[i][j]
+                    lhs = tensor_map([None, pi], d_j)
+                    rhs = comps[0].tensor(m[0][j]) + comps[1].tensor(m[1][j])
+                assert lhs == rhs, (d, str(A), j)
+            for i in range(2):
+                assert eq_sesq_defect(A, rho, i).is_zero(), (d, str(A), i)
 
 
 def test_sesq_form_and_membership():

@@ -221,6 +221,61 @@ def test_linear_solve_window_overflow():
         linear_solve([{"x": ONE, "q": ONE}], ["x", "y"])
 
 
+def _rref_oracle(rows, n):
+    """Plain-Fraction Gauss-Jordan: the pivot columns and the reduced rows."""
+    from fractions import Fraction
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        hit = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        lead = rows[r][col]
+        rows[r] = [c / lead for c in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, rows[:r]
+
+
+_coeffs = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.dictionaries(st.integers(0, n - 1), _coeffs, max_size=n),
+             max_size=6))))
+def test_linear_solve_matches_fraction_gauss_jordan(system):
+    # int and Fraction coefficients, zeros, repeated and dependent rows:
+    # the eliminations' fill-in and cancellation against an exact oracle
+    n, constraints = system
+    unknowns = list(range(n))
+    basis = linear_solve(constraints, unknowns)
+    dense = [[row.get(u, 0) for u in unknowns] for row in constraints]
+    pivots, reduced = _rref_oracle(dense, n)
+    free = [u for u in unknowns if u not in pivots]
+    assert len(basis) == n - len(pivots)
+    assert [next(iter(vec)) for vec in basis] == free
+    for vec, f in zip(basis, free):
+        assert vec[f] == ONE
+        for raw in constraints:
+            total = ZERO
+            for u, c in raw.items():
+                total = total + scalar(c) * vec.get(u, ZERO)
+            assert total.is_zero()
+        # the oracle's basis vector at f: 1 at f, -R[p][f] at pivot p
+        want = {f: 1}
+        want.update({p: -row[f] for p, row in zip(pivots, reduced) if row[f]})
+        assert vec == {u: scalar(c) for u, c in want.items()}
+
+
 def test_scale_by_one_is_identity():
     a = UQ.gen("B") * UQ.gen("T") * IW + UQ.gen("K", -2)
     assert a.scale(ONE) == a
