@@ -13,7 +13,7 @@ import sys
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
 from .errors import ConfigError, HopfkitError, UnknownSuite
-from .hopf import BUILTIN_NAMES, builtin, verify_hopf
+from .hopf import BUILTIN_NAMES, HOPF_NAMES, builtin, verify_hopf
 from .induce import (
     galilei_rep,
     ind_generic_report,
@@ -29,7 +29,7 @@ from .quasiinv import (
     chi,
     cocycle_check,
     coboundary_vanishing_report,
-    essential_invariance_decide,
+    essential_invariance_report,
     galilei_weight,
     nu_w_functional,
     quasi_invariance_check,
@@ -50,121 +50,69 @@ def _merge(reports, suite_name, params):
     return out.finalize()
 
 
-_HOPF_PRESETS = ("uq-g1", "fq-g1", "fq-j")
-
-
 def _check_preset(preset):
     """A preset names one Hopf built-in; with none, hopf-axioms runs all."""
-    if preset is not None and preset not in _HOPF_PRESETS:
+    if preset is not None and preset not in HOPF_NAMES:
         raise ConfigError(f"unknown hopf-axioms preset {preset!r}; choose "
-                          f"from {', '.join(_HOPF_PRESETS)}")
+                          f"from {', '.join(HOPF_NAMES)}")
 
 
 def _suite_hopf_axioms(cfg):
     degree = cfg.get("degree", 4)
     preset = cfg.get("preset")
     _check_preset(preset)
-    names = _HOPF_PRESETS if preset is None else [preset]
+    names = HOPF_NAMES if preset is None else [preset]
     return _merge([verify_hopf(builtin(n), degree) for n in names],
                   "hopf-axioms", {"degree": degree})
 
 
-def _suite_pairing(cfg):
-    return pairing_report(law_degree=cfg.get("degree", 1))
-
-
-def _suite_homogeneous_space(cfg):
-    return homogeneous_space_report(galilei_subgroup(),
-                                    cfg.get("degree", 4),
-                                    cfg.get("side", "left"))
-
-
-def _suite_coisotropic(cfg):
-    return subgroup_report(galilei_subgroup(), cfg.get("degree", 3))
-
-
-def _suite_functional(form):
-    def run(cfg):
-        return quasi_invariance_check(nu_w_functional(), galilei_weight(),
-                                      degree=cfg.get("degree", 2),
-                                      window=cfg.get("window", 5),
-                                      form=form, side=cfg.get("side", "left"))
-    return run
+def _functional(cfg, form, window, side):
+    """Quasi-invariance of nu_w under the Galilei weight in one form."""
+    return quasi_invariance_check(nu_w_functional(), galilei_weight(),
+                                  degree=cfg.get("degree", 2),
+                                  window=cfg.get("window", window),
+                                  form=form, side=side)
 
 
 def _suite_cocycle(cfg):
     rep = cocycle_check(galilei_weight(), cfg.get("degree", 2),
                         side=cfg.get("side", "left"))
     recurrence_report(8, rep)
-    return _merge([rep, coboundary_vanishing_report(degree=1)],
+    return _merge([rep, coboundary_vanishing_report()],
                   "cocycle", dict(rep.params))
 
 
-def _suite_essential_invariance(cfg):
-    window = cfg.get("window", 8)
-    rep = CheckReport("essential-invariance", preset="galilei",
-                      params={"window": window})
-    for wl in range(1, window + 1):
-        res = essential_invariance_decide(galilei_weight(), wl)
-        rep.record(f"refuted[{wl}]", res.status == "refuted",
-                   law="no invertible coboundary xi exists",
-                   witness=res.status)
-        if res.certificate and wl == window:
-            rep.params["certificate"] = res.certificate
-    return rep.finalize()
-
-
-def _suite_relations(cfg):
-    return relations_report(cfg.get("window", 5))
-
-
-def _suite_unitarity(cfg):
-    return unitarity_report(cfg.get("window", 5))
-
-
-def _suite_jform(cfg):
-    return jform_report(cfg.get("window", 5))
-
-
-def _suite_intertwiner(cfg):
-    return intertwiner_report(cfg.get("window", 4))
-
-
-def _suite_ind_generic(cfg):
-    return ind_generic_report(galilei_subgroup(), cfg.get("degree", 3))
-
-
 def _suite_mirror_right(cfg):
-    sub = galilei_subgroup()
     reports = [
-        mirror_right_report(sub, cfg.get("degree", 3)),
+        mirror_right_report(galilei_subgroup(), cfg.get("degree", 3)),
         cocycle_check(galilei_weight(), cfg.get("degree", 2), side="right"),
-        quasi_invariance_check(nu_w_functional(), galilei_weight(),
-                               degree=cfg.get("degree", 2),
-                               window=cfg.get("window", 4),
-                               form="def", side="right"),
-        quasi_invariance_check(nu_w_functional(), galilei_weight(),
-                               degree=cfg.get("degree", 2),
-                               window=cfg.get("window", 4),
-                               form="lemma", side="right"),
+        _functional(cfg, "def", 4, "right"),
+        _functional(cfg, "lemma", 4, "right"),
     ]
     return _merge(reports, "mirror-right", {"degree": cfg.get("degree", 3)})
 
 
+# suite name -> callable(cfg); each row holds that suite's default sizes
 SUITES = {
     "hopf-axioms": _suite_hopf_axioms,
-    "pairing": _suite_pairing,
-    "homogeneous-space": _suite_homogeneous_space,
-    "coisotropic": _suite_coisotropic,
-    "functional-def": _suite_functional("def"),
-    "functional-lemma": _suite_functional("lemma"),
+    "pairing": lambda cfg: pairing_report(law_degree=cfg.get("degree", 1)),
+    "homogeneous-space": lambda cfg: homogeneous_space_report(
+        galilei_subgroup(), cfg.get("degree", 4), cfg.get("side", "left")),
+    "coisotropic": lambda cfg: subgroup_report(galilei_subgroup(),
+                                               cfg.get("degree", 3)),
+    "functional-def": lambda cfg: _functional(cfg, "def", 5,
+                                              cfg.get("side", "left")),
+    "functional-lemma": lambda cfg: _functional(cfg, "lemma", 5,
+                                                cfg.get("side", "left")),
     "cocycle": _suite_cocycle,
-    "essential-invariance": _suite_essential_invariance,
-    "relations": _suite_relations,
-    "unitarity": _suite_unitarity,
-    "jform": _suite_jform,
-    "intertwiner": _suite_intertwiner,
-    "ind-generic": _suite_ind_generic,
+    "essential-invariance": lambda cfg: essential_invariance_report(
+        galilei_weight(), cfg.get("window", 8)),
+    "relations": lambda cfg: relations_report(cfg.get("window", 5)),
+    "unitarity": lambda cfg: unitarity_report(cfg.get("window", 5)),
+    "jform": lambda cfg: jform_report(cfg.get("window", 5)),
+    "intertwiner": lambda cfg: intertwiner_report(cfg.get("window", 4)),
+    "ind-generic": lambda cfg: ind_generic_report(galilei_subgroup(),
+                                                  cfg.get("degree", 3)),
     "mirror-right": _suite_mirror_right,
 }
 

@@ -244,7 +244,7 @@ def homogeneous_space_report(sub: CoisotropicSubgroup, degree: int,
     return rep.finalize()
 
 
-def galilei_subgroup(check_degree: int = 3) -> CoisotropicSubgroup:
+def galilei_subgroup() -> CoisotropicSubgroup:
     """The built-in projection onto the three-generator subgroup."""
     fq = builtin("fq-g1")
     fj = builtin("fq-j")
@@ -252,5 +252,4 @@ def galilei_subgroup(check_degree: int = 3) -> CoisotropicSubgroup:
     table = {"mu": q.gen("muh"), "x": q.gen("xh"),
              "t": q.gen("th"), "v": q.zero()}
     return build_subgroup(fq, fj, table, side="two-sided",
-                          kernel_generators=[p.gen("v")],
-                          check_degree=check_degree)
+                          kernel_generators=[p.gen("v")])

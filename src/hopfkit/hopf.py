@@ -289,6 +289,7 @@ def _build_fqj():
 
 
 _BUILDERS = {"uq-g1": _build_uq, "fq-g1": _build_fq, "fq-j": _build_fqj}
+HOPF_NAMES = tuple(_BUILDERS)
 
 
 @functools.cache
@@ -299,7 +300,7 @@ def builtin(name: str) -> HopfStructure:
     return _BUILDERS[name]()
 
 
-BUILTIN_NAMES = ("uq-g1", "fq-g1", "fq-j", "h0-irr")
+BUILTIN_NAMES = HOPF_NAMES + ("h0-irr",)
 
 
 def algebra_presentation(name: str) -> Presentation:

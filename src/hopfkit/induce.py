@@ -167,15 +167,15 @@ def ind_space(sub: CoisotropicSubgroup, rho: Corepresentation, degree: int):
     return out
 
 
-def sesq_form(A: IndElement, B: IndElement, side: str = "left") -> AlgebraElement:
-    """<A, B>_L = sum_i A_i* B_i; on the right, sum_j B_j A_j*."""
-    if A.side != side or B.side != side:
-        raise SideMismatch(f"form side {side} on elements "
-                           f"{A.side}/{B.side}")
+def sesq_form(A: IndElement, B: IndElement) -> AlgebraElement:
+    """<A, B>_L = sum_i A_i* B_i; on the right, sum_j B_j A_j*.  The form
+    takes its side from A, and B must share it."""
+    if A.side != B.side:
+        raise SideMismatch(f"form on elements {A.side}/{B.side}")
     fq = builtin("fq-g1")
     out = fq.pres.zero()
     for a, b in zip(A.components, B.components):
-        if side == "left":
+        if A.side == "left":
             out = out + fq.star.apply(a) * b
         else:
             out = out + b * fq.star.apply(a)
@@ -297,7 +297,7 @@ def galilei_basis(window):
             for A in map(chi, range(-window, window + 1))]
 
 
-def relations_report(window: int = 5) -> CheckReport:
+def relations_report(window: int) -> CheckReport:
     """The defining relations as operator identities on the window, plus
     agreement of the closed table with the weight-driven construction."""
     rep = CheckReport("relations", preset="galilei", params={"window": window})
@@ -334,7 +334,7 @@ def relations_report(window: int = 5) -> CheckReport:
     return rep.finalize()
 
 
-def unitarity_report(window: int = 5) -> CheckReport:
+def unitarity_report(window: int) -> CheckReport:
     """<A, rho~(X) B> = <rho~(X*) A, B> for the generator set; all real
     generators are self-adjoint here, K and K^-1 swap nothing."""
     rep = CheckReport("unitarity", preset="galilei", params={"window": window})
@@ -358,7 +358,7 @@ def unitarity_report(window: int = 5) -> CheckReport:
     return rep.finalize()
 
 
-def jform_report(window: int = 5) -> CheckReport:
+def jform_report(window: int) -> CheckReport:
     rep = CheckReport("jform", preset="galilei", params={"window": window})
     basis = galilei_basis(window)
     for A, al in basis:
@@ -373,7 +373,7 @@ def jform_report(window: int = 5) -> CheckReport:
     return rep.finalize()
 
 
-def intertwiner_report(window: int = 4) -> CheckReport:
+def intertwiner_report(window: int) -> CheckReport:
     """Equivalence transport for xi = chi: F(A) = A chi intertwines the
     transformed-weight representation into the reference one, and carries
     the twisted form back to the Minkowski form."""
@@ -461,7 +461,7 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
     for A in ind:
         for Bv in ind:
             record("sesq", f"[{A}|{Bv}]",
-                   is_member(sub, sesq_form(A, Bv, side=side), side=side),
+                   is_member(sub, sesq_form(A, Bv), side=side),
                    f"{A} | {Bv}")
         record("legs", f"[{A}]", eq_sesq_defect(A, rho, 0).is_zero(), str(A))
 
@@ -485,7 +485,7 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
     return rho, ind
 
 
-def ind_generic_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport:
+def ind_generic_report(sub: CoisotropicSubgroup, degree: int) -> CheckReport:
     """The left generic checks, plus two that only the left case makes:
     the trivial corepresentation is unitary and the induced space is a
     module over the homogeneous space."""
@@ -505,7 +505,7 @@ def ind_generic_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport
     return rep.finalize()
 
 
-def mirror_right_report(sub: CoisotropicSubgroup, degree: int = 3) -> CheckReport:
+def mirror_right_report(sub: CoisotropicSubgroup, degree: int) -> CheckReport:
     """The right-sided mirror of the generic checks."""
     rep = CheckReport("mirror-right", preset="galilei", params={"degree": degree})
     _generic_checks(rep, sub, degree, "right")

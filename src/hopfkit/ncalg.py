@@ -79,7 +79,8 @@ class Presentation:
         self.generators = tuple(generators)
         self.invertible = tuple(invertible)
         self.index = {g: k for k, g in enumerate(self.generators)}
-        self.rules = {k: tuple((scalar(c), tuple(w)) for c, w in rhs)
+        self.rules = {k: tuple((scalar(c), self._validate_word(w))
+                               for c, w in rhs)
                       for k, rhs in rules.items()}
         self.one_mon = (0,) * len(self.generators)
         # pairs whose rule only swaps the two letters: g^a h^b -> h^b g^a
@@ -151,25 +152,22 @@ class Presentation:
         s2 = 1 if e2 > 0 else -1
         if (g1, s1, g2, s2) in self._swaps:
             return [(coeff, word[:p] + ((g2, e2), (g1, e1)) + word[p + 2:])]
-        rhs = self.rules.get((g1, s1, g2, s2))
-        if rhs is None:
-            raise IncompleteRewriteSystem(
-                f"{self.name}: stuck on pair "
-                f"{self.generators[g1]}^{s1} {self.generators[g2]}^{s2}")
+        rhs = self.rules[g1, s1, g2, s2]
         left = word[:p] + (((g1, e1 - s1),) if e1 != s1 else ())
         right = (((g2, e2 - s2),) if e2 != s2 else ()) + word[p + 2:]
         return [(coeff * c, left + w + right) for c, w in rhs]
 
     def _find_redex(self, word):
         """The first position p at which word[p] word[p + 1] reduces (a
-        merge, a rule or a disordered pair), or None for a normal word.
+        merge or a rule), or None for a normal word.  _check_complete gives
+        every disordered pair a rule, so a pair with none is in order.
         Words hold no zero exponents: element() strips them."""
         for p in range(len(word) - 1):
             l1, l2 = word[p], word[p + 1]
             if l1[0] == l2[0]:
                 return p
             key = (l1[0], 1 if l1[1] > 0 else -1, l2[0], 1 if l2[1] > 0 else -1)
-            if key in self.rules or l1[0] > l2[0]:
+            if key in self.rules:
                 return p
         return None
 

@@ -515,7 +515,7 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
     return rep.finalize()
 
 
-def recurrence_report(max_n: int = 8, rep=None) -> CheckReport:
+def recurrence_report(max_n: int, rep=None) -> CheckReport:
     """n c_n = wm (n - 1/2) c_{n-1}, the identity behind the B-cocycle row."""
     rep = rep or CheckReport("weight-recurrence", preset="galilei")
     for n in range(1, max_n + 1):
@@ -630,6 +630,21 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
         terms = " + ".join(f"({c})*a[{l}]" for l, c in sorted(row.items()))
         cert.append(f"{terms} = 0")
     return EssentialInvarianceResult("refuted", None, dim, cert)
+
+
+def essential_invariance_report(phi: Weight, window: int) -> CheckReport:
+    """The search refutes essential invariance on every window 1..window;
+    the last window's certificate is kept in the params."""
+    rep = CheckReport("essential-invariance", preset=phi.name,
+                      params={"window": window})
+    for wl in range(1, window + 1):
+        res = essential_invariance_decide(phi, wl)
+        rep.record(f"refuted[{wl}]", res.status == "refuted",
+                   law="no invertible coboundary xi exists",
+                   witness=res.status)
+        if res.certificate and wl == window:
+            rep.params["certificate"] = res.certificate
+    return rep.finalize()
 
 
 def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):

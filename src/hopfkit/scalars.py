@@ -616,7 +616,6 @@ def _prem(a, b, var):
     ua, ub = _univar(a, var), _univar(b, var)
     da, db = max(ua), max(ub)
     lcb = ub[db]
-    xvar = Poly.var(var)
     while da >= db and ua:
         lca = ua[da]
         # lcb * a  -  lca * x^(da-db) * b

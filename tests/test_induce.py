@@ -237,10 +237,10 @@ def test_sesq_form_and_membership():
     v = SUB.ambient.pres.gen("v")
     A = IndElement([v], "left")
     B = IndElement([v * v], "left")
-    form = sesq_form(A, B, side="left")
+    form = sesq_form(A, B)
     assert form == v * v * v  # v is real
     with pytest.raises(SideMismatch):
-        sesq_form(A, IndElement([v], "right"), side="left")
+        sesq_form(A, IndElement([v], "right"))
 
 
 def test_eq_sesq_identity_on_v():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hopfkit import hopf, ncalg, pairing, quasiinv, scalars
 from hopfkit.errors import (
+    IncompleteRewriteSystem,
     NegativePowerOfNonInvertible,
     NotInvertible,
     PresentationMismatch,
@@ -154,6 +155,25 @@ def test_non_confluent_rules_rejected():
     }
     with pytest.raises(NonConfluentRules):
         Presentation("bad", ("a", "b", "c"), (False, False, False), rules)
+
+
+def test_a_missing_rule_is_rejected_at_build():
+    # every disordered pair of letters needs a rule, for each sign of an
+    # invertible letter; b a and b^-1 a have none here
+    with pytest.raises(IncompleteRewriteSystem, match="no rule for b"):
+        Presentation("p", ("a", "b"), (False, True), {})
+
+
+def test_a_rule_with_a_negative_power_of_a_non_invertible_letter_is_rejected():
+    # c a -> b^-1 a decreases the word order, but b has no inverse: the
+    # rule words are validated like any other word
+    rules = {
+        (1, 1, 0, 1): [(ONE, ((0, 1), (1, 1)))],
+        (2, 1, 1, 1): [(ONE, ((1, 1), (2, 1)))],
+        (2, 1, 0, 1): [(ONE, ((1, -1), (0, 1)))],
+    }
+    with pytest.raises(NegativePowerOfNonInvertible, match=r"b\^-1"):
+        Presentation("p", ("a", "b", "c"), (False, False, False), rules)
 
 
 def test_associativity_on_monomials():

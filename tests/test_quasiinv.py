@@ -762,6 +762,24 @@ def test_hoisted_def_cells_match_the_unhoisted_leg_sum(make, side):
     assert (failed == 0) == (phi is galilei_weight())
 
 
+@pytest.mark.parametrize("xi", [None, 1, -1])
+def test_antipode_leg_equals_starred_leg_so_a_def_leg_swap_is_invisible(xi):
+    """phi[S Y] = phi[Y*]* on every uq-g1 monomial of degree <= 3, for the
+    Galilei weight and its transforms by chi^1 and chi^-1.  The def form
+    pairs phi[X_(1)*]* with phi[S X_(2)] on the left and phi[S X_(1)] with
+    phi[X_(2)*]* on the right; as the two leg values agree, swapping the
+    legs of one side leaves every cell unchanged, so no suite can tell the
+    leg order apart for these weights."""
+    phi = galilei_weight()
+    if xi is not None:
+        phi = transform_weight(phi, chi(xi))
+    m = phi.module
+    xs = window(3)
+    assert len(xs) == 140
+    for Y in xs:
+        assert phi(UQ.antipode.apply(Y)) == m.star(phi(UQ.star.apply(Y))), Y
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cocycle_check_weighs_each_window_element_once(monkeypatch, side):
     calls = []
