@@ -12,7 +12,7 @@ import functools
 import sys
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
-from .errors import ConfigError, HopfkitError, UnknownSuite
+from .errors import ConfigError, HopfkitError, UnknownSuite, check_sizes
 from .hopf import BUILTIN_NAMES, HOPF_NAMES, builtin, verify_hopf
 from .induce import (
     galilei_rep,
@@ -117,14 +117,6 @@ SUITES = {
 }
 
 
-def _check_sizes(cfg):
-    """Reject a negative window or degree: it gives an empty, vacuous run."""
-    for key in ("window", "degree"):
-        value = cfg.get(key)
-        if value is not None and value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
-
-
 def _check_suite(name):
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
@@ -135,7 +127,7 @@ def run_suite(name: str, config: dict | None = None) -> CheckReport:
     """Run one registered verification suite with the given configuration."""
     _check_suite(name)
     cfg = dict(config or {})
-    _check_sizes(cfg)
+    check_sizes(window=cfg.get("window"), degree=cfg.get("degree"))
     return SUITES[name](cfg)
 
 
@@ -162,7 +154,7 @@ def load_config(path: str) -> dict:
                 cfg[key] = int(cfg[key])
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer") from exc
-    _check_sizes(cfg)
+    check_sizes(window=cfg.get("window"), degree=cfg.get("degree"))
     return cfg
 
 
@@ -224,7 +216,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_matrix(args) -> int:
     window = args.window
-    _check_sizes({"window": window})
+    check_sizes(window=window)
     basis = list(range(-window, window + 1))
     cols = []
     for l in basis:
@@ -243,7 +235,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_homogeneous_space(args) -> int:
-    _check_sizes({"degree": args.degree})
+    check_sizes(degree=args.degree)
     basis = homogeneous_space(galilei_subgroup(), args.degree, args.side)
     for b in basis:
         print(print_element(b))

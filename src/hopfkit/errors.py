@@ -33,6 +33,15 @@ def check_choice(what, value, allowed=SIDES):
         raise InvalidArgument(f"{what} must be one of {allowed}, not {value!r}")
 
 
+def check_sizes(**sizes):
+    """Raise ConfigError on a negative window or degree (None is unset):
+    it leaves an empty run that would pass vacuously.  The one guard in
+    front of every size of a report."""
+    for what, value in sizes.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"{what} must be >= 0, got {value}")
+
+
 class UnknownStructure(HopfkitError, KeyError):
     """No built-in Hopf structure has the requested name."""
 

@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import (AntipodeNotInvertible, CounitLawViolated, StarUndefined,
-                     UnknownStructure)
+                     UnknownStructure, check_sizes)
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
                     tensor_map)
 from .report import CheckReport
@@ -102,13 +102,24 @@ def tau(structure: HopfStructure, e: AlgebraElement) -> AlgebraElement:
     return structure.apply_tau(e)
 
 
-def _mul_slots(te):
-    """Multiply the two legs of a rank-2 tensor inside one algebra."""
-    pres = te.spaces[0]
-    out = {}
-    for (m1, m2), c in te.terms.items():
-        accumulate(out, pres.mono_product(m1, m2).terms, c)
-    return AlgebraElement(pres, out)
+def _antipode_convolutions(S, d):
+    """m(S x id) d and m(id x S) d of a rank-2 tensor d over S's algebra.
+
+    One pass over the terms of d: each (m1, m2) adds the products s*m2 over
+    the terms s of S(m1) to the left side and m1*s over those of S(m2) to
+    the right, with no tensor of images built in between.
+    """
+    pres = S.source
+    product, image = pres.mono_product, S._mono_image
+    left, right = {}, {}
+    for (m1, m2), c in d.terms.items():
+        for s, k in image(m1).terms.items():
+            accumulate(left, product(s, m2).terms,
+                       c if k is ONE else k if c is ONE else k * c)
+        for s, k in image(m2).terms.items():
+            accumulate(right, product(m1, s).terms,
+                       c if k is ONE else k if c is ONE else k * c)
+    return AlgebraElement(pres, left), AlgebraElement(pres, right)
 
 
 def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
@@ -117,8 +128,12 @@ def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
     All normal monomials of non-invertible degree <= degree (invertible
     exponents bounded by the same number) are tested; the
     multiplicativity of Delta is checked on all pairs whose degrees fit
-    inside the window.  Failures become report entries, never raises.
+    inside the window.  Failures become report entries, never raises; a
+    negative degree, which would leave only the product rows, raises
+    ConfigError.  The antipode rows form m(S x id)Delta(a) and
+    m(id x S)Delta(a) in one pass over Delta(a) (_antipode_convolutions).
     """
+    check_sizes(degree=degree)
     rep = CheckReport("hopf-axioms", preset=structure.name,
                       params={"degree": degree})
     pres = structure.pres
@@ -139,8 +154,7 @@ def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
         rep.record(f"counit[{label}]", cl == a and cr == a,
                    law="(eps x id) Delta = id = (id x eps) Delta", witness=label)
         if S is not None:
-            conv_l = _mul_slots(tensor_map([S, None], d))
-            conv_r = _mul_slots(tensor_map([None, S], d))
+            conv_l, conv_r = _antipode_convolutions(S, d)
             unit_eps = pres.one() * eps.apply(a)
             rep.record(f"antipode[{label}]",
                        conv_l == unit_eps and conv_r == unit_eps,

@@ -35,7 +35,7 @@ import functools
 from fractions import Fraction
 
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
-from .errors import ConfigError, NotCorepresentation, SideMismatch
+from .errors import NotCorepresentation, SideMismatch, check_sizes
 from .hopf import builtin
 from .ncalg import (AlgebraElement, Morphism, accumulate, constraint_rows,
                     linear_solve, tensor_map)
@@ -445,8 +445,7 @@ def _generic_checks(rep: CheckReport, sub: CoisotropicSubgroup, degree: int,
         check, law = _GENERIC_CHECKS[side][key]
         rep.record(check + suffix, ok, law=law, witness=witness)
 
-    if degree < 0:
-        raise ConfigError(f"degree must be >= 0, got {degree}")
+    check_sizes(degree=degree)
     uq = builtin("uq-g1")
     rho = trivial_corep(sub, side="right" if side == "left" else "left")
     for d in range(degree + 1):

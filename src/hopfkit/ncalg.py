@@ -19,12 +19,16 @@ images are built one letter at a time from cached shorter ones: a cold
 monomial product m1*m2 is L*(rest*m2) with L the first letter of m1, and
 a cold image phi(prefix*L) is phi(prefix)*phi(L), or phi(L)*phi(prefix)
 for an anti-homomorphism.  Only a single letter times a normal monomial
-is rewritten as a word, besides element() and the build-time checks.
-A rule that only swaps its two letters swaps whole powers in one step.
+is rewritten as a word, besides element() and the build-time checks, and
+only when the letter forms a redex with the monomial's first generator;
+otherwise the product just moves the letter's exponent.  A rule that
+only swaps its two letters swaps whole powers in one step.
 
-Tensor products, products of tensors and tensor_map (one map per slot,
-as many maps as the tensor has slots) share one outer-product loop.  The
-shape of tensor_map's output comes from the maps, not from the terms, so
+Tensor products and products of tensors share one outer-product loop.
+tensor_map (one map per slot, as many maps as the tensor has slots)
+applies each non-identity map as its own pass over the terms, replacing
+that slot of every key by its image, so identity slots cost nothing.
+The shape of its output comes from the maps, not from the terms, so
 zero input has the same type as any other: a Scalar when every slot is
 contracted, an AlgebraElement for one leg, a TensorElement for more.
 """
@@ -254,11 +258,10 @@ class Presentation:
 
         With L the first letter of m1 = L*rest, m1*m2 = L*(rest*m2).  First
         letters are peeled until the product of the suffix left with m2 is
-        cached, or the suffix is the single letter L, whose product L*m2 is
-        rewritten.  The letters are then put back one at a time, each as L
-        times the element built so far, and every suffix product is cached
-        on the way.  The rules are confluent, so this is the normal form of
-        the word m1 m2.
+        cached, or the suffix is 1.  The letters are then put back one at a
+        time, each as L times the terms built so far (_letter_times), and
+        every suffix product is cached on the way.  The rules are
+        confluent, so this is the normal form of the word m1 m2.
         """
         cache = self._prod_cache
         hit = cache.get((m1, m2))
@@ -266,24 +269,60 @@ class Presentation:
             return hit
         if m1 == self.one_mon:
             return AlgebraElement(self, {m2: ONE})
-        peeled = []  # (first letter, the suffix it starts), outermost first
+        peeled = []  # (generator, sign, the suffix its letter starts)
         rest = m1
-        while hit is None:
+        terms = None
+        while terms is None:
             g = next(k for k, e in enumerate(rest) if e)
             s = 1 if rest[g] > 0 else -1
-            letter = self._gen_mon(g, s)
-            if rest == letter:
-                word = ((g, s),) + self.mon_to_word(m2)
-                hit = AlgebraElement(self, self._normalize_terms([(ONE, word)]))
-                cache[(rest, m2)] = hit
-                break
-            peeled.append((letter, rest))
+            peeled.append((g, s, rest))
             rest = rest[:g] + (rest[g] - s,) + rest[g + 1:]
-            hit = cache.get((rest, m2))
-        for letter, suffix in reversed(peeled):
-            hit = AlgebraElement(self, {letter: ONE}) * hit
+            if rest == self.one_mon:
+                terms = {m2: ONE}
+            else:
+                hit = cache.get((rest, m2))
+                terms = None if hit is None else hit.terms
+        for g, s, suffix in reversed(peeled):
+            hit = AlgebraElement(self, self._letter_times(g, s, terms))
             cache[(suffix, m2)] = hit
+            terms = hit.terms
         return hit
+
+    def _letter_times(self, g, s, terms):
+        """The terms of the letter g^s times the element with these terms.
+
+        g^s times a normal monomial whose first generator h forms no redex
+        with it is that monomial with g's exponent moved by s: h == g (a
+        merge, whose sign never flips), h > g with no rule on the ordered
+        pair, or the monomial 1.  Every other letter product is rewritten
+        as a word and cached under (letter, monomial).
+        """
+        rules = self.rules
+        out = {}
+        rewrite = []
+        for mon, c in terms.items():
+            h = g  # the first generator of mon, or g for the monomial 1
+            for k, e in enumerate(mon):
+                if e:
+                    h = k
+                    break
+            if h == g or h > g and (g, s, h, 1 if e > 0 else -1) not in rules:
+                # distinct monomials move to distinct ones
+                out[mon[:g] + (mon[g] + s,) + mon[g + 1:]] = c
+            else:
+                rewrite.append((mon, c))
+        if rewrite:
+            cache = self._prod_cache
+            letter = self._gen_mon(g, s)
+            for mon, c in rewrite:
+                hit = cache.get((letter, mon))
+                if hit is None:
+                    word = ((g, s),) + self.mon_to_word(mon)
+                    hit = AlgebraElement(
+                        self, self._normalize_terms([(ONE, word)]))
+                    cache[(letter, mon)] = hit
+                accumulate(out, hit.terms, c)
+        return out
 
     def mono_inverse(self, mon):
         for g, e in enumerate(mon):
@@ -373,6 +412,9 @@ class _Combination:
         return self.scale(other)
 
     def tensor(self, other):
+        if not isinstance(other, _Combination):
+            raise InvalidArgument(
+                f"tensor factor must be an element, got {type(other).__name__}")
         out = {}
         _expand_slots(out, ONE, (self, other))
         return TensorElement(_legs(self) + _legs(other), out)
@@ -520,28 +562,21 @@ class TensorElement(_Combination):
 def _expand_slots(out, base, slots):
     """Accumulate base * (slot_0 (x) ... (x) slot_k) into out.
 
-    This is the one outer product of the tensor layer.  A Scalar slot is
-    contracted into the coefficient; an AlgebraElement or a {monomial:
-    coeff} dict adds one leg, and a TensorElement as many as its rank.
+    The outer product of tensor products and of products of tensors: an
+    AlgebraElement slot adds one leg, a TensorElement as many as its rank.
     A unit factor is never multiplied.  The keys of one expansion are
     distinct, as each slot's are, so they are added into out in one sum.
     """
     pairs = [((), base)]
     for slot in slots:
-        if isinstance(slot, Scalar):
-            if slot.is_zero():
-                return
-            if slot is not ONE:
-                pairs = [(key, c * slot) for key, c in pairs]
-        elif isinstance(slot, TensorElement):
+        if isinstance(slot, TensorElement):
             pairs = [(key + leg,
                       c if k is ONE else k if c is ONE else k * c)
                      for key, c in pairs for leg, k in slot.terms.items()]
         else:
-            terms = slot if isinstance(slot, dict) else slot.terms
             pairs = [(key + (mon,),
                       c if k is ONE else k if c is ONE else k * c)
-                     for key, c in pairs for mon, k in terms.items()]
+                     for key, c in pairs for mon, k in slot.terms.items()]
     if pairs:  # a zero slot leaves nothing to add
         accumulate(out, dict(pairs), ONE)
 
@@ -716,15 +751,39 @@ def tensor_map(maps, te):
     conj = conj_flags.pop() if conj_flags else False
     spaces = sum(((p,) if mp is None else _legs(mp._target_one)
                   for mp, p in zip(maps, te.spaces)), ())
-    out = {}
-    for key, c in te.terms.items():
-        _expand_slots(out, c.conjugate() if conj else c, [
-            {mon: ONE} if mp is None else mp._mono_image(mon)
-            for mp, mon in zip(maps, key)])
+    terms = te.terms
+    # the last slot first, so that the slots before j keep their positions
+    for j in reversed(range(len(maps))):
+        if maps[j] is not None:
+            terms = _map_slot(maps[j], j, terms, conj)
+            conj = False  # the coefficients are conjugated once
     if not spaces:
-        return out.get((), ZERO)
-    result = TensorElement(spaces, out)
+        return terms.get((), ZERO)
+    result = TensorElement(spaces, terms)
     return result.to_element() if len(spaces) == 1 else result
+
+
+def _map_slot(mp, j, terms, conj):
+    """The terms with slot j of every key replaced by its image under mp:
+    a Scalar image is contracted into the coefficient, an AlgebraElement
+    puts one monomial in the slot and a TensorElement its legs."""
+    image = mp._mono_image
+    kind = type(mp._target_one)
+    out = {}
+    for key, c in terms.items():
+        if conj:
+            c = c.conjugate()
+        img = image(key[j])
+        head, tail = key[:j], key[j + 1:]
+        if kind is AlgebraElement:
+            accumulate(out, {head + (mon,) + tail: k
+                             for mon, k in img.terms.items()}, c)
+        elif kind is TensorElement:
+            accumulate(out, {head + leg + tail: k
+                             for leg, k in img.terms.items()}, c)
+        elif not img.is_zero():
+            accumulate(out, {head + tail: img}, c)
+    return out
 
 
 # -- exact linear algebra over the scalar field ------------------------

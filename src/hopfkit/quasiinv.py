@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
-                     PresentationMismatch, StarUndefined, check_choice)
+                     PresentationMismatch, StarUndefined, check_choice,
+                     check_sizes)
 from .hopf import algebra_presentation, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
                     constraint_rows, linear_solve)
@@ -500,8 +501,11 @@ def _cocycle_rows(phi: Weight, degree: int, side: str):
 
 
 def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
-    """d1(phi) = 0 on all window monomial pairs, plus phi[1] = 1."""
+    """d1(phi) = 0 on all window monomial pairs, plus phi[1] = 1.  A
+    negative degree, which would leave only the unit row, raises
+    ConfigError."""
     check_choice("side", side)
+    check_sizes(degree=degree)
     uq = builtin("uq-g1")
     rep = CheckReport("cocycle", preset=phi.name,
                       params={"degree": degree, "side": side})
@@ -538,9 +542,13 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
                   h(a.X)  = sum h(psi[S(X_(1))] a psi[X_(2)*]*)   (right)
     form="lemma": sum h(X_(1).a phi[X_(2)]) = h(phi[X*]* a)       (left)
                   sum h(psi[X_(1)] a.X_(2)) = h(a psi[X*]*)       (right)
+
+    A negative degree or window, which would leave no cell, raises
+    ConfigError.
     """
     check_choice("form", form, FORMS)
     check_choice("side", side)
+    check_sizes(degree=degree, window=window)
     uq = builtin("uq-g1")
     m = phi.module
     star_u, S = uq.star, uq.antipode

@@ -123,6 +123,8 @@ CASES = {
     "tensor_map-wrong-number-of-maps": (
         lambda: tensor_map([UQ.epsilon], UQ.delta.apply(B)),
         InvalidArgument, ValueError),
+    "tensor-with-a-scalar": (
+        lambda: B.tensor(ONE), InvalidArgument, ValueError),
     "to_element-rank-2": (
         lambda: UQ.delta.apply(B).to_element(), InvalidArgument, ValueError),
     "arith-unknown-kind": (

@@ -1,6 +1,8 @@
 import pytest
 
-from hopfkit.errors import AntipodeNotInvertible, CounitLawViolated, StarUndefined
+from hopfkit import hopf
+from hopfkit.errors import (AntipodeNotInvertible, ConfigError,
+                            CounitLawViolated, StarUndefined)
 from hopfkit.hopf import HopfStructure, builtin, verify_hopf
 from hopfkit.ncalg import Presentation, tensor_map
 from hopfkit.scalars import I, ONE, W, ZERO
@@ -99,8 +101,25 @@ def test_primitive_generators_of_subgroup():
 def test_antipode_convolution_on_unit():
     p = UQ.pres
     d = UQ.delta.apply(p.one())
-    from hopfkit.hopf import _mul_slots
-    assert _mul_slots(tensor_map([UQ.antipode, None], d)) == p.one()
+    from hopfkit.hopf import _antipode_convolutions
+    assert _antipode_convolutions(UQ.antipode, d)[0] == p.one()
+
+
+def test_wrong_antipode_image_fails_the_antipode_rows_only():
+    uq = hopf._build_uq()
+    p = uq.pres
+    tb = p.gen("T") * p.gen("B")
+    (mon,) = tb.terms
+    # S(T B) is T B - iw M T plus K terms; T B alone breaks the antipode law
+    uq.antipode._mono_cache[mon] = tb
+    failed = [c.id for c in verify_hopf(uq, 2).failures()]
+    assert "antipode[T*B]" in failed
+    assert all(f.startswith("antipode[") for f in failed), failed
+
+
+def test_negative_degree_is_refused():
+    with pytest.raises(ConfigError, match="degree must be >= 0"):
+        verify_hopf(builtin("fq-j"), -1)
 
 
 @pytest.mark.parametrize("name", ["uq-g1", "fq-g1", "fq-j"])

@@ -319,7 +319,8 @@ FRESH = {
     "uq-g1": hopf._uq_presentation,
     "fq-g1": hopf._fq_presentation,
     "fq-j": hopf._fqj_presentation,
-    "h0-irr": hopf._h0_presentation,  # rules on v1 v0 and on the ordered v0 v1
+    # rules on v1 v0 and on the ordered v0 v1; the builder is cached
+    "h0-irr": hopf._h0_presentation.__wrapped__,
     "uq-dual": pairing._dual_presentation,
     "chi": lambda: Presentation("chi", ("chi",), (True,), {}),  # as LAURENT
 }
@@ -355,6 +356,40 @@ def test_mono_product_is_associative(call):
     for mons in triples:
         a, b, c = map(pres.monomial, mons)
         assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("name", sorted(FRESH))
+def test_letter_times_monomial_is_normal_form_of_the_word(name):
+    pres = FRESH[name]()
+    for g, s in pres._letters():
+        letter = pres._gen_mon(g, s)
+        for mon in WINDOWS[name]:
+            word = ((g, s),) + pres.mon_to_word(mon)
+            assert pres.mono_product(letter, mon).terms == \
+                pres._normalize_terms([(ONE, word)]), (g, s, mon)
+
+
+def _count_rewrites(monkeypatch, pres):
+    """A list that grows by one per _normalize_terms call of pres."""
+    calls = []
+    rewrite = pres._normalize_terms
+    monkeypatch.setattr(pres, "_normalize_terms",
+                        lambda items: calls.append(items) or rewrite(items))
+    return calls
+
+
+def test_in_order_letter_products_are_not_rewritten(monkeypatch):
+    uq, h0 = FRESH["uq-g1"](), FRESH["h0-irr"]()
+    uq_calls = _count_rewrites(monkeypatch, uq)
+    h0_calls = _count_rewrites(monkeypatch, h0)
+    # M times M K T B only moves the exponent of M
+    assert uq.gen("M") * uq.monomial((1, 1, 1, 1)) == uq.monomial((2, 1, 1, 1))
+    assert uq_calls == []
+    # v0 v1 is in order, but w m v0 v1 = v1 - v0 is a rule on it
+    wm_inv = ONE / (W * M)
+    assert h0.gen("v0") * h0.gen("v1") == \
+        (h0.gen("v1") - h0.gen("v0")).scale(wm_inv)
+    assert len(h0_calls) == 1
 
 
 def _fresh_morphism(name):
@@ -472,6 +507,26 @@ def test_tensor_map_matches_slotwise_expansion(case):
         out = ncalg.tensor_map(list(maps), te)
         assert isinstance(out, kind)
         assert _legs_of(out) == _slotwise(maps, te)
+
+
+def _multiplied_out(te):
+    """The two legs of each term of a rank-2 tensor multiplied, summed."""
+    p0, p1 = te.spaces
+    out = p0.zero()
+    for (m1, m2), c in te.terms.items():
+        out = out + (p0.monomial(m1) * p1.monomial(m2)).scale(c)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(HOPF)).flatmap(
+    lambda name: st.tuples(st.just(name), rank2_tensors(name))))
+def test_antipode_convolutions_match_mapped_tensor_multiplied_out(case):
+    name, te = case
+    S = HOPF[name].antipode
+    left, right = hopf._antipode_convolutions(S, te)
+    assert left == _multiplied_out(ncalg.tensor_map([S, None], te))
+    assert right == _multiplied_out(ncalg.tensor_map([None, S], te))
 
 
 @settings(max_examples=40, deadline=None)

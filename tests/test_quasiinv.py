@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit.cli import run_suite
-from hopfkit.errors import (NotGroupLike, NotInvertible, NotTauReal,
-                            PresentationMismatch, StarUndefined)
+from hopfkit.errors import (ConfigError, NotGroupLike, NotInvertible,
+                            NotTauReal, PresentationMismatch, StarUndefined)
 from hopfkit.hopf import algebra_presentation, builtin
 from hopfkit.induce import _galilei_module
 from hopfkit.ncalg import AlgebraElement, Presentation
@@ -847,3 +847,12 @@ def test_chi_fraction_equality_mutant_fails_the_cocycle_suite(monkeypatch):
     assert len(rep.checks) == 2941
     assert failed
     assert all(cid.startswith("cohomology-d1d0::d1d0[") for cid in failed)
+
+
+def test_negative_sizes_are_refused():
+    h, phi = nu_w_functional(), galilei_weight()
+    with pytest.raises(ConfigError, match="degree must be >= 0"):
+        cocycle_check(phi, -1)
+    for degree, window in ((-1, 2), (1, -1)):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            quasi_invariance_check(h, phi, degree, window)
