@@ -15,6 +15,7 @@ from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report
 from .errors import ConfigError, HopfkitError, UnknownSuite, check_sizes
 from .hopf import BUILTIN_NAMES, HOPF_NAMES, builtin, verify_hopf
 from .induce import (
+    galilei_basis,
     galilei_rep,
     ind_generic_report,
     intertwiner_report,
@@ -26,7 +27,6 @@ from .induce import (
 from .parser import parse, print_element
 from .pairing import engine, pairing_report
 from .quasiinv import (
-    chi,
     cocycle_check,
     coboundary_vanishing_report,
     essential_invariance_report,
@@ -179,12 +179,17 @@ def _cmd_verify(args) -> int:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    names = [args.suite]
-    if args.suite == "all":
-        names = sorted(SUITES)
-    elif "suites" in cfg and args.suite == "config":
-        names = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
     # reject the whole command before any report is printed
+    if args.suite == "config":
+        if "suites" not in cfg:
+            raise ConfigError("verify config needs a 'suites' key in "
+                              "its --config file")
+        names = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
+    elif "suites" in cfg:
+        raise ConfigError(f"the config's 'suites' key is read by verify "
+                          f"config only, not by verify {args.suite}")
+    else:
+        names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         _check_suite(name)
     _check_preset(cfg.get("preset"))
@@ -217,18 +222,16 @@ def _cmd_pair(args) -> int:
 def _cmd_matrix(args) -> int:
     window = args.window
     check_sizes(window=window)
-    basis = list(range(-window, window + 1))
-    cols = []
-    for l in basis:
-        image = galilei_rep(args.op, chi(l))
-        cols.append({out: str(c) for (out,), c in image.terms.items()})
-    matrix = [[cols[j].get(out, "0") for j in range(len(basis))]
-              for out in basis]
+    basis = galilei_basis(window)
+    cols = [{out: str(c) for (out,), c in galilei_rep(args.op, A).terms.items()}
+            for A, _ in basis]
+    matrix = [[col.get(out, "0") for col in cols]
+              for out in range(-window, window + 1)]
     with _open_out(args.out) as out:
         _emit({
             "operator": args.op,
             "window": window,
-            "basis": [f"phi*chi^{l}" for l in basis],
+            "basis": [label for _, label in basis],
             "matrix": matrix,
         }, out)
     return 0
@@ -251,7 +254,8 @@ def build_arg_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="suite name, or 'all'")
+    p.add_argument("suite", help="suite name, 'all', or 'config' for the "
+                                 "suites key of --config")
     p.add_argument("--degree", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--preset")

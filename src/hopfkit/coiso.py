@@ -20,9 +20,9 @@ from .errors import (
     TauIncompatible,
     check_choice,
 )
-from .hopf import HopfStructure, builtin
-from .ncalg import (AlgebraElement, Morphism, constraint_rows, linear_solve,
-                    tensor_map)
+from .hopf import HopfStructure, antipode_convolutions, builtin
+from .ncalg import (AlgebraElement, Morphism, TensorElement, constraint_rows,
+                    linear_solve, tensor_map)
 from .report import CheckReport
 
 SUBGROUP_SIDES = ("left", "right", "two-sided")
@@ -132,21 +132,17 @@ def homogeneous_space(sub: CoisotropicSubgroup, degree: int,
 def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
     """eps_L(a) = sum pi(Sinv(a_(2)) a_(1)); right mirror swaps the legs.
 
-    On homogeneous-space members this collapses to eps(a) pi(1).
+    pi of one antipode convolution of Sinv over the flipped Delta a.  As
+    sum Sinv(a_(2)) a_(1) = eps(a) 1 = sum a_(2) Sinv(a_(1)), it equals
+    eps(a) pi(1) for every a, so a swap of the legs does not show.
     """
     check_choice("side", side)
-    amb, pi = sub.ambient, sub.pi
-    sinv = amb.antipode_inv
+    amb = sub.ambient
     d = amb.delta.apply(a)
-    out = sub.quotient.pres.zero()
-    for (m1, m2), c in d.terms.items():
-        e1 = amb.pres.monomial(m1)
-        e2 = amb.pres.monomial(m2)
-        if side == "left":
-            out = out + pi.apply(sinv.apply(e2) * e1) * c
-        else:
-            out = out + pi.apply(e2 * sinv.apply(e1)) * c
-    return out
+    flipped = TensorElement(d.spaces, {(m2, m1): c
+                                       for (m1, m2), c in d.terms.items()})
+    left, right = antipode_convolutions(amb.antipode_inv, flipped)
+    return sub.pi.apply(left if side == "left" else right)
 
 
 def subgroup_report(sub: CoisotropicSubgroup, degree: int) -> CheckReport:

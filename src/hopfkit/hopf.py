@@ -102,7 +102,7 @@ def tau(structure: HopfStructure, e: AlgebraElement) -> AlgebraElement:
     return structure.apply_tau(e)
 
 
-def _antipode_convolutions(S, d):
+def antipode_convolutions(S, d):
     """m(S x id) d and m(id x S) d of a rank-2 tensor d over S's algebra.
 
     One pass over the terms of d: each (m1, m2) adds the products s*m2 over
@@ -131,7 +131,7 @@ def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
     inside the window.  Failures become report entries, never raises; a
     negative degree, which would leave only the product rows, raises
     ConfigError.  The antipode rows form m(S x id)Delta(a) and
-    m(id x S)Delta(a) in one pass over Delta(a) (_antipode_convolutions).
+    m(id x S)Delta(a) in one pass over Delta(a) (antipode_convolutions).
     """
     check_sizes(degree=degree)
     rep = CheckReport("hopf-axioms", preset=structure.name,
@@ -154,7 +154,7 @@ def verify_hopf(structure: HopfStructure, degree: int) -> CheckReport:
         rep.record(f"counit[{label}]", cl == a and cr == a,
                    law="(eps x id) Delta = id = (id x eps) Delta", witness=label)
         if S is not None:
-            conv_l, conv_r = _antipode_convolutions(S, d)
+            conv_l, conv_r = antipode_convolutions(S, d)
             unit_eps = pres.one() * eps.apply(a)
             rep.record(f"antipode[{label}]",
                        conv_l == unit_eps and conv_r == unit_eps,

@@ -44,7 +44,8 @@ from .quasiinv import (IWM, LAURENT, OPS, ChiModule, RegularModule, Weight,
                        act, chi, epsilon_weight, galilei_weight,
                        nu_w_functional, transform_weight, twisted_action)
 from .report import CheckReport
-from .scalars import I, M as SM, ONE, Scalar, U as SU, W, ZERO
+from .scalars import (I, M as SM, ONE, Scalar, U as SU, W, ZERO,
+                      format_terms)
 
 CHI = chi(1)
 
@@ -192,25 +193,21 @@ def eq_sesq_defect(A: IndElement, rho: Corepresentation, i: int):
     Returns lhs - rhs.
     """
     sub = rho.sub
-    amb, pi = sub.ambient, sub.pi
-    sinv = amb.antipode_inv
-    total = None
+    amb, pi, sinv = sub.ambient, sub.pi, sub.ambient.antipode_inv
+    one, pi1 = amb.pres.one(), pi.apply(amb.pres.one())
+    if A.side == "left":
+        total = -pi1.tensor(A.components[i])
+    else:
+        total = -A.components[i].tensor(pi1)
     for j in range(rho.n):
         d = amb.delta.apply(A.components[j])
-        for (m1, m2), c in d.terms.items():
-            e1, e2 = amb.pres.monomial(m1), amb.pres.monomial(m2)
-            if A.side == "left":
-                piece = (pi.apply(sinv.apply(e1)) * rho.matrix[i][j]
-                         ).tensor(e2).scale(c)
-            else:
-                piece = e1.tensor(rho.matrix[j][i] * pi.apply(sinv.apply(e2))
-                                  ).scale(c)
-            total = piece if total is None else total + piece
-    if A.side == "left":
-        rhs = pi.apply(amb.pres.one()).tensor(A.components[i])
-    else:
-        rhs = A.components[i].tensor(pi.apply(amb.pres.one()))
-    return total - rhs
+        if A.side == "left":
+            legs = tensor_map([pi, None], tensor_map([sinv, None], d))
+            total = total + legs * rho.matrix[i][j].tensor(one)
+        else:
+            legs = tensor_map([None, pi], tensor_map([None, sinv], d))
+            total = total + one.tensor(rho.matrix[j][i]) * legs
+    return total
 
 
 def rho_tilde_generic(X: AlgebraElement, A: IndElement, phi: Weight) -> IndElement:
@@ -225,10 +222,8 @@ def rho_tilde_generic(X: AlgebraElement, A: IndElement, phi: Weight) -> IndEleme
 
 def galilei_label(A: AlgebraElement) -> str:
     """The Galilei vector phi * A printed on the basis {phi chi^l}."""
-    if not A.terms:
-        return "0"
-    return " + ".join(f"phi*chi^{l}" if str(c) == "1" else f"({c})*phi*chi^{l}"
-                      for (l,), c in sorted(A.terms.items()))
+    return format_terms((str(c), f"phi*chi^{l}")
+                        for (l,), c in sorted(A.terms.items()))
 
 
 def star_pairing(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:

@@ -49,7 +49,8 @@ from .errors import (
     UnknownGenerator,
     WindowOverflow,
 )
-from .scalars import ONE, Scalar, ZERO, scalar
+from .scalars import (ONE, Scalar, ZERO, format_monomial, format_terms,
+                      scalar)
 
 _MAX_REWRITE_STEPS = 2_000_000
 _MINUS_ONE = -ONE
@@ -547,13 +548,12 @@ class TensorElement(_Combination):
         return AlgebraElement(self.spaces[0], {k[0]: c for k, c in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: tuple((sum(abs(e) for e in m), m) for m in k)):
-            mono = " (x) ".join(format_monomial(p, m) for p, m in zip(self.spaces, key))
-            bits.append(f"({self.terms[key]}) {mono}")
-        return "  +  ".join(bits)
+        return format_terms(
+            (str(self.terms[k]), " (x) ".join(
+                format_monomial(p.generators, m) or "1"
+                for p, m in zip(self.spaces, k)))
+            for k in sorted(self.terms, key=lambda k: tuple(
+                (sum(abs(e) for e in m), m) for m in k)))
 
     def __repr__(self):
         return f"<tensor rank {self.rank}: {self}>"
@@ -675,10 +675,6 @@ class Morphism:
         return hit
 
     def apply(self, e):
-        if isinstance(e, TensorElement):
-            return tensor_map([self] * e.rank, e)
-        if isinstance(e, Scalar):
-            return e.conjugate() if self.conjugate else e
         if e.pres is not self.source:
             raise PresentationMismatch(
                 f"{self.name} defined on {self.source.name}, got {e.pres.name}")
@@ -698,9 +694,6 @@ class Morphism:
                 c = c.conjugate()
             accumulate(out, self._mono_image(mon).terms, c)
         return self._target_one._like(out)
-
-    def __call__(self, e):
-        return self.apply(e)
 
     def _check_relations(self):
         def word_image(word):
@@ -854,43 +847,10 @@ def linear_solve(constraints, unknowns):
 # -- printing ----------------------------------------------------------
 
 
-def format_monomial(pres, mon):
-    parts = []
-    for g, e in enumerate(mon):
-        if e == 1:
-            parts.append(pres.generators[g])
-        elif e:
-            parts.append(f"{pres.generators[g]}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def format_element(e):
-    if not e.terms:
-        return "0"
-    inv = e.pres.invertible
+    inv, names = e.pres.invertible, e.pres.generators
     def key(mon):
         return (sum(abs(x) for g, x in enumerate(mon) if not inv[g]),
                 tuple(abs(x) for x in mon), mon)
-    bits = []
-    for mon in sorted(e.terms, key=key):
-        c = e.terms[mon]
-        mono = format_monomial(e.pres, mon)
-        cs = str(c)
-        multi = (" + " in cs) or (" - " in cs)
-        if mono == "1":
-            piece = f"({cs})" if multi else cs
-        elif cs == "1":
-            piece = mono
-        elif cs == "-1":
-            piece = f"-{mono}"
-        elif multi:
-            piece = f"({cs})*{mono}"
-        else:
-            piece = f"{cs}*{mono}"
-        if bits and not piece.startswith("-"):
-            bits.append(f"+ {piece}")
-        elif bits:
-            bits.append(f"- {piece[1:]}")
-        else:
-            bits.append(piece)
-    return " ".join(bits)
+    return format_terms([(str(e.terms[mon]), format_monomial(names, mon))
+                         for mon in sorted(e.terms, key=key)])

@@ -60,13 +60,11 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import PresentationMismatch, RelationNotPreserved, check_choice
-from .hopf import builtin
+from .hopf import IW, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, TensorElement,
                     accumulate)
 from .report import CheckReport
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
-
-IW = IMAG * W
 
 _MU_MON = (1, 0, 0, 0)
 _T_MON = (0, 0, 1, 0)

@@ -344,8 +344,7 @@ class Weight:
 
 
 def nu_w_functional() -> Functional:
-    return Functional("nu_w", ChiModule(),
-                      lambda a: a.terms.get((0,), ZERO))
+    return Functional("nu_w", ChiModule(), nu_w)
 
 
 def nu_w(a) -> Scalar:

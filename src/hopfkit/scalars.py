@@ -172,7 +172,7 @@ class GaussRat:
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return _format_gauss(self, bare=True)
+        return _format_gauss(self)
 
 
 _new_gauss = object.__new__
@@ -987,14 +987,12 @@ def _format_ratio(n, d):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _format_gauss(c, bare=False):
-    """Render a Gaussian rational in the expression grammar.
-
-    bare=True allows an unparenthesized mixed value (used by str()).
-    """
+def _format_gauss(c):
+    """Render a Gaussian rational in the expression grammar (a mixed value
+    as a bare sum)."""
     a, b, d = c.a, c.b, c.d
-    if not b:
-        return _format_ratio(a, d)
+    if not b:  # gcd(a, d) == 1 here
+        return str(a) if d == 1 else f"{a}/{d}"
     if not a:
         # gcd(b, d) == 1 here, so b/d is +-1 only when b == +-d
         if b == d:
@@ -1002,14 +1000,15 @@ def _format_gauss(c, bare=False):
         if b == -d:
             return "-i"
         return f"{_format_ratio(b, d)}*i"
-    s = f"{_format_ratio(a, d)} + {_format_ratio(b, d)}*i" if b > 0 \
-        else f"{_format_ratio(a, d)} - {_format_ratio(-b, d)}*i"
-    return s if bare else f"({s})"
+    sign, b = ("+", b) if b > 0 else ("-", -b)
+    return f"{_format_ratio(a, d)} {sign} {_format_ratio(b, d)}*i"
 
 
-def _format_mono(exp):
+def format_monomial(names, exps):
+    """The product of names[k]^exps[k], with ^1 and zero exponents left
+    out; the unit prints as ""."""
     parts = []
-    for v, e in zip(VAR_NAMES, exp):
+    for v, e in zip(names, exps):
         if e == 1:
             parts.append(v)
         elif e:
@@ -1017,25 +1016,30 @@ def _format_mono(exp):
     return "*".join(parts)
 
 
-def _format_poly(p):
-    if p.is_zero():
-        return "0"
+def format_terms(pairs):
+    """The signed sum of (coefficient text, monomial text) pairs in the
+    grammar parse reads: a coefficient that prints as a sum is
+    parenthesized, 1 and -1 before a monomial are left out, "" is the unit
+    monomial and no pairs print as "0"."""
     out = []
-    for exp in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[exp]
-        mono = _format_mono(exp)
+    for coeff, mono in pairs:
+        if " + " in coeff or " - " in coeff:
+            coeff = f"({coeff})"
         if not mono:
-            piece = _format_gauss(c)
-        elif c == GR_ONE:
+            piece = coeff
+        elif coeff == "1":
             piece = mono
-        elif c == -GR_ONE:
+        elif coeff == "-1":
             piece = f"-{mono}"
         else:
-            piece = f"{_format_gauss(c)}*{mono}"
-        if out and not piece.startswith("-"):
-            out.append(f"+ {piece}")
-        elif out:
-            out.append(f"- {piece[1:]}")
-        else:
-            out.append(piece)
-    return " ".join(out)
+            piece = f"{coeff}*{mono}"
+        if out:
+            piece = f"- {piece[1:]}" if piece[0] == "-" else f"+ {piece}"
+        out.append(piece)
+    return " ".join(out) if out else "0"
+
+
+def _format_poly(p):
+    return format_terms(
+        [(_format_gauss(p.terms[exp]), format_monomial(VAR_NAMES, exp))
+         for exp in sorted(p.terms, key=_grlex_key, reverse=True)])

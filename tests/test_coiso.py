@@ -88,6 +88,32 @@ def test_epsilon_side_values():
     assert epsilon_side(v, SUB, side="right").is_zero()
 
 
+def _epsilon_side_per_leg(a, side):
+    sinv, pi = FQ.antipode_inv, SUB.pi
+    out = FJ.pres.zero()
+    for (m1, m2), c in FQ.delta.apply(a).terms.items():
+        e1, e2 = FQ.pres.monomial(m1), FQ.pres.monomial(m2)
+        if side == "left":
+            out = out + pi.apply(sinv.apply(e2) * e1) * c
+        else:
+            out = out + pi.apply(e2 * sinv.apply(e1)) * c
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_epsilon_side_is_the_per_leg_sum_and_eps_times_pi_one(side):
+    # sum Sinv(a_(2)) a_(1) = eps(a) 1 = sum a_(2) Sinv(a_(1)), so the value
+    # is eps(a) pi(1) on every monomial, member of the homogeneous space or not
+    window = FQ.pres.monomials_up_to(3)
+    assert len(window) == 35
+    pi1 = SUB.pi.apply(FQ.pres.one())
+    for mon in window:
+        a = FQ.pres.monomial(mon)
+        got = epsilon_side(a, SUB, side)
+        assert got == _epsilon_side_per_leg(a, side), (side, str(a))
+        assert got == pi1 * FQ.epsilon.apply(a), (side, str(a))
+
+
 def test_tau_mismatch_is_rejected():
     # a quotient whose tau fixes th instead of negating it still satisfies
     # the algebra relations, but pi no longer intertwines the involutions

@@ -117,6 +117,8 @@ CASES = {
         lambda: Morphism(UQ.pres, [UQ.pres.gen(g) for g in UQ.pres.generators],
                          kind="iso"),
         InvalidArgument, ValueError),
+    "morphism_apply-foreign-element": (
+        lambda: UQ.antipode.apply(V), PresentationMismatch, None),
     "tensor_map-mixed-conjugation": (
         lambda: tensor_map([UQ.star, UQ.antipode], UQ.delta.apply(B)),
         InvalidArgument, ValueError),

@@ -101,8 +101,8 @@ def test_primitive_generators_of_subgroup():
 def test_antipode_convolution_on_unit():
     p = UQ.pres
     d = UQ.delta.apply(p.one())
-    from hopfkit.hopf import _antipode_convolutions
-    assert _antipode_convolutions(UQ.antipode, d)[0] == p.one()
+    from hopfkit.hopf import antipode_convolutions
+    assert antipode_convolutions(UQ.antipode, d)[0] == p.one()
 
 
 def test_wrong_antipode_image_fails_the_antipode_rows_only():

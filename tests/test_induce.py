@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfkit.coiso import galilei_subgroup, homogeneous_space
 from hopfkit.errors import (ConfigError, NotInvertible, RelationNotPreserved,
@@ -231,6 +231,49 @@ def test_ind_space_of_a_two_dimensional_corep(side):
                 assert lhs == rhs, (d, str(A), j)
             for i in range(2):
                 assert eq_sesq_defect(A, rho, i).is_zero(), (d, str(A), i)
+
+
+def _defect_per_leg(A, rho, i):
+    """eq_sesq_defect as a loop over the legs of each Delta A_j."""
+    amb, pi = rho.sub.ambient, rho.sub.pi
+    sinv = amb.antipode_inv
+    total = None
+    for j in range(rho.n):
+        d = amb.delta.apply(A.components[j])
+        for (m1, m2), c in d.terms.items():
+            e1, e2 = amb.pres.monomial(m1), amb.pres.monomial(m2)
+            if A.side == "left":
+                piece = (pi.apply(sinv.apply(e1)) * rho.matrix[i][j]
+                         ).tensor(e2).scale(c)
+            else:
+                piece = e1.tensor(rho.matrix[j][i] * pi.apply(sinv.apply(e2))
+                                  ).scale(c)
+            total = piece if total is None else total + piece
+    if A.side == "left":
+        rhs = pi.apply(amb.pres.one()).tensor(A.components[i])
+    else:
+        rhs = A.components[i].tensor(pi.apply(amb.pres.one()))
+    return total - rhs
+
+
+FQ_WINDOW_2 = SUB.ambient.pres.monomials_up_to(2)
+LEG_COEFFS = [ONE, -ONE, I, scalar(Fraction(-3, 2)), W, ONE / (W + M)]
+components = st.dictionaries(st.sampled_from(FQ_WINDOW_2),
+                             st.sampled_from(LEG_COEFFS), max_size=3).map(
+    lambda terms: AlgebraElement(SUB.ambient.pres, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["right", "left"]), components, components)
+def test_eq_sesq_defect_matches_the_per_leg_sum_off_the_induced_space(
+        corep_side, a0, a1):
+    # random vectors, mostly outside the induced space, so the defect is
+    # compared where it is not zero
+    assume(a0 or a1)
+    rho = _shear_corep(corep_side)
+    A = IndElement([a0, a1], "left" if corep_side == "right" else "right")
+    for i in range(2):
+        assert eq_sesq_defect(A, rho, i) == _defect_per_leg(A, rho, i)
 
 
 def test_sesq_form_and_membership():

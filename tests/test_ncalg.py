@@ -524,7 +524,7 @@ def _multiplied_out(te):
 def test_antipode_convolutions_match_mapped_tensor_multiplied_out(case):
     name, te = case
     S = HOPF[name].antipode
-    left, right = hopf._antipode_convolutions(S, te)
+    left, right = hopf.antipode_convolutions(S, te)
     assert left == _multiplied_out(ncalg.tensor_map([S, None], te))
     assert right == _multiplied_out(ncalg.tensor_map([None, S], te))
 

@@ -306,6 +306,28 @@ def test_verify_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("window = 1\n", ["verify", "config"], "needs a 'suites' key"),
+    (None, ["verify", "config"], "needs a 'suites' key"),
+    ("suites = jform\nwindow = 1\n", ["verify", "all"],
+     "read by verify config only"),
+    ("suites = jform\nwindow = 1\n", ["verify", "intertwiner"],
+     "read by verify config only"),
+])
+def test_suites_key_is_read_by_verify_config_only(tmp_path, capsys, text,
+                                                  argv, message):
+    # verify config without the key used to fail as an unknown suite
+    # 'config', and verify all with it used to run all 14 suites
+    if text is not None:
+        cfg = tmp_path / "hopfkit.conf"
+        cfg.write_text(text)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_run_suite_coisotropic_degree_zero():
     # degree 0 is a real window (the unit only), not "use the default"
     rep = run_suite("coisotropic", {"degree": 0})
