@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import sys
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
@@ -35,7 +36,7 @@ from .quasiinv import (
     quasi_invariance_check,
     recurrence_report,
 )
-from .report import CheckEntry, CheckReport, dumps
+from .report import CheckEntry, CheckReport
 
 CONFIG_KEYS = ("window", "degree", "preset", "suites", "output")
 
@@ -165,9 +166,8 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _emit(payload: dict, out):
-    """Print payload as JSON, and write the same text to out if given."""
-    text = dumps(payload)
+def _emit(text: str, out):
+    """Print text, and write the same text to out if given."""
     print(text)
     if out is not None:
         out.write(text + "\n")
@@ -200,7 +200,7 @@ def _cmd_verify(args) -> int:
     with _open_out(args.out or cfg.get("output")) as out:
         for name in names:
             rep = run_suite(name, cfg)
-            _emit(rep.to_dict(), out)
+            _emit(rep.to_json(), out)
             if not rep.passed:
                 status = 1
     return status
@@ -228,12 +228,12 @@ def _cmd_matrix(args) -> int:
     matrix = [[col.get(out, "0") for col in cols]
               for out in range(-window, window + 1)]
     with _open_out(args.out) as out:
-        _emit({
+        _emit(json.dumps({
             "operator": args.op,
             "window": window,
             "basis": [label for _, label in basis],
             "matrix": matrix,
-        }, out)
+        }, indent=2), out)
     return 0
 
 

@@ -13,6 +13,8 @@ properties are bounded-degree verifications and are reported as such.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     NotCoalgebraMorphism,
     NotModuleMorphism,
@@ -240,8 +242,10 @@ def homogeneous_space_report(sub: CoisotropicSubgroup, degree: int,
     return rep.finalize()
 
 
+@functools.cache
 def galilei_subgroup() -> CoisotropicSubgroup:
-    """The built-in projection onto the three-generator subgroup."""
+    """The built-in projection onto the three-generator subgroup, built
+    once per process like the Hopf built-ins."""
     fq = builtin("fq-g1")
     fj = builtin("fq-j")
     p, q = fq.pres, fj.pres

@@ -32,22 +32,35 @@ The letter recursion is kept only as the oracle (pair_recursive): split
 a dual monomial into single letters and peel them against coproduct
 legs, <g1 g2, a> = sum <g1, a_(1)> <g2, a_(2)>.  Only the one-letter
 rows enter it, so the factorials and the l-dependence of the closed form
-are reproduced rather than assumed.  The nonzero one-letter values a
-head letter can take against a monomial depend only on the letter and
-the monomial's x-exponent, so the engine keeps them in a row table keyed
-by (letter, x-exponent), built on first use.  The closed-vs-recursive
-row of pairing_report compares the two on a full window, and every law
-row of that report tests the closed form.
+are reproduced rather than assumed.  The oracle runs one letter word at
+a time: a word's row {fq monomial: value} holds its nonzero values on a
+set of target monomials, and _row_cache keeps it by word, with the
+targets it covers, growing it when asked for more.  A word of two or
+more letters gets its row from its suffix's: each nonzero suffix value
+at m2 is pushed through the legs first (x) m2 of the targets' coproducts
+and multiplied by the head letter's one-letter value on first, through
+an index (second leg -> target, coefficient) built once per head letter
+and target set, so the push reads nonzero suffix values only.  The
+one-letter rows are sparse as they stand: the nonzero values a letter
+takes depend only on the letter and the monomial's x-exponent, so the
+engine keeps them in a table keyed by (letter, x-exponent), built on
+first use.  The closed-vs-recursive row of pairing_report reads
+one row per dual monomial of its grid, a missing key meaning zero, and
+compares it with the closed form on every pair; every law row of that
+report tests the closed form.  pair_recursive and pair_mono answer
+single pairs through the same rows, on or off the grid.
 
 A one-letter row pairs only with mu, t, v or x^b: first legs of degree
 <= 1 in (mu, t, v), with x of degree 0.  Every fq-g1 rule keeps that
 degree (x mu -> mu x - 2iw mu, v mu -> mu v + iw v^2, ...), so fq-g1 is
 graded by it, and the oracle builds each coproduct already truncated to
 first-leg degree <= 1, one letter at a time from the generator images of
-fq.delta, never forming a product it cannot read.  The weights are read
-off the one-letter rows when the engine is built, and a rule that breaks
-the grading raises RelationNotPreserved there.  pair, act and the Hopf
-layer keep the full coproduct.
+fq.delta, never forming a product it cannot read.  It builds them only
+for the targets of words of two or more letters (on the grid, its 108
+monomials), since a one-letter suffix is read off its row.  The weights
+are read off the one-letter rows when the engine is built, and a rule
+that breaks the grading raises RelationNotPreserved there.  pair, act
+and the Hopf layer keep the full coproduct.
 
 Regular actions: X.a = (id x X) Delta a and a.X = (X x id) Delta a.
 """
@@ -130,7 +143,7 @@ class PairEngine:
                 TensorElement(spaces, {key: c for key, c in img.terms.items()
                                        if self._degree(key[0]) == d})
                 for d in (0, 1))
-        self._delta_index = {}
+        self._leg_indexes = {}
 
     # -- closed formula: the production evaluation --------------------
 
@@ -202,6 +215,16 @@ class PairEngine:
         """<I^a' K^l T^g' N^d', f_mon> by peeling single dual letters."""
         return self.pair_mono(_letters(tuple(dual_mon)), tuple(f_mon))
 
+    def pair_mono(self, letters, mon) -> Scalar:
+        """<letters, mon> for a word of dual letters and a normal fq
+        monomial, read from the word's row."""
+        return self._word_row(tuple(letters), frozenset((mon,))).get(mon, ZERO)
+
+    def recursive_row(self, dual_mon, targets):
+        """{fm: <I^a' K^l T^g' N^d', fm>} by the letter recursion, holding
+        the nonzero values on the fq monomials of the frozenset targets."""
+        return self._word_row(_letters(tuple(dual_mon)), targets)
+
     @staticmethod
     def _row(letter, mon) -> Scalar:
         """<letter, mon> for a single dual letter and normal fq monomial."""
@@ -246,17 +269,6 @@ class PairEngine:
             cache[prefix] = hit
         return hit
 
-    def _delta_terms(self, mon):
-        """Truncated coproduct of an fq monomial, indexed by the first slot."""
-        hit = self._delta_index.get(mon)
-        if hit is None:
-            hit = {}
-            for part in self._truncated_delta(mon):
-                for (m1, m2), c in part.terms.items():
-                    hit.setdefault(m1, []).append((m2, c))
-            self._delta_index[mon] = hit
-        return hit
-
     @staticmethod
     def _row_support(letter, max_x):
         """First-slot monomials a single letter can pair with."""
@@ -268,35 +280,66 @@ class PairEngine:
             return (_V_MON,)
         return tuple((0, b, 0, 0) for b in range(max_x + 1))
 
-    def pair_mono(self, letters, mon) -> Scalar:
-        key = (letters, mon)
-        hit = self._row_cache.get(key)
-        if hit is not None:
-            return hit
-        if not letters:
-            out = self.fq.epsilon.apply(self.fq.pres.monomial(mon))
-        elif len(letters) == 1:
-            out = self._row(letters[0], mon)
+    def _head_row(self, letter, max_x):
+        """{first: <letter, first>}, nonzero, over first legs of x-exponent
+        <= max_x: the one-letter row as it stands, kept per (letter, max_x)."""
+        key = (letter, max_x)
+        hit = self._head_rows.get(key)
+        if hit is None:
+            hit = self._head_rows[key] = {
+                first: r for first in self._row_support(letter, max_x)
+                if not (r := self._row(letter, first)).is_zero()}
+        return hit
+
+    def _leg_index(self, head, targets):
+        """(second legs, {m2: {target: sum c <head, first>}}) over the legs
+        c first (x) m2 of the truncated coproducts of targets, built once
+        per head letter and target set."""
+        key = (head, targets)
+        hit = self._leg_indexes.get(key)
+        if hit is None:
+            index = {}
+            for t in targets:
+                head_row = self._head_row(head, t[1])
+                for part in self._truncated_delta(t):
+                    for (first, m2), c in part.terms.items():
+                        r = head_row.get(first)
+                        if r is not None:
+                            accumulate(index.setdefault(m2, {}), {t: c}, r)
+            hit = self._leg_indexes[key] = (frozenset(index), index)
+        return hit
+
+    def _word_row(self, word, targets):
+        """{mon: <word, mon>} of the nonzero values, complete on targets.
+
+        A word of two or more letters gets its row from its suffix's:
+        each nonzero suffix value at m2 is pushed through the legs
+        first (x) m2 of the targets' truncated coproducts, times the head
+        letter's one-letter value on first.  The row is cached by word
+        with the targets it covers, and grows when asked for more.
+        """
+        if not word:  # the counit
+            eps, monomial = self.fq.epsilon, self.fq.pres.monomial
+            return {m: e for m in targets
+                    if not (e := eps.apply(monomial(m))).is_zero()}
+        if len(word) == 1:
+            return self._head_row(word[0], max((t[1] for t in targets),
+                                               default=0))
+        hit = self._row_cache.get(word)
+        if hit is None:  # the first targets are the domain: shared, no copy
+            domain, row, new = targets, {}, targets
         else:
-            out = ZERO
-            head, rest = letters[0], letters[1:]
-            index = self._delta_terms(mon)
-            # the nonzero (first, <head, first>), per head and x-exponent
-            rows = self._head_rows.get((head, mon[1]))
-            if rows is None:
-                rows = self._head_rows[head, mon[1]] = tuple(
-                    (first, r) for first in self._row_support(head, mon[1])
-                    if not (r := self._row(head, first)).is_zero())
-            for first, r in rows:
-                bucket = index.get(first)
-                if bucket is None:
-                    continue
-                for m2, c in bucket:
-                    tail = self.pair_mono(rest, m2)
-                    if not tail.is_zero():
-                        out = out + c * r * tail
-        self._row_cache[key] = out
-        return out
+            domain, row = hit
+            new = targets - domain
+            domain = domain | new
+        if new:
+            seconds, index = self._leg_index(word[0], new)
+            for m2, v in self._word_row(word[1:], seconds).items():
+                bucket = index.get(m2)
+                if bucket is not None:
+                    accumulate(row, bucket, v)
+            self._row_cache[word] = (domain, row)
+        return row
 
 
 def _check_graded(pres, weights):
@@ -366,13 +409,15 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
                                           range(x_power_bound + 1),
                                           range(f_bound + 1),
                                           range(f_bound + 1)))
+    targets = frozenset(fq_monomials)
     for dual in itertools.product(range(dual_bound + 1),
                                   range(-ell_bound, ell_bound + 1),
                                   range(dual_bound + 1),
                                   range(dual_bound + 1)):
+        row = eng.recursive_row(dual, targets)
         for fm in fq_monomials:
             total += 1
-            if eng.pair_recursive(dual, fm) != eng.pair_closed(dual, fm):
+            if row.get(fm, ZERO) != eng.pair_closed(dual, fm):
                 mismatches += 1
                 if first_witness is None:
                     first_witness = f"dual={dual}, monomial={fm}"

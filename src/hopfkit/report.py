@@ -1,4 +1,11 @@
-"""Machine-readable outcome of one verification suite."""
+"""Machine-readable outcome of one verification suite.
+
+A CheckReport gains its checks through record, one entry each.  Its
+printed form is to_json, exactly the text of json.dumps(to_dict(),
+indent=2): the check list, nearly all of that text, is written in one
+pass over the entries, with no dict built per check.  to_dict gives the
+same report as a dict.
+"""
 
 from __future__ import annotations
 
@@ -8,28 +15,12 @@ from json.encoder import encode_basestring_ascii as _quote
 
 TOOL_VERSION = "0.1.0"
 
-
-def dumps(payload: dict) -> str:
-    """Exactly the text of json.dumps(payload, indent=2), for str keys.
-
-    json.dumps uses its pure-Python encoder whenever an indent is given.
-    A report's text is nearly all its "checks" list, dicts of str as
-    CheckReport.to_dict makes them, so that list is written here with the
-    C string encoder.  Every other value goes through json.dumps and is
-    indented by hand: encoded JSON holds no raw newline (one inside a
-    string is escaped), so indenting is a replace.
-    """
-    rows = []
-    for key, value in payload.items():
-        if key == "checks" and value:
-            text = "[\n    " + ",\n    ".join([
-                "{\n      " + ",\n      ".join([
-                    _quote(k) + ": " + _quote(v) for k, v in check.items()])
-                + "\n    }" for check in value]) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        rows.append(f"  {_quote(key)}: {text}")
-    return "{\n" + ",\n".join(rows) + "\n}"
+# the fragments of one check entry in json.dumps(..., indent=2) text
+_ID = '{\n      "id": '
+_STATUS = ',\n      "status": '
+_LAW = ',\n      "law": '
+_WITNESS = ',\n      "witness": '
+_NEXT = "\n    },\n    "
 
 
 @dataclass
@@ -84,7 +75,8 @@ class CheckReport:
         self.checks.sort(key=lambda c: c.id)
         return self
 
-    def to_dict(self):
+    def _head(self):
+        """The report's fields before its check list, in output order."""
         self.finalize()
         return {
             "tool_version": TOOL_VERSION,
@@ -93,10 +85,39 @@ class CheckReport:
             "params": dict(sorted(self.params.items())),
             "status": "pass" if self.passed else "fail",
             "counts": self.counts,
-            "checks": [
-                {"id": c.id, "status": c.status, "law": c.law}
-                if c.witness is None else {"id": c.id, "status": c.status,
-                                           "law": c.law, "witness": c.witness}
-                for c in self.checks
-            ],
         }
+
+    def to_dict(self):
+        out = self._head()
+        out["checks"] = [
+            {"id": c.id, "status": c.status, "law": c.law}
+            if c.witness is None else {"id": c.id, "status": c.status,
+                                       "law": c.law, "witness": c.witness}
+            for c in self.checks
+        ]
+        return out
+
+    def to_json(self):
+        """Exactly the text of json.dumps(self.to_dict(), indent=2).
+
+        The head fields go through json.dumps; the check list, nearly all
+        of a report's text, is written here in one pass over the entries,
+        with constant key fragments, the C string encoder, and each
+        distinct law quoted once, so no dict is built per check.
+        """
+        head = json.dumps(self._head(), indent=2)  # ends in "\n}"
+        if not self.checks:
+            return head[:-2] + ',\n  "checks": []\n}'
+        laws = {}
+        rows = []
+        for c in self.checks:
+            law = laws.get(c.law)
+            if law is None:
+                law = laws[c.law] = _quote(c.law)
+            row = (_ID + _quote(c.id) + _STATUS + _quote(c.status)
+                   + _LAW + law)
+            if c.witness is not None:
+                row += _WITNESS + _quote(c.witness)
+            rows.append(row)
+        return (head[:-2] + ',\n  "checks": [\n    '
+                + _NEXT.join(rows) + "\n    }\n  ]\n}")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -183,12 +184,13 @@ def test_trivial_corep_and_ind_space():
             == sorted(str(b) for b in hom)
 
 
-def _shear_corep(side):
-    """The two-dimensional corepresentation [[1, th], [0, 1]] (1 = pi(1)),
-    whose off-diagonal entry couples the two components."""
+def _shear_corep(side, g="th"):
+    """The two-dimensional corepresentation [[1, g], [0, 1]] (1 = pi(1)),
+    whose off-diagonal entry couples the two components; every generator
+    g of fq-j is primitive, so each gives a corepresentation."""
     q = SUB.quotient.pres
     one = SUB.pi.apply(SUB.ambient.pres.one())
-    return Corepresentation(SUB, [[one, q.gen("th")], [q.zero(), one]],
+    return Corepresentation(SUB, [[one, q.gen(g)], [q.zero(), one]],
                             side=side)
 
 
@@ -274,6 +276,27 @@ def test_eq_sesq_defect_matches_the_per_leg_sum_off_the_induced_space(
     A = IndElement([a0, a1], "left" if corep_side == "right" else "right")
     for i in range(2):
         assert eq_sesq_defect(A, rho, i) == _defect_per_leg(A, rho, i)
+
+
+# two-component vectors from the first 12 monomials of fq-g1
+FQ_FIRST_12 = [SUB.ambient.pres.monomial(m) for m in FQ_WINDOW_2[:12]]
+
+
+@pytest.mark.parametrize("g", ["xh", "muh"])
+@pytest.mark.parametrize("corep_side", ["right", "left"])
+def test_eq_sesq_defect_keeps_the_leg_order_of_a_noncentral_shear(
+        corep_side, g):
+    # th is central in fq-j, so the th shear cannot tell b_ji pi(...) from
+    # pi(...) b_ji; xh and muh do not commute with the pi(Sinv(.)) legs,
+    # so a swapped product in either case of eq_sesq_defect differs from
+    # the per-leg sum on some of these 288 cases
+    rho = _shear_corep(corep_side, g)
+    side = "left" if corep_side == "right" else "right"
+    for a0, a1 in itertools.product(FQ_FIRST_12, repeat=2):
+        A = IndElement([a0, a1], side)
+        for i in range(2):
+            assert eq_sesq_defect(A, rho, i) == _defect_per_leg(A, rho, i), \
+                (str(a0), str(a1), i)
 
 
 def test_sesq_form_and_membership():

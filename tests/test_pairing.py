@@ -197,6 +197,7 @@ def test_pair_and_act_never_run_the_recursion(monkeypatch):
         raise AssertionError("the letter recursion ran outside the oracle")
 
     monkeypatch.setattr(PairEngine, "pair_mono", no_recursion)
+    monkeypatch.setattr(PairEngine, "_word_row", no_recursion)
     eng = PairEngine()
     xs = [UQ.pres.monomial(m) for m in UQ.pres.monomials_up_to(1)]
     fs = [FQ.pres.monomial(m) for m in FQ.pres.monomials_up_to(2)]
@@ -315,6 +316,20 @@ def test_oracle_grid_reads_one_letter_rows_from_a_table(monkeypatch):
     assert len(GRID_DUAL) * len(GRID_FQ) == 14580
     assert mismatches == 0
     assert len(rows) < 1000
+
+
+def test_oracle_stores_only_nonzero_rows(monkeypatch):
+    # one row per letter word, holding its nonzero values only: the
+    # recursion over the 14,580-pair grid reaches 14,625 (word, monomial)
+    # states, and a memo of every state would store them all
+    eng = PairEngine()
+    monkeypatch.setattr(pairing, "engine", lambda: eng)
+    assert pairing_report().passed
+    stored = sum(len(row) for _, row in eng._row_cache.values())
+    assert all(not v.is_zero() for _, row in eng._row_cache.values()
+               for v in row.values())
+    assert len(eng._row_cache) < 1000
+    assert stored < 1000
 
 
 def test_oracle_mutant_in_a_letter_coproduct_fails_the_grid(monkeypatch):

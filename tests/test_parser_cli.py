@@ -22,7 +22,7 @@ from hopfkit.errors import (
 from hopfkit.hopf import algebra_presentation
 from hopfkit.ncalg import AlgebraElement
 from hopfkit.parser import _tokenize, parse, print_element
-from hopfkit.report import CheckReport, dumps
+from hopfkit.report import CheckReport
 from hopfkit.scalars import I, M, ONE, U, W, ZERO, scalar
 
 
@@ -343,8 +343,8 @@ def test_run_suite_essential_invariance():
 
 
 def test_report_determinism():
-    r1 = dumps(run_suite("jform", {"window": 2}).to_dict())
-    r2 = dumps(run_suite("jform", {"window": 2}).to_dict())
+    r1 = run_suite("jform", {"window": 2}).to_json()
+    r2 = run_suite("jform", {"window": 2}).to_json()
     assert r1 == r2
 
 
@@ -410,7 +410,7 @@ def test_cached_parser_keeps_no_state(capsys):
     assert main(["matrix", "--op", "B", "--window", "2"]) == 0
     capsys.readouterr()
     assert main(["verify", "jform", "--window", "2"]) == 0
-    want = dumps(run_suite("jform", {"window": 2}).to_dict()) + "\n"
+    want = run_suite("jform", {"window": 2}).to_json() + "\n"
     assert capsys.readouterr().out == want
 
 
