@@ -221,7 +221,6 @@ def _cmd_pair(args) -> int:
 
 def _cmd_matrix(args) -> int:
     window = args.window
-    check_sizes(window=window)
     basis = galilei_basis(window)
     cols = [{out: str(c) for (out,), c in galilei_rep(args.op, A).terms.items()}
             for A, _ in basis]
@@ -238,7 +237,6 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_homogeneous_space(args) -> int:
-    check_sizes(degree=args.degree)
     basis = homogeneous_space(galilei_subgroup(), args.degree, args.side)
     for b in basis:
         print(print_element(b))

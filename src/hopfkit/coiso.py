@@ -21,6 +21,7 @@ from .errors import (
     RelationNotPreserved,
     TauIncompatible,
     check_choice,
+    check_sizes,
 )
 from .hopf import HopfStructure, antipode_convolutions, builtin
 from .ncalg import (AlgebraElement, Morphism, TensorElement, constraint_rows,
@@ -123,6 +124,7 @@ def homogeneous_space(sub: CoisotropicSubgroup, degree: int,
     Returns AlgebraElements; the span is *-closed (verified separately in
     homogeneous_space_report).
     """
+    check_sizes(degree=degree)
     pres = sub.ambient.pres
     window = pres.monomials_up_to(degree)
     rows = constraint_rows(window, lambda mon: membership_defect(
@@ -149,6 +151,7 @@ def epsilon_side(a, sub: CoisotropicSubgroup, side: str = "left"):
 
 def subgroup_report(sub: CoisotropicSubgroup, degree: int) -> CheckReport:
     """Window verification of the subgroup axioms (ideal, coideal, tau)."""
+    check_sizes(degree=degree)
     rep = CheckReport("coisotropic", preset=sub.quotient.name,
                       params={"degree": degree, "side": sub.side})
     amb, quo, pi = sub.ambient, sub.quotient, sub.pi

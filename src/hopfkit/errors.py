@@ -34,9 +34,9 @@ def check_choice(what, value, allowed=SIDES):
 
 
 def check_sizes(**sizes):
-    """Raise ConfigError on a negative window or degree (None is unset):
-    it leaves an empty run that would pass vacuously.  The one guard in
-    front of every size of a report."""
+    """Raise ConfigError on a negative size, a window, degree or bound
+    (None is unset): it leaves an empty run that would pass vacuously.
+    The one guard in front of every size of a report."""
     for what, value in sizes.items():
         if value is not None and value < 0:
             raise ConfigError(f"{what} must be >= 0, got {value}")

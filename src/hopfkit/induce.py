@@ -288,6 +288,7 @@ def equivalence_intertwiner(xi, A):
 
 def galilei_basis(window):
     """(vector, label) pairs for phi chi^l, |l| <= window."""
+    check_sizes(window=window)
     return [(A, galilei_label(A))
             for A in map(chi, range(-window, window + 1))]
 

@@ -18,11 +18,13 @@ its reductions (Bergman's diamond lemma), so products and morphism
 images are built one letter at a time from cached shorter ones: a cold
 monomial product m1*m2 is L*(rest*m2) with L the first letter of m1, and
 a cold image phi(prefix*L) is phi(prefix)*phi(L), or phi(L)*phi(prefix)
-for an anti-homomorphism.  Only a single letter times a normal monomial
-is rewritten as a word, besides element() and the build-time checks, and
-only when the letter forms a redex with the monomial's first generator;
-otherwise the product just moves the letter's exponent.  A rule that
-only swaps its two letters swaps whole powers in one step.
+for an anti-homomorphism, by build_by_letters, the one builder of values
+fixed on letters (the pairing oracle shares it).  Only a single letter
+times a normal monomial is rewritten as a word, besides element() and
+the build-time checks, and only when the letter forms a redex with the
+monomial's first generator; otherwise the product just moves the
+letter's exponent.  A rule that only swaps its two letters swaps whole
+powers in one step.
 
 Tensor products and products of tensors share one outer-product loop.
 tensor_map (one map per slot, as many maps as the tensor has slots)
@@ -36,6 +38,7 @@ contracted, an AlgebraElement for one leg, a TensorElement for more.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (
     IncompleteRewriteSystem,
@@ -614,6 +617,24 @@ def _legs(x):
 # -- morphisms ---------------------------------------------------------
 
 
+def build_by_letters(cache, source, mon, join):
+    """The value of the normal monomial mon = prefix*L, L its last letter,
+    as join(value of prefix, value of L).  Last letters are peeled until a
+    prefix's value is in cache, which must hold every letter (generator to
+    the power +-1) of mon, then put back, caching every prefix's value."""
+    peeled = []  # (value of the last letter, the prefix it ends)
+    hit = cache.get(mon)
+    while hit is None:
+        g = max(k for k, e in enumerate(mon) if e)
+        s = 1 if mon[g] > 0 else -1
+        peeled.append((cache[source._gen_mon(g, s)], mon))
+        mon = mon[:g] + (mon[g] - s,) + mon[g + 1:]
+        hit = cache.get(mon)
+    for letter, prefix in reversed(peeled):
+        hit = cache[prefix] = join(hit, letter)
+    return hit
+
+
 class Morphism:
     """Linear extension of a generator table.
 
@@ -637,6 +658,8 @@ class Morphism:
         if isinstance(images, dict):
             images = [images[g] for g in source.generators]
         self.images = list(images)
+        # the image of prefix*L from those of prefix and of the letter L
+        self._join = operator.mul if kind == "hom" else lambda a, b: b * a
         img = self.images[0] if self.images else ONE
         self._target_one = img._one() if isinstance(img, _Combination) else ONE
         # the unit and every letter (generator to the power +-1) are cached
@@ -650,29 +673,12 @@ class Morphism:
         self._check_relations()
 
     def _mono_image(self, mon):
-        """Image of a normal monomial, built one letter at a time.
-
-        With L the last letter of mon = prefix*L, the image is
-        image(prefix)*image(L) for a hom and image(L)*image(prefix) for an
-        antihom.  Last letters are peeled until the image of the prefix
-        left is cached, then put back one at a time, caching each image.
-        """
-        cache = self._mono_cache
-        hit = cache.get(mon)
+        """Image of a normal monomial, built one letter at a time by
+        build_by_letters with this morphism's _join."""
+        hit = self._mono_cache.get(mon)
         if hit is not None:
             return hit
-        peeled = []  # (image of the last letter, the prefix it ends)
-        while hit is None:
-            g = max(k for k, e in enumerate(mon) if e)
-            s = 1 if mon[g] > 0 else -1
-            peeled.append((cache[self.source._gen_mon(g, s)], mon))
-            mon = mon[:g] + (mon[g] - s,) + mon[g + 1:]
-            hit = cache.get(mon)
-        hom = self.kind == "hom"
-        for letter, prefix in reversed(peeled):
-            hit = hit * letter if hom else letter * hit
-            cache[prefix] = hit
-        return hit
+        return build_by_letters(self._mono_cache, self.source, mon, self._join)
 
     def apply(self, e):
         if e.pres is not self.source:
@@ -696,12 +702,12 @@ class Morphism:
         return self._target_one._like(out)
 
     def _check_relations(self):
+        gen_mon = self.source._gen_mon
+
         def word_image(word):
-            if self.kind == "antihom":
-                word = word[::-1]
             img = self._target_one
             for g, e in word:
-                img = img * self._mono_image(self.source._gen_mon(g, e))
+                img = self._join(img, self._mono_image(gen_mon(g, e)))
             return img
 
         for (gl, sl, gr, sr), rhs in self.source.rules.items():

@@ -41,24 +41,25 @@ at m2 is pushed through the legs first (x) m2 of the targets' coproducts
 and multiplied by the head letter's one-letter value on first, through
 an index (second leg -> target, coefficient) built once per head letter
 and target set, so the push reads nonzero suffix values only.  The
-one-letter rows are sparse as they stand: the nonzero values a letter
-takes depend only on the letter and the monomial's x-exponent, so the
-engine keeps them in a table keyed by (letter, x-exponent), built on
-first use.  The closed-vs-recursive row of pairing_report reads
-one row per dual monomial of its grid, a missing key meaning zero, and
-compares it with the closed form on every pair; every law row of that
-report tests the closed form.  pair_recursive and pair_mono answer
-single pairs through the same rows, on or off the grid.
+one-letter rows come from one small table, _PLAIN_ROWS, through
+_head_row, which keeps each nonzero row per (letter, largest
+x-exponent).  Every reader of the recursion goes through _word_row: the
+closed-vs-recursive row of pairing_report reads one row per dual
+monomial of its grid, a missing key meaning zero, and compares it with
+the closed form on every pair, and pair_recursive reads a single pair,
+on or off the grid.  Every law row of that report tests the closed form.
 
 A one-letter row pairs only with mu, t, v or x^b: first legs of degree
 <= 1 in (mu, t, v), with x of degree 0.  Every fq-g1 rule keeps that
 degree (x mu -> mu x - 2iw mu, v mu -> mu v + iw v^2, ...), so fq-g1 is
 graded by it, and the oracle builds each coproduct already truncated to
 first-leg degree <= 1, one letter at a time from the generator images of
-fq.delta, never forming a product it cannot read.  It builds them only
+fq.delta, never forming a product it cannot read: the builder of
+morphism images, ncalg.build_by_letters, with the join
+(A0 B0, A0 B1 + A1 B0) of the degree 0 and 1 parts.  It builds them only
 for the targets of words of two or more letters (on the grid, its 108
 monomials), since a one-letter suffix is read off its row.  The weights
-are read off the one-letter rows when the engine is built, and a rule
+are read off the one-letter table when the engine is built, and a rule
 that breaks the grading raises RelationNotPreserved there.  pair, act
 and the Hopf layer keep the full coproduct.
 
@@ -72,16 +73,17 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import PresentationMismatch, RelationNotPreserved, check_choice
+from .errors import (PresentationMismatch, RelationNotPreserved,
+                     check_choice, check_sizes)
 from .hopf import IW, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, TensorElement,
-                    accumulate)
+                    accumulate, build_by_letters)
 from .report import CheckReport
 from .scalars import I as IMAG, ONE, GaussRat, Poly, Scalar, W, ZERO, scalar
 
-_MU_MON = (1, 0, 0, 0)
-_T_MON = (0, 0, 1, 0)
-_V_MON = (0, 0, 0, 1)
+# the one-letter rows: I, T and N pair with mu, t and v alone, with value
+# i; K and Kinv pair with the powers x^b, with value (iw)^b and (-iw)^b
+_PLAIN_ROWS = {"I": (1, 0, 0, 0), "T": (0, 0, 1, 0), "N": (0, 0, 0, 1)}
 
 
 def _dual_presentation():
@@ -128,8 +130,7 @@ class PairEngine:
         pres = self.fq.pres
         # the (mu, t, v) weights: 1 on each generator that the one-letter
         # rows of I, T and N read, 0 on the rest (x, which K's row reads)
-        rows = (self._row_support(letter, 0)[0] for letter in "ITN")
-        self._weights = tuple(map(sum, zip(*rows)))
+        self._weights = tuple(map(sum, zip(*_PLAIN_ROWS.values())))
         _check_graded(pres, self._weights)
         # the oracle's truncated coproducts: each fq monomial maps to the
         # first-leg degree 0 and degree 1 parts of Delta(mon), seeded
@@ -212,83 +213,34 @@ class PairEngine:
     # -- letter recursion: the oracle ------------------------------------
 
     def pair_recursive(self, dual_mon, f_mon) -> Scalar:
-        """<I^a' K^l T^g' N^d', f_mon> by peeling single dual letters."""
-        return self.pair_mono(_letters(tuple(dual_mon)), tuple(f_mon))
-
-    def pair_mono(self, letters, mon) -> Scalar:
-        """<letters, mon> for a word of dual letters and a normal fq
-        monomial, read from the word's row."""
-        return self._word_row(tuple(letters), frozenset((mon,))).get(mon, ZERO)
-
-    def recursive_row(self, dual_mon, targets):
-        """{fm: <I^a' K^l T^g' N^d', fm>} by the letter recursion, holding
-        the nonzero values on the fq monomials of the frozenset targets."""
-        return self._word_row(_letters(tuple(dual_mon)), targets)
-
-    @staticmethod
-    def _row(letter, mon) -> Scalar:
-        """<letter, mon> for a single dual letter and normal fq monomial."""
-        if letter == "I":
-            return IMAG if mon == _MU_MON else ZERO
-        if letter == "T":
-            return IMAG if mon == _T_MON else ZERO
-        if letter == "N":
-            return IMAG if mon == _V_MON else ZERO
-        # K or Kinv: supported on powers of x only (including 1)
-        if mon[0] or mon[2] or mon[3]:
-            return ZERO
-        b = mon[1]
-        if b == 0:
-            return ONE
-        sw = IW if letter == "K" else -IW
-        return sw ** b
+        """<I^a' K^l T^g' N^d', f_mon> by peeling single dual letters,
+        read from the dual monomial's row."""
+        f_mon = tuple(f_mon)
+        row = self._word_row(_letters(tuple(dual_mon)), frozenset((f_mon,)))
+        return row.get(f_mon, ZERO)
 
     def _degree(self, mon):
         """The (mu, t, v)-degree of a normal fq monomial."""
         return sum(w * e for w, e in zip(self._weights, mon))
 
     def _truncated_delta(self, mon):
-        """The first-leg degree 0 and 1 parts (D0, D1) of Delta(mon).
-
-        Built like Morphism._mono_image, one last letter L at a time:
-        with prefix*L = mon and both factors graded, the degree <= 1
-        part of Delta(prefix) Delta(L) is (A0 B0, A0 B1 + A1 B0), so no
-        product of degree >= 2 is ever formed.  Each prefix is cached.
-        """
-        cache = self._delta_parts
-        hit = cache.get(mon)
-        peeled = []  # (parts of the last letter, the monomial it ends)
-        while hit is None:
-            g = max(k for k, e in enumerate(mon) if e)
-            peeled.append((cache[self.fq.pres._gen_mon(g, 1)], mon))
-            mon = mon[:g] + (mon[g] - 1,) + mon[g + 1:]
-            hit = cache.get(mon)
-        for (b0, b1), prefix in reversed(peeled):
-            a0, a1 = hit
-            hit = (a0 * b0, a0 * b1 + a1 * b0)
-            cache[prefix] = hit
-        return hit
-
-    @staticmethod
-    def _row_support(letter, max_x):
-        """First-slot monomials a single letter can pair with."""
-        if letter == "I":
-            return (_MU_MON,)
-        if letter == "T":
-            return (_T_MON,)
-        if letter == "N":
-            return (_V_MON,)
-        return tuple((0, b, 0, 0) for b in range(max_x + 1))
+        """The first-leg degree 0 and 1 parts (D0, D1) of Delta(mon),
+        built one last letter at a time and cached per prefix."""
+        return build_by_letters(self._delta_parts, self.fq.pres, mon,
+                                _truncated_product)
 
     def _head_row(self, letter, max_x):
         """{first: <letter, first>}, nonzero, over first legs of x-exponent
-        <= max_x: the one-letter row as it stands, kept per (letter, max_x)."""
+        <= max_x: the one-letter row, kept per (letter, max_x)."""
         key = (letter, max_x)
         hit = self._head_rows.get(key)
         if hit is None:
-            hit = self._head_rows[key] = {
-                first: r for first in self._row_support(letter, max_x)
-                if not (r := self._row(letter, first)).is_zero()}
+            if letter in _PLAIN_ROWS:
+                hit = {_PLAIN_ROWS[letter]: IMAG}
+            else:  # K or Kinv
+                sw = IW if letter == "K" else -IW
+                hit = {(0, b, 0, 0): sw ** b for b in range(max_x + 1)}
+            self._head_rows[key] = hit
         return hit
 
     def _leg_index(self, head, targets):
@@ -340,6 +292,14 @@ class PairEngine:
                     accumulate(row, bucket, v)
             self._row_cache[word] = (domain, row)
         return row
+
+
+def _truncated_product(a, b):
+    """The first-leg degree 0 and 1 parts of the product of two graded
+    tensors from theirs, (A0 B0, A0 B1 + A1 B0): no product of degree
+    >= 2 is ever formed."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 * b0, a0 * b1 + a1 * b0
 
 
 def _check_graded(pres, weights):
@@ -395,6 +355,8 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
     b <= x_power_bound; the law battery runs over monomial windows of
     degree law_degree.
     """
+    check_sizes(dual_bound=dual_bound, ell_bound=ell_bound, f_bound=f_bound,
+                x_power_bound=x_power_bound, law_degree=law_degree)
     eng = engine()
     uq, fq = eng.uq, eng.fq
     rep = CheckReport("pairing", params={
@@ -414,7 +376,7 @@ def pairing_report(dual_bound=2, ell_bound=2, f_bound=2, x_power_bound=3,
                                   range(-ell_bound, ell_bound + 1),
                                   range(dual_bound + 1),
                                   range(dual_bound + 1)):
-        row = eng.recursive_row(dual, targets)
+        row = eng._word_row(_letters(dual), targets)
         for fm in fq_monomials:
             total += 1
             if row.get(fm, ZERO) != eng.pair_closed(dual, fm):

@@ -520,6 +520,7 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
 
 def recurrence_report(max_n: int, rep=None) -> CheckReport:
     """n c_n = wm (n - 1/2) c_{n-1}, the identity behind the B-cocycle row."""
+    check_sizes(max_n=max_n)
     rep = rep or CheckReport("weight-recurrence", preset="galilei")
     for n in range(1, max_n + 1):
         lhs = weight_coefficient(n) * n
@@ -610,6 +611,7 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
     iff one of its vectors is a monomial, so the scan is complete.  On
     refutation the forced-zero rows are returned as the certificate.
     """
+    check_sizes(window=window)
     uq = builtin("uq-g1")
     m = ChiModule()
     unknowns = list(range(-window, window + 1))
@@ -642,6 +644,7 @@ def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvariance
 def essential_invariance_report(phi: Weight, window: int) -> CheckReport:
     """The search refutes essential invariance on every window 1..window;
     the last window's certificate is kept in the params."""
+    check_sizes(window=window)
     rep = CheckReport("essential-invariance", preset=phi.name,
                       params={"window": window})
     for wl in range(1, window + 1):
@@ -677,6 +680,7 @@ def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):
 
 def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
     """d1(d0 xi) = 0 over the fraction field for sampled xi."""
+    check_sizes(degree=degree)
     frac = ChiFractionModule()
     if samples is None:
         samples = [chi(1), chi(-2), LAURENT.one() + chi(1)]

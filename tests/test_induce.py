@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfkit.coiso import galilei_subgroup, homogeneous_space
+from hopfkit.coiso import (galilei_subgroup, homogeneous_space,
+                           homogeneous_space_report, subgroup_report)
 from hopfkit.errors import (ConfigError, NotInvertible, RelationNotPreserved,
                             SideMismatch)
 from hopfkit.hopf import builtin
@@ -348,9 +349,12 @@ def test_mirror_right_report():
     assert rep.passed, [c.id for c in rep.failures()]
 
 
-@pytest.mark.parametrize("report", [ind_generic_report, mirror_right_report])
+@pytest.mark.parametrize("report", [
+    ind_generic_report, mirror_right_report, homogeneous_space,
+    homogeneous_space_report, subgroup_report])
 def test_generic_reports_refuse_a_negative_degree(report):
-    # a negative degree has no induced basis: an error, not a vacuous pass
+    # a negative degree has no induced basis or window: an error, not a
+    # vacuous pass
     with pytest.raises(ConfigError, match="degree must be >= 0"):
         report(SUB, -1)
 

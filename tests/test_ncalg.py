@@ -208,6 +208,16 @@ def test_relation_not_preserved():
         Morphism(FQ, images, kind="hom", name="bad-pi")
 
 
+def test_antihom_table_given_as_a_hom_is_refused():
+    # the uq-g1 antipode reverses products: multiplied in word order, its
+    # images break B K = K B + iw M K, since the relation check reads the
+    # same product order as the images
+    S = builtin("uq-g1").antipode
+    with pytest.raises(RelationNotPreserved,
+                       match="breaks the uq-g1 relation on B\\^1 K\\^1"):
+        Morphism(S.source, S.images, kind="hom", name="S-as-hom")
+
+
 def test_antipode_table_on_x():
     S = builtin("fq-g1").antipode
     assert S.apply(FQ.gen("x")) == -FQ.gen("x") + FQ.gen("t") * FQ.gen("v")

@@ -193,10 +193,9 @@ def test_act_module_algebra_law_on_products():
 
 
 def test_pair_and_act_never_run_the_recursion(monkeypatch):
-    def no_recursion(self, letters, mon):
+    def no_recursion(self, word, targets):
         raise AssertionError("the letter recursion ran outside the oracle")
 
-    monkeypatch.setattr(PairEngine, "pair_mono", no_recursion)
     monkeypatch.setattr(PairEngine, "_word_row", no_recursion)
     eng = PairEngine()
     xs = [UQ.pres.monomial(m) for m in UQ.pres.monomials_up_to(1)]
@@ -244,8 +243,9 @@ X_MON = (0, 1, 0, 0)
 def test_grading_weights_come_from_the_one_letter_rows():
     # I, T and N read mu, t and v; K reads powers of x, which weigh 0
     assert ENG._weights == (1, 0, 1, 1)
-    assert all(ENG._degree(m) == 0
-               for m in PairEngine._row_support("K", 3))
+    row = ENG._head_row("K", 3)
+    assert set(row) == {(0, b, 0, 0) for b in range(4)}
+    assert all(ENG._degree(m) == 0 for m in row)
 
 
 def test_non_graded_rule_is_refused_when_the_engine_is_built(monkeypatch):
@@ -296,26 +296,16 @@ def test_recursion_reads_neither_the_full_coproduct_nor_the_closed_form(
     assert got == want
 
 
-def test_oracle_grid_reads_one_letter_rows_from_a_table(monkeypatch):
-    # the recursion reads a head letter's nonzero rows from a table keyed
-    # by (letter, x-exponent): the 14,580-pair grid evaluates few one-letter
-    # rows (16,638 with a _row call per recursion step), and still agrees
-    # with the closed form everywhere
-    rows = []
-    real = PairEngine._row
-
-    def counting(letter, mon):
-        rows.append((letter, mon))
-        return real(letter, mon)
-
-    monkeypatch.setattr(PairEngine, "_row", staticmethod(counting))
+def test_oracle_grid_reads_one_letter_rows_from_a_table():
+    # the recursion reads a head letter's nonzero row from a table keyed
+    # by (letter, largest x-exponent): the 14,580-pair grid builds at most
+    # 21 one-letter rows, and still agrees with the closed form everywhere
     eng = PairEngine()
-    rows.clear()
     mismatches = sum(eng.pair_recursive(dual, fm) != eng.pair_closed(dual, fm)
                      for dual in GRID_DUAL for fm in GRID_FQ)
     assert len(GRID_DUAL) * len(GRID_FQ) == 14580
     assert mismatches == 0
-    assert len(rows) < 1000
+    assert len(eng._head_rows) <= 21
 
 
 def test_oracle_stores_only_nonzero_rows(monkeypatch):
@@ -364,7 +354,7 @@ def two_letter_mismatches(eng):
             want = ZERO
             for mon, c in product.terms.items():
                 want = want + c * eng.pair_closed(mon, fm)
-            if eng.pair_mono(word, fm) != want:
+            if eng._word_row(word, frozenset({fm})).get(fm, ZERO) != want:
                 out.add(word)
                 break
     return out

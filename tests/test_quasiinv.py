@@ -7,9 +7,9 @@ from hopfkit.cli import run_suite
 from hopfkit.errors import (ConfigError, NotGroupLike, NotInvertible,
                             NotTauReal, PresentationMismatch, StarUndefined)
 from hopfkit.hopf import algebra_presentation, builtin
-from hopfkit.induce import _galilei_module
+from hopfkit.induce import _galilei_module, galilei_basis
 from hopfkit.ncalg import AlgebraElement, Presentation
-from hopfkit.pairing import engine as pairing_engine
+from hopfkit.pairing import engine as pairing_engine, pairing_report
 from hopfkit.quasiinv import (
     LAURENT,
     OPS,
@@ -27,6 +27,7 @@ from hopfkit.quasiinv import (
     d1_defect,
     epsilon_weight,
     essential_invariance_decide,
+    essential_invariance_report,
     galilei_weight,
     galilei_weight_of,
     nu_w,
@@ -856,3 +857,15 @@ def test_negative_sizes_are_refused():
     for degree, window in ((-1, 2), (1, -1)):
         with pytest.raises(ConfigError, match="must be >= 0"):
             quasi_invariance_check(h, phi, degree, window)
+    # each of these used to pass, or refute, on an empty window
+    for size in ("dual_bound", "ell_bound", "f_bound", "x_power_bound",
+                 "law_degree"):
+        with pytest.raises(ConfigError, match=f"{size} must be >= 0"):
+            pairing_report(**{size: -1})
+    for call in (lambda: essential_invariance_decide(phi, -1),
+                 lambda: essential_invariance_report(phi, -1),
+                 lambda: galilei_basis(-1),
+                 lambda: recurrence_report(-1),
+                 lambda: coboundary_vanishing_report(degree=-1)):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            call()
