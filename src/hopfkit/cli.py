@@ -58,63 +58,78 @@ def _check_preset(preset):
                           f"from {', '.join(HOPF_NAMES)}")
 
 
-def _suite_hopf_axioms(cfg):
-    degree = cfg.get("degree", 4)
-    preset = cfg.get("preset")
+def _suite(run, **defaults):
+    """A suite of the table: run takes the config keys named in defaults,
+    each read from the config or else given its default.  These are the
+    keys the suite reads, kept on it as reads."""
+    def suite(cfg):
+        return run(**{k: cfg.get(k, d) for k, d in defaults.items()})
+    suite.reads = frozenset(defaults)
+    return suite
+
+
+def _hopf_axioms(degree, preset):
     _check_preset(preset)
     names = HOPF_NAMES if preset is None else [preset]
     return _merge([verify_hopf(builtin(n), degree) for n in names],
                   "hopf-axioms", {"degree": degree})
 
 
-def _functional(cfg, form, window, side):
+def _functional(form, degree, window, side):
     """Quasi-invariance of nu_w under the Galilei weight in one form."""
     return quasi_invariance_check(nu_w_functional(), galilei_weight(),
-                                  degree=cfg.get("degree", 2),
-                                  window=cfg.get("window", window),
-                                  form=form, side=side)
+                                  degree, window, form, side)
 
 
-def _suite_cocycle(cfg):
-    rep = cocycle_check(galilei_weight(), cfg.get("degree", 2),
-                        side=cfg.get("side", "left"))
+def _cocycle(degree, side):
+    rep = cocycle_check(galilei_weight(), degree, side=side)
     recurrence_report(8, rep)
     return _merge([rep, coboundary_vanishing_report()],
                   "cocycle", dict(rep.params))
 
 
-def _suite_mirror_right(cfg):
+def _mirror_right(degree, window):
+    """The right generic checks at degree, 3 when unset, and the right
+    cocycle and quasi-invariance checks at degree, 2 when unset."""
+    law_degree = 2 if degree is None else degree
+    degree = 3 if degree is None else degree
     reports = [
-        mirror_right_report(galilei_subgroup(), cfg.get("degree", 3)),
-        cocycle_check(galilei_weight(), cfg.get("degree", 2), side="right"),
-        _functional(cfg, "def", 4, "right"),
-        _functional(cfg, "lemma", 4, "right"),
+        mirror_right_report(galilei_subgroup(), degree),
+        cocycle_check(galilei_weight(), law_degree, side="right"),
+        _functional("def", law_degree, window, "right"),
+        _functional("lemma", law_degree, window, "right"),
     ]
-    return _merge(reports, "mirror-right", {"degree": cfg.get("degree", 3)})
+    return _merge(reports, "mirror-right", {"degree": degree})
 
 
-# suite name -> callable(cfg); each row holds that suite's default sizes
+# suite name -> callable(cfg); each row names the config keys its suite
+# reads, with their defaults
 SUITES = {
-    "hopf-axioms": _suite_hopf_axioms,
-    "pairing": lambda cfg: pairing_report(law_degree=cfg.get("degree", 1)),
-    "homogeneous-space": lambda cfg: homogeneous_space_report(
-        galilei_subgroup(), cfg.get("degree", 4), cfg.get("side", "left")),
-    "coisotropic": lambda cfg: subgroup_report(galilei_subgroup(),
-                                               cfg.get("degree", 3)),
-    "functional-def": lambda cfg: _functional(cfg, "def", 5,
-                                              cfg.get("side", "left")),
-    "functional-lemma": lambda cfg: _functional(cfg, "lemma", 5,
-                                                cfg.get("side", "left")),
-    "cocycle": _suite_cocycle,
-    "essential-invariance": lambda cfg: essential_invariance_report(
-        galilei_weight(), cfg.get("window", 8)),
-    "relations": lambda cfg: relations_report(cfg.get("window", 5)),
-    "unitarity": lambda cfg: unitarity_report(cfg.get("window", 5)),
-    "jform": lambda cfg: jform_report(cfg.get("window", 5)),
-    "intertwiner": lambda cfg: intertwiner_report(cfg.get("window", 4)),
-    "ind-generic": lambda cfg: ind_generic_report(galilei_subgroup(),
-                                                  cfg.get("degree", 3)),
-    "mirror-right": _suite_mirror_right,
+    "hopf-axioms": _suite(_hopf_axioms, degree=4, preset=None),
+    "pairing": _suite(lambda degree: pairing_report(law_degree=degree),
+                      degree=1),
+    "homogeneous-space": _suite(
+        lambda degree, side: homogeneous_space_report(galilei_subgroup(),
+                                                      degree, side),
+        degree=4, side="left"),
+    "coisotropic": _suite(
+        lambda degree: subgroup_report(galilei_subgroup(), degree), degree=3),
+    "functional-def": _suite(functools.partial(_functional, "def"),
+                             degree=2, window=5, side="left"),
+    "functional-lemma": _suite(functools.partial(_functional, "lemma"),
+                               degree=2, window=5, side="left"),
+    "cocycle": _suite(_cocycle, degree=2, side="left"),
+    "essential-invariance": _suite(
+        lambda window: essential_invariance_report(galilei_weight(), window),
+        window=8),
+    "relations": _suite(relations_report, window=5),
+    "unitarity": _suite(unitarity_report, window=5),
+    "jform": _suite(jform_report, window=5),
+    "intertwiner": _suite(intertwiner_report, window=4),
+    "ind-generic": _suite(
+        lambda degree: ind_generic_report(galilei_subgroup(), degree),
+        degree=3),
+    "mirror-right": _suite(_mirror_right, degree=None, window=4),
 }
 
 
@@ -185,6 +200,8 @@ def _cmd_verify(args) -> int:
             raise ConfigError("verify config needs a 'suites' key in "
                               "its --config file")
         names = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
+        if not names:
+            raise ConfigError("the config's 'suites' key names no suite")
     elif "suites" in cfg:
         raise ConfigError(f"the config's 'suites' key is read by verify "
                           f"config only, not by verify {args.suite}")
@@ -193,9 +210,12 @@ def _cmd_verify(args) -> int:
     for name in names:
         _check_suite(name)
     _check_preset(cfg.get("preset"))
-    if "preset" in cfg and "hopf-axioms" not in names:
-        raise ConfigError("a preset selects the structure of hopf-axioms, "
-                          "which is not among the suites to run")
+    for key in ("preset", "degree", "window", "side"):
+        if key in cfg and not any(key in SUITES[n].reads for n in names):
+            raise ConfigError(
+                "a preset selects the structure of hopf-axioms, which is "
+                "not among the suites to run" if key == "preset" else
+                f"no suite to run reads {key}: {', '.join(names)}")
     status = 0
     with _open_out(args.out or cfg.get("output")) as out:
         for name in names:

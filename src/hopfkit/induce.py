@@ -23,9 +23,10 @@ generated by chi and the Euler operator E chi^l = l chi^l:
     T -> u - (2 - chi - chi^-1)/(2 w^2 m)
     M -> m
 
-Its construction proves the defining relations for every l.  It is
-cross-checked against the weight-driven construction: the module action,
-the same table with B -> iwm E, reproduces the closed table through
+Its construction proves the defining relations for every l.  Both
+Galilei tables are chi modules, one functools.cache _galilei_module(half)
+applied by ChiModule.act: the closed table (half) and the module action,
+the same table with B -> iwm E, which reproduces the closed table through
 rho~(X) A = sum X_(1).A phi[X_(2)].
 """
 
@@ -41,7 +42,7 @@ from .ncalg import (AlgebraElement, Morphism, accumulate, constraint_rows,
                     linear_solve, tensor_map)
 from .pairing import act as regular_act
 from .quasiinv import (IWM, LAURENT, OPS, ChiModule, RegularModule, Weight,
-                       act, chi, epsilon_weight, galilei_weight,
+                       chi, epsilon_weight, galilei_weight,
                        nu_w_functional, transform_weight, twisted_action)
 from .report import CheckReport
 from .scalars import (I, M as SM, ONE, Scalar, U as SU, W, ZERO,
@@ -51,15 +52,16 @@ CHI = chi(1)
 
 
 @functools.cache
-def _galilei_table(half: bool) -> Morphism:
-    """uq-g1 -> OPS with B -> iwm (E + 1/2), the closed table, or with
-    B -> iwm E, the module action."""
+def _galilei_module(half: bool) -> ChiModule:
+    """The chi module whose action is uq-g1 -> OPS with B -> iwm (E + 1/2),
+    the closed table, or with B -> iwm E, the module action."""
     c, one = OPS.gen("chi"), OPS.one()
     t = one.scale(SU) - (one.scale(2) - c - c.inverse()).scale(
         ONE / (2 * W * W * SM))
     b = OPS.gen("E") + one.scale(Fraction(1, 2) if half else 0)
-    return Morphism(builtin("uq-g1").pres, [one.scale(SM), c, t, b.scale(IWM)],
-                    name="galilei_rep" if half else "galilei_module")
+    return ChiModule(Morphism(
+        builtin("uq-g1").pres, [one.scale(SM), c, t, b.scale(IWM)],
+        name="galilei_rep" if half else "galilei_module"))
 
 
 # -- corepresentations of the quotient ------------------------------------
@@ -232,34 +234,29 @@ def star_pairing(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
 
 
 def galilei_rep(name: str, A: AlgebraElement) -> AlgebraElement:
-    """The closed table on a uq-g1 generator name (Kinv or K^-1 for K^-1)."""
-    g, exp = ("K", -1) if name in ("Kinv", "K^-1") else (name, 1)
-    return galilei_rep_element(builtin("uq-g1").pres.gen(g, exp), A)
-
-
-def galilei_rep_element(X: AlgebraElement, A: AlgebraElement) -> AlgebraElement:
-    """Linear extension of the closed table to uq-g1 elements."""
-    return act(_galilei_table(True).apply(X), A)
-
-
-@functools.cache
-def _galilei_module() -> ChiModule:
-    return ChiModule(_galilei_table(False))
+    """The closed table on a uq-g1 generator name (Kinv for K^-1)."""
+    g, exp = ("K", -1) if name == "Kinv" else (name, 1)
+    return _galilei_module(True).act(builtin("uq-g1").pres.gen(g, exp), A)
 
 
 def rho_from_weight(X: AlgebraElement, A: AlgebraElement, phi: Weight) -> AlgebraElement:
     """rho~(X) A = sum X_(1).A . phi[X_(2)] on the Galilei space."""
-    return twisted_action(phi, X, A, module=_galilei_module())
+    return twisted_action(phi, X, A, module=_galilei_module(False))
+
+
+def _diagonal_form(A: AlgebraElement, B: AlgebraElement, partner) -> Scalar:
+    """sum conj(a_l) b_partner(l), the form pairing chi^l with one partner."""
+    out = ZERO
+    for (l,), a in A.terms.items():
+        b = B.terms.get((partner(l),))
+        if b is not None:
+            out = out + a.conjugate() * b
+    return out
 
 
 def minkowski_form(A: AlgebraElement, B: AlgebraElement) -> Scalar:
     """<A, B> = nu_w(A* B) = sum conj(a_l) b_{-l-1}."""
-    out = ZERO
-    for (l,), a in A.terms.items():
-        b = B.terms.get((-l - 1,))
-        if b is not None:
-            out = out + a.conjugate() * b
-    return out
+    return _diagonal_form(A, B, lambda l: -l - 1)
 
 
 def j_structure(A: AlgebraElement) -> AlgebraElement:
@@ -269,12 +266,7 @@ def j_structure(A: AlgebraElement) -> AlgebraElement:
 
 def scalar_product(A: AlgebraElement, B: AlgebraElement) -> Scalar:
     """(phi chi^l, phi chi^n) = delta_{l,n}, extended sesquilinearly."""
-    out = ZERO
-    for k, a in A.terms.items():
-        b = B.terms.get(k)
-        if b is not None:
-            out = out + a.conjugate() * b
-    return out
+    return _diagonal_form(A, B, lambda l: l)
 
 
 def equivalence_intertwiner(xi, A):
@@ -299,11 +291,8 @@ def relations_report(window: int) -> CheckReport:
     rep = CheckReport("relations", preset="galilei", params={"window": window})
     uq = builtin("uq-g1")
     phi = galilei_weight()
-    K = lambda A: galilei_rep("K", A)
-    Kinv = lambda A: galilei_rep("Kinv", A)
-    B = lambda A: galilei_rep("B", A)
-    T = lambda A: galilei_rep("T", A)
-    Mop = lambda A: galilei_rep("M", A)
+    K, Kinv, B, T, Mop = (functools.partial(galilei_rep, g)
+                          for g in ("K", "Kinv", "B", "T", "M"))
     for A, label in galilei_basis(window):
         rep.record(f"KKinv[{label}]", K(Kinv(A)) == A and Kinv(K(A)) == A,
                    law="K K^-1 = 1 = K^-1 K", witness=label)
@@ -324,7 +313,7 @@ def relations_report(window: int) -> CheckReport:
         for g in ("M", "K", "T", "B"):
             X = uq.pres.gen(g)
             rep.record(f"weight-consistency[{g}|{label}]",
-                       rho_from_weight(X, A, phi) == galilei_rep_element(X, A),
+                       rho_from_weight(X, A, phi) == galilei_rep(g, A),
                        law="closed table = sum X_(1).A phi[X_(2)]",
                        witness=lambda: f"{g} on {label}")
     return rep.finalize()

@@ -26,8 +26,11 @@ One twisted action, twisted_action(phi, X, a, side), computes the sum
 sum X_(1).a phi[X_(2)] (its right mirror sum phi[X_(1)] a.X_(2)) behind
 the cocycle law, the coboundary twist, the lemma form of quasi-invariance
 and, in induce, the unitarized representations rho_tilde_generic and
-rho_from_weight.  A chi module is its action, a Morphism uq-g1 -> OPS, so
-rho_from_weight passes the Galilei module action to it as module=.  The
+rho_from_weight.  A chi module is its action, a Morphism uq-g1 -> OPS:
+act_mono and act read the operator off it and apply it by one method,
+_apply, which is act on LAURENT and the quotient rule for E on the
+fraction field, so the weight's action is written once, in _chi_action.
+rho_from_weight passes the Galilei module to the sum as module=.  The
 sum is bilinear in X and a, so on an AlgebraElement a it is evaluated
 once per basis pair: the value on one uq-g1 monomial and one basis
 element is kept in a dict on the Weight, keyed by (module, side, umon,
@@ -80,9 +83,10 @@ OPS = Presentation("ops", ("chi", "E"), (True, False), {
 
 def act(op: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     """chi^a E^b in OPS sends chi^l in LAURENT to l^b chi^(a+l)."""
-    if op.pres is not OPS or f.pres is not LAURENT:
+    if not (isinstance(op, AlgebraElement) and op.pres is OPS
+            and isinstance(f, AlgebraElement) and f.pres is LAURENT):
         raise PresentationMismatch(f"act takes an ops and a chi element, "
-                                   f"got {op.pres.name} and {f.pres.name}")
+                                   f"got {op!r} and {f!r}")
     out = {}
     for (l,), k in f.terms.items():
         row = {}  # op's coefficients at l, summed per chi power, then times k
@@ -190,26 +194,15 @@ class ChiFraction:
 # -- module *-algebra wrappers -------------------------------------------
 
 
-def _sum_over_terms(what, X, zero, image):
-    """sum c image(umon) over the terms c umon of a uq-g1 element X; the
-    images are keyed by exponent tuples, so X's algebra is checked."""
-    if X.pres is not builtin("uq-g1").pres:
-        raise PresentationMismatch(
-            f"{what} takes a uq-g1 element, got {X.pres.name}")
-    out = zero
-    for umon, c in X.terms.items():
-        out = out + image(umon).scale(c)
-    return out
-
-
 class ChiModule:
     """The chi algebra as the module *-algebra target of the checks.
 
     A chi module is its action, a checked Morphism uq-g1 -> OPS used on
     both sides (the right fixture mirrors the left one).  The default is
     the weight's: K -> 1, B -> iwm chi E, T -> 0 and M -> 0, so B shifts
-    and scales, chi^l |-> iwm l chi^(l+1).  act is the linear extension
-    of act_mono, which subclasses override.
+    and scales, chi^l |-> iwm l chi^(l+1).  act_mono and act read the
+    operator off the action and hand it to _apply, which applies an OPS
+    element to a vector: act on LAURENT, the quotient rule on fractions.
     """
 
     def __init__(self, action: Morphism | None = None):
@@ -226,24 +219,21 @@ class ChiModule:
         return AlgebraElement(LAURENT, {k: c.conjugate()
                                         for k, c in f.terms.items()})
 
+    def _apply(self, op, f):
+        return act(op, f)
+
     def act_mono(self, umon, f, side="left"):
-        return act(self.action._mono_image(umon), f)
+        return self._apply(self.action._mono_image(umon), f)
 
     def act(self, X: AlgebraElement, f, side="left"):
-        return _sum_over_terms("a chi module action", X, self.zero(),
-                               lambda umon: self.act_mono(umon, f, side))
+        return self._apply(self.action.apply(X), f)
 
     def basis(self, window):
         return [chi(l) for l in range(-window, window + 1)]
 
 
 class ChiFractionModule(ChiModule):
-    """Fraction-field target of the default chi action: B extends as a
-    derivation, K as identity, T and M as zero.  That rule holds for no
-    other action, so this module takes none."""
-
-    def __init__(self):
-        super().__init__()
+    """The fraction field of LAURENT as a target of the same action."""
 
     def one(self):
         return ChiFraction.one()
@@ -254,17 +244,22 @@ class ChiFractionModule(ChiModule):
     def star(self, f):
         raise StarUndefined("no involution on the fraction-field target")
 
-    def act_mono(self, umon, f, side="left"):
-        a, _ell, c, d = umon
-        if a or c:
-            return self.zero()
-        # B is a derivation: with D = f.den fixed, B(n/D^k) is
-        # (B(n) D - k n B(D)) / D^(k+1), so B^d f has denominator D^(d+1)
-        b_act = functools.partial(super().act_mono, (0, 0, 0, 1))
-        num, den, b_den = f.num, f.den, b_act(f.den)
-        for k in range(1, d + 1):
-            num, den = b_act(num) * f.den - (num * b_den).scale(k), den * f.den
-        return ChiFraction(num, den)
+    def _apply(self, op, f):
+        """The quotient rule: E^b f = n_b / D^(b+1) for D = f.den, n_0 =
+        f.num, n_b = E(n_(b-1)) D - b n_(b-1) E(D), so sum c chi^a E^b f is
+        sum_b (sum_a c chi^a) n_b D^(top-b) / D^(top+1), top the largest b."""
+        if not isinstance(f, ChiFraction):
+            raise PresentationMismatch(f"expected a ChiFraction, got {f!r}")
+        top = max((b for _, b in op.terms), default=0)
+        n, num, den, out_den = f.num, LAURENT.zero(), f.den, f.den
+        for b in range(top + 1):
+            if b:
+                e = OPS.gen("E")
+                n = act(e, n) * den - (n * act(e, den)).scale(b)
+                num, out_den = num * den, out_den * den
+            chi_part = {(a, 0): c for (a, k), c in op.terms.items() if k == b}
+            num = num + act(AlgebraElement(OPS, chi_part), n)
+        return ChiFraction(num, out_den)
 
 
 class RegularModule:
@@ -339,8 +334,14 @@ class Weight:
         return hit
 
     def __call__(self, X: AlgebraElement):
-        return _sum_over_terms(f"the weight {self.name}", X,
-                               self.module.zero(), self.of_mono)
+        # of_mono is keyed by exponent tuples, so X's algebra is checked
+        if X.pres is not builtin("uq-g1").pres:
+            raise PresentationMismatch(f"the weight {self.name} takes a "
+                                       f"uq-g1 element, got {X.pres.name}")
+        out = self.module.zero()
+        for umon, c in X.terms.items():
+            out = out + self.of_mono(umon).scale(c)
+        return out
 
 
 def nu_w_functional() -> Functional:
@@ -448,9 +449,9 @@ def transform_weight(phi: Weight, xi) -> Weight:
                   lambda X: twisted_action(phi, X, xi) * xi_inv)
 
 
-def coboundary_weight(xi, module=None) -> Weight:
-    """d0(xi)[X] = X.xi xi^-1, over the fraction field by default."""
-    module = module or ChiFractionModule()
+def coboundary_weight(xi) -> Weight:
+    """d0(xi)[X] = X.xi xi^-1, over the fraction field."""
+    module = ChiFractionModule()
     if isinstance(xi, AlgebraElement):
         xi = ChiFraction(xi)
     xi_inv = xi.inverse()
@@ -681,14 +682,12 @@ def translate_functional(h: Functional, phi: Weight, k: AlgebraElement):
 def coboundary_vanishing_report(samples=None, degree: int = 1) -> CheckReport:
     """d1(d0 xi) = 0 over the fraction field for sampled xi."""
     check_sizes(degree=degree)
-    frac = ChiFractionModule()
     if samples is None:
         samples = [chi(1), chi(-2), LAURENT.one() + chi(1)]
     rep = CheckReport("cohomology-d1d0", params={"degree": degree})
     for xi in samples:
         xil = str(xi)
-        for xl, yl, ok in _cocycle_rows(coboundary_weight(xi, frac), degree,
-                                        "left"):
+        for xl, yl, ok in _cocycle_rows(coboundary_weight(xi), degree, "left"):
             rep.record(f"d1d0[{xil}|{xl}|{yl}]", ok, law="d1 o d0 = 0",
                        witness=lambda: f"xi={xil}, {xl}|{yl}")
     return rep.finalize()

@@ -30,6 +30,11 @@ from hopfkit.ncalg import Morphism, Presentation, linear_solve, tensor_map
 from hopfkit.pairing import act as pairing_act, engine
 from hopfkit.parser import parse
 from hopfkit.quasiinv import (
+    OPS,
+    ChiFraction,
+    ChiFractionModule,
+    ChiModule,
+    act,
     chi,
     cocycle_check,
     galilei_weight,
@@ -84,6 +89,24 @@ CASES = {
         lambda: pairing_act(B, B), PresentationMismatch, None),
     "pairing_act-foreign-a-right": (
         lambda: pairing_act(B, B, side="right"), PresentationMismatch, None),
+    # a vector of the wrong kind for a chi module, never an AttributeError
+    "chi_act-fraction-vector": (
+        lambda: act(OPS.gen("E"), ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "chi_act-int-vector": (
+        lambda: act(OPS.gen("E"), 3), PresentationMismatch, None),
+    "chi_module_act-fraction-vector": (
+        lambda: ChiModule().act(B, ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "twisted_action-fraction-on-chi-module": (
+        lambda: twisted_action(galilei_weight(), B, ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "fraction_module_act-laurent-vector": (
+        lambda: ChiFractionModule().act(B, chi(1)),
+        PresentationMismatch, None),
+    "fraction_module_act_mono-laurent-vector": (
+        lambda: ChiFractionModule().act_mono((0, 0, 0, 1), chi(1)),
+        PresentationMismatch, None),
     # a side or form that is not spelled exactly never runs another branch
     "twisted_action-bad-side": (
         lambda: twisted_action(galilei_weight(), B, chi(0), side="Left"),

@@ -10,7 +10,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.cli import _merge, build_arg_parser, load_config, main, run_suite
+from hopfkit.cli import (SUITES, _merge, build_arg_parser, load_config, main,
+                         run_suite)
 from hopfkit.errors import (
     ConfigError,
     DivisionByZero,
@@ -313,6 +314,7 @@ def test_verify_rejects_an_unknown_suite_before_any_suite_runs(tmp_path,
      "read by verify config only"),
     ("suites = jform\nwindow = 1\n", ["verify", "intertwiner"],
      "read by verify config only"),
+    ("suites = , ,\nwindow = 1\n", ["verify", "config"], "names no suite"),
 ])
 def test_suites_key_is_read_by_verify_config_only(tmp_path, capsys, text,
                                                   argv, message):
@@ -326,6 +328,37 @@ def test_suites_key_is_read_by_verify_config_only(tmp_path, capsys, text,
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["verify", "jform", "--degree", "7", "--side", "right"], None,
+     "no suite to run reads degree"),
+    (["verify", "pairing", "--window", "99", "--side", "right"], None,
+     "no suite to run reads window"),
+    (["verify", "mirror-right", "--side", "left"], None,
+     "no suite to run reads side"),
+    (["verify", "config"], "suites = jform, unitarity\ndegree = 2\n",
+     "no suite to run reads degree"),
+    (["verify", "essential-invariance"], "degree = 1\n",
+     "no suite to run reads degree"),
+])
+def test_verify_rejects_a_size_or_side_no_suite_reads(tmp_path, capsys, argv,
+                                                       text, message):
+    # these ran at the default sizes and exited 0, as an unread preset did
+    if text is not None:
+        cfg = tmp_path / "hopfkit.conf"
+        cfg.write_text(text)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_verify_all_takes_every_size_and_side(capsys):
+    assert main(["verify", "all", "--degree", "1", "--window", "1",
+                 "--side", "right"]) == 0
+    assert capsys.readouterr().out.count('"suite": ') == len(SUITES)
 
 
 def test_run_suite_coisotropic_degree_zero():

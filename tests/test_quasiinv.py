@@ -225,7 +225,7 @@ def test_chi_modules_and_weight_reject_an_fq_element():
     # the per-monomial caches would read as B
     v = builtin("fq-g1").pres.gen("v")
     calls = [lambda: ChiModule().act(v, chi(1)),
-             lambda: _galilei_module().act(v, chi(1)),
+             lambda: _galilei_module(False).act(v, chi(1)),
              lambda: ChiFractionModule().act(v, ChiFraction(chi(1))),
              lambda: galilei_weight()(v),
              lambda: galilei_weight()(v.scale(0))]
@@ -237,7 +237,7 @@ def test_chi_modules_and_weight_reject_an_fq_element():
 def test_chi_module_act_is_the_linear_extension_of_act_mono():
     X = uq("B") * uq("K") + uq("T").scale(2) - uq("K", -1)
     assert len(X.terms) > 2
-    for mod in (ChiModule(), _galilei_module()):
+    for mod in (ChiModule(), _galilei_module(False)):
         for l in range(-3, 4):
             f = chi(l) + chi(l + 1, I)
             assert mod.act(X, f) == act(mod.action.apply(X), f)
@@ -437,11 +437,17 @@ def test_fraction_module_b_power_keeps_one_denominator(d):
     assert out == steps
 
 
-def test_fraction_module_takes_no_action():
-    # its derivation rule for B holds only for the default chi action
-    with pytest.raises(TypeError):
-        ChiFractionModule(ChiModule().action)
-    assert ChiFractionModule().action is ChiModule().action
+def test_fraction_module_agrees_with_its_action_on_unit_denominators():
+    # the quotient rule reads the action, so it serves any action, here
+    # the Galilei module's, whose T moves chi^l to chi^(l+-1)
+    gal = _galilei_module(False)
+    frac = ChiFractionModule(gal.action)
+    xs = [UQ.pres.monomial(mon) for mon in UQ.pres.monomials_up_to(2)]
+    xs.append(uq("B") * uq("T") + uq("K", -2).scale(I))
+    for X in xs:
+        for l in range(-2, 3):
+            f = chi(l) + chi(l + 1, I)
+            assert frac.act(X, ChiFraction(f)) == ChiFraction(gal.act(X, f))
 
 
 def test_fraction_module_has_no_star():
@@ -523,7 +529,7 @@ def uq_elements(max_terms=3):
 @given(uq_elements(), laurent_elements(3, TWIST_COEFFS),
        st.sampled_from(["left", "right"]), st.booleans())
 def test_twisted_action_matches_leg_sum(X, a, side, galilei):
-    module = _galilei_module() if galilei else None
+    module = _galilei_module(False) if galilei else None
     got = twisted_action(SHARED_PHI, X, a, side, module)
     assert got == leg_sum_reference(SHARED_PHI, X, a, side, module), \
         (X, a, side, galilei)
@@ -543,7 +549,7 @@ def test_twisted_action_on_zero_and_cancelling_terms(side):
         assert got.is_zero() and got.terms == {}
         assert got == leg_sum_reference(SHARED_PHI, X, a, side)
     X = uq("B") * uq("K") + uq("T", 2).scale(I)
-    for module in (None, _galilei_module()):
+    for module in (None, _galilei_module(False)):
         zero = twisted_action(SHARED_PHI, X, LAURENT.zero(), side, module)
         assert zero.is_zero()
         assert zero == leg_sum_reference(SHARED_PHI, X, LAURENT.zero(), side,
@@ -558,7 +564,7 @@ def test_twisted_action_memo_keeps_sides_and_modules_apart():
     # the left and right sums differ, and its left sum differs from the
     # default chi module's (where left and right agree)
     phi = galilei_weight()
-    gal = _galilei_module()
+    gal = _galilei_module(False)
     X, a = uq("B") * uq("B"), chi(1)
     seen = {}
     for module in (None, gal):
@@ -576,7 +582,7 @@ def test_shared_weight_keeps_the_sides_apart_on_the_galilei_module():
     # the left and right sums differ on 100 of these 250 basis pairs, so
     # a memo key without side would hand the right sum the left one; each
     # side's reference comes from a fresh weight that sees that side only
-    phi, gal = galilei_weight(), _galilei_module()
+    phi, gal = galilei_weight(), _galilei_module(False)
     fresh = {side: Weight("galilei", ChiModule(), galilei_weight_of)
              for side in ("left", "right")}
     differ = 0
@@ -717,10 +723,9 @@ def test_row_wise_cocycle_battery_matches_per_pair_defects(make, side):
 
 
 def test_row_wise_d1d0_rows_match_per_pair_defects():
-    frac = ChiFractionModule()
     want = {}
     for xi in (chi(1), chi(-2), LAURENT.one() + chi(1)):
-        w = coboundary_weight(xi, frac)
+        w = coboundary_weight(xi)
         for X in window(1):
             for Y in window(1):
                 ok = d1_defect(w, X, Y).is_zero()
