@@ -13,7 +13,8 @@ import json
 import sys
 
 from .coiso import galilei_subgroup, homogeneous_space, homogeneous_space_report, subgroup_report
-from .errors import ConfigError, HopfkitError, UnknownSuite, check_sizes
+from .errors import (ConfigError, HopfkitError, UnknownSuite, check_choice,
+                     check_sizes)
 from .hopf import BUILTIN_NAMES, HOPF_NAMES, builtin, verify_hopf
 from .induce import (
     galilei_basis,
@@ -38,7 +39,9 @@ from .quasiinv import (
 )
 from .report import CheckEntry, CheckReport
 
-CONFIG_KEYS = ("window", "degree", "preset", "suites", "output")
+# the settings a suite may read, in the order an unread one is reported:
+# verify's flags, and with suites and output the keys of a config file
+SETTINGS = ("preset", "degree", "window", "side")
 
 
 def _merge(reports, suite_name, params):
@@ -49,13 +52,6 @@ def _merge(reports, suite_name, params):
                                      c.witness) for c in rep.checks)
         out.params.update({f"{prefix}.{k}": v for k, v in rep.params.items()})
     return out.finalize()
-
-
-def _check_preset(preset):
-    """A preset names one Hopf built-in; with none, hopf-axioms runs all."""
-    if preset is not None and preset not in HOPF_NAMES:
-        raise ConfigError(f"unknown hopf-axioms preset {preset!r}; choose "
-                          f"from {', '.join(HOPF_NAMES)}")
 
 
 def _suite(run, **defaults):
@@ -69,7 +65,6 @@ def _suite(run, **defaults):
 
 
 def _hopf_axioms(degree, preset):
-    _check_preset(preset)
     names = HOPF_NAMES if preset is None else [preset]
     return _merge([verify_hopf(builtin(n), degree) for n in names],
                   "hopf-axioms", {"degree": degree})
@@ -133,17 +128,32 @@ SUITES = {
 }
 
 
-def _check_suite(name):
-    if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; choose from "
-                           + ", ".join(sorted(SUITES)))
+def _check_run(names, cfg):
+    """Refuse, before any suite runs, a run of the suites in names with
+    the settings of cfg: an unknown suite, a negative size, an unknown
+    preset or side, or a setting that none of the suites reads."""
+    for name in names:
+        if name not in SUITES:
+            raise UnknownSuite(f"unknown suite {name!r}; choose from "
+                               + ", ".join(sorted(SUITES)))
+    check_sizes(window=cfg.get("window"), degree=cfg.get("degree"))
+    preset = cfg.get("preset")
+    if preset is not None and preset not in HOPF_NAMES:
+        raise ConfigError(f"unknown hopf-axioms preset {preset!r}; choose "
+                          f"from {', '.join(HOPF_NAMES)}")
+    check_choice("side", cfg.get("side", "left"))
+    for key in SETTINGS:
+        if key in cfg and not any(key in SUITES[n].reads for n in names):
+            raise ConfigError(
+                "a preset selects the structure of hopf-axioms, which is "
+                "not among the suites to run" if key == "preset" else
+                f"no suite to run reads {key}: {', '.join(names)}")
 
 
 def run_suite(name: str, config: dict | None = None) -> CheckReport:
     """Run one registered verification suite with the given configuration."""
-    _check_suite(name)
     cfg = dict(config or {})
-    check_sizes(window=cfg.get("window"), degree=cfg.get("degree"))
+    _check_run([name], cfg)
     return SUITES[name](cfg)
 
 
@@ -159,7 +169,7 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in CONFIG_KEYS:
+                if key not in SETTINGS + ("suites", "output"):
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 cfg[key] = value
     except OSError as exc:
@@ -190,10 +200,8 @@ def _emit(text: str, out):
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    for key in ("degree", "window", "preset", "side"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    flags = {key: getattr(args, key) for key in SETTINGS}
+    cfg.update({key: v for key, v in flags.items() if v is not None})
     # reject the whole command before any report is printed
     if args.suite == "config":
         if "suites" not in cfg:
@@ -207,19 +215,11 @@ def _cmd_verify(args) -> int:
                           f"config only, not by verify {args.suite}")
     else:
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        _check_suite(name)
-    _check_preset(cfg.get("preset"))
-    for key in ("preset", "degree", "window", "side"):
-        if key in cfg and not any(key in SUITES[n].reads for n in names):
-            raise ConfigError(
-                "a preset selects the structure of hopf-axioms, which is "
-                "not among the suites to run" if key == "preset" else
-                f"no suite to run reads {key}: {', '.join(names)}")
+    _check_run(names, cfg)
     status = 0
     with _open_out(args.out or cfg.get("output")) as out:
         for name in names:
-            rep = run_suite(name, cfg)
+            rep = SUITES[name](cfg)
             _emit(rep.to_json(), out)
             if not rep.passed:
                 status = 1

@@ -42,6 +42,14 @@ def check_sizes(**sizes):
             raise ConfigError(f"{what} must be >= 0, got {value}")
 
 
+def check_element(what, e, pres):
+    """Raise PresentationMismatch unless e is an element of pres; the one
+    guard in front of every map that reads terms as bare exponent tuples."""
+    if getattr(e, "pres", None) is not pres:
+        raise PresentationMismatch(
+            f"{what} takes an element of {pres.name}, not {e!r}")
+
+
 class UnknownStructure(HopfkitError, KeyError):
     """No built-in Hopf structure has the requested name."""
 

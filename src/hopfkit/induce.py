@@ -36,7 +36,8 @@ import functools
 from fractions import Fraction
 
 from .coiso import CoisotropicSubgroup, homogeneous_space, is_member
-from .errors import NotCorepresentation, SideMismatch, check_sizes
+from .errors import (NotCorepresentation, SideMismatch, check_element,
+                     check_sizes)
 from .hopf import builtin
 from .ncalg import (AlgebraElement, Morphism, accumulate, constraint_rows,
                     linear_solve, tensor_map)
@@ -224,6 +225,7 @@ def rho_tilde_generic(X: AlgebraElement, A: IndElement, phi: Weight) -> IndEleme
 
 def galilei_label(A: AlgebraElement) -> str:
     """The Galilei vector phi * A printed on the basis {phi chi^l}."""
+    check_element("galilei_label", A, LAURENT)
     return format_terms((str(c), f"phi*chi^{l}")
                         for (l,), c in sorted(A.terms.items()))
 
@@ -246,6 +248,8 @@ def rho_from_weight(X: AlgebraElement, A: AlgebraElement, phi: Weight) -> Algebr
 
 def _diagonal_form(A: AlgebraElement, B: AlgebraElement, partner) -> Scalar:
     """sum conj(a_l) b_partner(l), the form pairing chi^l with one partner."""
+    check_element("a Galilei form", A, LAURENT)
+    check_element("a Galilei form", B, LAURENT)
     out = ZERO
     for (l,), a in A.terms.items():
         b = B.terms.get((partner(l),))
@@ -261,6 +265,7 @@ def minkowski_form(A: AlgebraElement, B: AlgebraElement) -> Scalar:
 
 def j_structure(A: AlgebraElement) -> AlgebraElement:
     """j(phi chi^l) = phi chi^(-l-1); linear and involutive."""
+    check_element("j_structure", A, LAURENT)
     return AlgebraElement(LAURENT, {(-l - 1,): c for (l,), c in A.terms.items()})
 
 

@@ -51,6 +51,7 @@ from .errors import (
     RewriteLimitExceeded,
     UnknownGenerator,
     WindowOverflow,
+    check_element,
 )
 from .scalars import (ONE, Scalar, ZERO, format_monomial, format_terms,
                       scalar)
@@ -681,9 +682,7 @@ class Morphism:
         return build_by_letters(self._mono_cache, self.source, mon, self._join)
 
     def apply(self, e):
-        if e.pres is not self.source:
-            raise PresentationMismatch(
-                f"{self.name} defined on {self.source.name}, got {e.pres.name}")
+        check_element(self.name, e, self.source)
         if len(e.terms) < 2 or isinstance(self._target_one, Scalar):
             out = None
             for mon, c in e.terms.items():
@@ -741,6 +740,8 @@ def tensor_map(maps, te):
     on the input, zero included: a Scalar when every slot is contracted,
     an AlgebraElement for one leg left, a TensorElement for more.
     """
+    if not isinstance(te, TensorElement):
+        raise InvalidArgument(f"tensor_map takes a tensor, not {te!r}")
     if len(maps) != te.rank:
         raise InvalidArgument(
             f"{len(maps)} maps given for a rank-{te.rank} tensor")

@@ -73,8 +73,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import (PresentationMismatch, RelationNotPreserved,
-                     check_choice, check_sizes)
+from .errors import (RelationNotPreserved, check_choice, check_element,
+                     check_sizes)
 from .hopf import IW, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, TensorElement,
                     accumulate, build_by_letters)
@@ -167,13 +167,6 @@ class PairEngine:
                 out = out + c * v
         return out
 
-    def _check_args(self, what, X, a):
-        # the memo's keys are exponent tuples, read as uq-g1 and fq-g1
-        if X.pres is not self.uq.pres or a.pres is not self.fq.pres:
-            raise PresentationMismatch(
-                f"{what} takes a uq-g1 and an fq-g1 element, "
-                f"got {X.pres.name} and {a.pres.name}")
-
     def pair_basis(self, umon, fmon) -> Scalar:
         """P(umon, fmon) of one uq-g1 and one fq-g1 monomial, read from
         the basis-pair memo and evaluated on its first request only."""
@@ -186,7 +179,8 @@ class PairEngine:
 
     def pair(self, X: AlgebraElement, a: AlgebraElement) -> Scalar:
         """sum cx ca P(umon, fmon) over the terms of X and a."""
-        self._check_args("pair", X, a)
+        check_element("pair", X, self.uq.pres)
+        check_element("pair", a, self.fq.pres)
         basis = self.pair_basis
         out = ZERO
         for umon, cx in X.terms.items():
@@ -199,7 +193,8 @@ class PairEngine:
     def act(self, X: AlgebraElement, a: AlgebraElement, side="left") -> AlgebraElement:
         """Left regular action X.a = (id x X) Delta a; right a.X mirrors it."""
         check_choice("side", side)
-        self._check_args("act", X, a)
+        check_element("act", X, self.uq.pres)
+        check_element("act", a, self.fq.pres)
         delta, monomial = self.fq.delta, self.fq.pres.monomial
         out = {}
         for mon, ca in a.terms.items():

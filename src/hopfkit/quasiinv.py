@@ -48,12 +48,13 @@ cell value h(p1 a p2) once per distinct (p1, p2, a) in a report.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
                      PresentationMismatch, StarUndefined, check_choice,
-                     check_sizes)
+                     check_element, check_sizes)
 from .hopf import algebra_presentation, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
                     constraint_rows, linear_solve)
@@ -83,10 +84,8 @@ OPS = Presentation("ops", ("chi", "E"), (True, False), {
 
 def act(op: AlgebraElement, f: AlgebraElement) -> AlgebraElement:
     """chi^a E^b in OPS sends chi^l in LAURENT to l^b chi^(a+l)."""
-    if not (isinstance(op, AlgebraElement) and op.pres is OPS
-            and isinstance(f, AlgebraElement) and f.pres is LAURENT):
-        raise PresentationMismatch(f"act takes an ops and a chi element, "
-                                   f"got {op!r} and {f!r}")
+    check_element("act", op, OPS)
+    check_element("act", f, LAURENT)
     out = {}
     for (l,), k in f.terms.items():
         row = {}  # op's coefficients at l, summed per chi power, then times k
@@ -216,6 +215,7 @@ class ChiModule:
 
     def star(self, f):
         # chi is real: conjugate coefficients only
+        check_element("star", f, LAURENT)
         return AlgebraElement(LAURENT, {k: c.conjugate()
                                         for k, c in f.terms.items()})
 
@@ -314,9 +314,10 @@ class Weight:
     """Map from the enveloping algebra into a module algebra.
 
     The defining function is linear, so evaluation decomposes over
-    monomials and per-monomial values are cached.  twisted_action keeps
-    its per-basis-pair values in _twist_cache, keyed by (module, side,
-    umon, amon).
+    monomials and per-monomial values are cached by exponent tuple, which
+    is why a call checks X through errors.check_element.  twisted_action
+    keeps its per-basis-pair values in _twist_cache, keyed by (module,
+    side, umon, amon).
     """
 
     def __init__(self, name, module, fn):
@@ -334,10 +335,7 @@ class Weight:
         return hit
 
     def __call__(self, X: AlgebraElement):
-        # of_mono is keyed by exponent tuples, so X's algebra is checked
-        if X.pres is not builtin("uq-g1").pres:
-            raise PresentationMismatch(f"the weight {self.name} takes a "
-                                       f"uq-g1 element, got {X.pres.name}")
+        check_element(f"the weight {self.name}", X, builtin("uq-g1").pres)
         out = self.module.zero()
         for umon, c in X.terms.items():
             out = out + self.of_mono(umon).scale(c)
@@ -350,21 +348,15 @@ def nu_w_functional() -> Functional:
 
 def nu_w(a) -> Scalar:
     """nu_w(chi^l) = delta_{l,0}; v0/v1 polynomials convert first."""
-    if a.pres is not LAURENT:
+    if getattr(a, "pres", None) is not LAURENT:
         a = chi_from_h0(a)
     return a.terms.get((0,), ZERO)
 
 
 @functools.cache
 def weight_coefficient(n: int) -> Scalar:
-    """c_n = (wm/2)^n (2n-1)!!/n!."""
-    dfac = 1
-    for k in range(1, 2 * n, 2):
-        dfac *= k
-    fac = 1
-    for k in range(2, n + 1):
-        fac *= k
-    return (W * SM * scalar(Fraction(1, 2))) ** n * scalar(Fraction(dfac, fac))
+    """c_n = (wm/2)^n (2n-1)!!/n!, computed as (wm/4)^n binomial(2n, n)."""
+    return (W * SM * scalar(Fraction(1, 4))) ** n * scalar(math.comb(2 * n, n))
 
 
 def galilei_weight_of(X: AlgebraElement) -> AlgebraElement:
@@ -406,14 +398,11 @@ def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
     check_choice("side", side)
     m = module or phi.module
     delta = builtin("uq-g1").delta
+    check_element("twisted_action", X, delta.source)
     if not isinstance(a, AlgebraElement):
         return _leg_sum(phi, m, side, delta.apply(X).terms, a)
-    # the cache key holds exponent tuples only, so check both algebras
-    zero = m.zero()
-    if X.pres is not delta.source or a.pres is not zero.pres:
-        raise PresentationMismatch(
-            f"twisted_action takes {delta.source.name} acting on "
-            f"{zero.pres.name}, got {X.pres.name} and {a.pres.name}")
+    zero = m.zero()  # the cache keys hold bare exponent tuples
+    check_element("twisted_action", a, zero.pres)
     if a.is_zero():
         return zero
     cache = phi._twist_cache

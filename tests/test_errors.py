@@ -25,9 +25,17 @@ from hopfkit.errors import (
     UnknownStructure,
 )
 from hopfkit.hopf import builtin
-from hopfkit.induce import Corepresentation, galilei_rep
+from hopfkit.induce import (
+    Corepresentation,
+    galilei_label,
+    galilei_rep,
+    j_structure,
+    minkowski_form,
+    scalar_product,
+    star_pairing,
+)
 from hopfkit.ncalg import Morphism, Presentation, linear_solve, tensor_map
-from hopfkit.pairing import act as pairing_act, engine
+from hopfkit.pairing import act as pairing_act, engine, pair
 from hopfkit.parser import parse
 from hopfkit.quasiinv import (
     OPS,
@@ -38,6 +46,7 @@ from hopfkit.quasiinv import (
     chi,
     cocycle_check,
     galilei_weight,
+    nu_w,
     nu_w_functional,
     quasi_invariance_check,
     twisted_action,
@@ -107,6 +116,37 @@ CASES = {
     "fraction_module_act_mono-laurent-vector": (
         lambda: ChiFractionModule().act_mono((0, 0, 0, 1), chi(1)),
         PresentationMismatch, None),
+    # a non-element where a map reads exponent tuples, never an
+    # AttributeError: errors.check_element guards every such map
+    "chi_module_act-int-operator": (
+        lambda: ChiModule().act(3, chi(1)), PresentationMismatch, None),
+    "weight-of-an-int": (
+        lambda: galilei_weight()(3), PresentationMismatch, None),
+    "pair-int-x": (lambda: pair(3, V), PresentationMismatch, None),
+    "pairing_act-int-a": (
+        lambda: pairing_act(B, 3), PresentationMismatch, None),
+    "twisted_action-int-x": (
+        lambda: twisted_action(galilei_weight(), 3, chi(1)),
+        PresentationMismatch, None),
+    "morphism_apply-int": (
+        lambda: UQ.delta.apply(3), PresentationMismatch, None),
+    "nu_w-of-an-int": (lambda: nu_w(3), PresentationMismatch, None),
+    # a uq-g1 element is no Galilei vector: the first two returned 0, the
+    # next three raised a bare ValueError, the last StopIteration
+    "minkowski_form-foreign-b": (
+        lambda: minkowski_form(chi(1), B), PresentationMismatch, None),
+    "scalar_product-foreign-b": (
+        lambda: scalar_product(chi(-1), B), PresentationMismatch, None),
+    "minkowski_form-foreign-a": (
+        lambda: minkowski_form(B, chi(1)), PresentationMismatch, None),
+    "j_structure-foreign": (
+        lambda: j_structure(B), PresentationMismatch, None),
+    "galilei_label-foreign": (
+        lambda: galilei_label(B), PresentationMismatch, None),
+    "star_pairing-foreign-a": (
+        lambda: star_pairing(B, chi(1)), PresentationMismatch, None),
+    "chi_module_star-foreign": (
+        lambda: ChiModule().star(B), PresentationMismatch, None),
     # a side or form that is not spelled exactly never runs another branch
     "twisted_action-bad-side": (
         lambda: twisted_action(galilei_weight(), B, chi(0), side="Left"),
@@ -148,6 +188,10 @@ CASES = {
     "tensor_map-wrong-number-of-maps": (
         lambda: tensor_map([UQ.epsilon], UQ.delta.apply(B)),
         InvalidArgument, ValueError),
+    "tensor_map-int": (
+        lambda: tensor_map([None], 3), InvalidArgument, ValueError),
+    "tensor_map-element": (
+        lambda: tensor_map([UQ.delta], B), InvalidArgument, ValueError),
     "tensor-with-a-scalar": (
         lambda: B.tensor(ONE), InvalidArgument, ValueError),
     "to_element-rank-2": (

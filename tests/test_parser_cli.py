@@ -355,6 +355,38 @@ def test_verify_rejects_a_size_or_side_no_suite_reads(tmp_path, capsys, argv,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, config, message", [
+    ("jform", {"degree": 7}, "no suite to run reads degree"),
+    ("pairing", {"side": "right"}, "no suite to run reads side"),
+    ("essential-invariance", {"preset": "fq-j"},
+     "hopf-axioms, which is not among the suites"),
+])
+def test_run_suite_refuses_a_setting_its_suite_does_not_read(name, config,
+                                                             message):
+    # run_suite("jform", {"degree": 7}) returned a passing window-5 report;
+    # run_suite and verify share one check of the settings
+    with pytest.raises(ConfigError, match=message):
+        run_suite(name, config)
+
+
+def test_config_side_key_is_read_like_the_side_flag(tmp_path, capsys):
+    # a side line was an unknown key
+    cfg = tmp_path / "side.conf"
+    cfg.write_text("suites = homogeneous-space\ndegree = 2\nside = right\n")
+    assert load_config(str(cfg))["side"] == "right"
+    assert main(["verify", "config", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert '"side": "right"' in from_config
+    assert main(["verify", "homogeneous-space", "--degree", "2",
+                 "--side", "right"]) == 0
+    assert capsys.readouterr().out == from_config
+    cfg.write_text("suites = homogeneous-space\nside = up\n")
+    assert main(["verify", "config", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "side must be one of" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_all_takes_every_size_and_side(capsys):
     assert main(["verify", "all", "--degree", "1", "--window", "1",
                  "--side", "right"]) == 0
