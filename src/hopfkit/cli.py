@@ -151,8 +151,13 @@ def _check_run(names, cfg):
 
 
 def run_suite(name: str, config: dict | None = None) -> CheckReport:
-    """Run one registered verification suite with the given configuration."""
+    """Run one registered verification suite with the given configuration,
+    a dict whose keys are among SETTINGS."""
     cfg = dict(config or {})
+    for key in cfg:
+        if key not in SETTINGS:
+            raise ConfigError(f"unknown setting {key!r}; choose from "
+                              + ", ".join(SETTINGS))
     _check_run([name], cfg)
     return SUITES[name](cfg)
 

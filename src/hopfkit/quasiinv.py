@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (NotGroupLike, NotInvertible, NotTauReal,
@@ -585,12 +584,18 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
     return rep.finalize()
 
 
-@dataclass
 class EssentialInvarianceResult:
-    status: str  # "coboundary" | "refuted"
-    xi: AlgebraElement | None
-    solution_dim: int
-    certificate: list = field(default_factory=list)
+    """What essential_invariance_decide found: status "coboundary" with
+    the invertible xi, or "refuted" with xi None and the forced-zero rows
+    as certificate; solution_dim is the dimension of the solution space."""
+
+    __slots__ = ("status", "xi", "solution_dim", "certificate")
+
+    def __init__(self, status, xi, solution_dim, certificate=None):
+        self.status = status
+        self.xi = xi
+        self.solution_dim = solution_dim
+        self.certificate = [] if certificate is None else certificate
 
 
 def essential_invariance_decide(phi: Weight, window: int) -> EssentialInvarianceResult:

@@ -1,6 +1,7 @@
 """Machine-readable outcome of one verification suite.
 
-A CheckReport gains its checks through record, one entry each.  Its
+A CheckReport gains its checks through record, one CheckEntry each: a
+slot-only record of id, status, law and witness.  Its
 printed form is to_json, exactly the text of json.dumps(to_dict(),
 indent=2): the check list, nearly all of that text, is written in one
 pass over the entries, with no dict built per check.  to_dict gives the
@@ -10,7 +11,6 @@ same report as a dict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 TOOL_VERSION = "0.1.0"
@@ -23,20 +23,27 @@ _WITNESS = ',\n      "witness": '
 _NEXT = "\n    },\n    "
 
 
-@dataclass
 class CheckEntry:
-    id: str
-    status: str  # pass | fail
-    law: str = ""  # which identity was checked
-    witness: str | None = None
+    """One check: its id, status (pass | fail), the identity checked
+    (law) and, for a failure, a witness string."""
+
+    __slots__ = ("id", "status", "law", "witness")
+
+    def __init__(self, id, status, law="", witness=None):
+        self.id = id
+        self.status = status
+        self.law = law
+        self.witness = witness
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    preset: str = ""
-    params: dict = field(default_factory=dict)
-    checks: list[CheckEntry] = field(default_factory=list)
+    """The checks of one suite run, with its preset and parameters."""
+
+    def __init__(self, suite, preset="", params=None, checks=None):
+        self.suite = suite
+        self.preset = preset
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
 
     def record(self, check_id, ok, law="", witness=None):
         """Append a pass/fail entry; a failing entry must carry a witness.

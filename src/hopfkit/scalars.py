@@ -10,7 +10,11 @@ over one positive integer denominator, all Python ints, reduced so that
 gcd(a, b, d) == 1.  Arithmetic on it runs on machine integers with at
 most one gcd per result.  Every Scalar whose denominator is the constant
 1 holds the module's P_ONE object itself, so the field operations test
-for it by identity.
+for it by identity.  In the same way every Scalar of value 1 is the
+module's ONE object, whichever operation made it (a product of units
+such as i(-i), the conjugate of a real unit, a quotient x/x, a coerced
+int 1 or the public constructor), so each `is ONE` shortcut here and in
+the engine above skips every unit factor.
 
 Sums, products and quotients follow Henrici (JACM 3(1), 1956; Knuth,
 TAOCP vol. 2, 4.5.1): the gcds run on the operands' factors, never on
@@ -46,7 +50,8 @@ negative part of the sum is the denominator, so the result is reduced
 with no gcd and no division.  Multi-term operands keep the Henrici path.
 Values are never mutated after construction, so handing back an operand
 is safe.  Every reduced result is built by one private constructor,
-_scalar; the public Scalar(num, den) always reduces.
+_scalar, which hands back ONE for the value 1; the public
+Scalar(num, den) always reduces and then builds through it.
 
 Conjugation sends i to -i and fixes w, m, u.
 """
@@ -698,22 +703,21 @@ class Scalar:
 
     num and den are Polys with gcd 1 and den monic.  A constant
     denominator is always the shared P_ONE object, never an equal copy:
-    `x.den is P_ONE` holds exactly when x is a polynomial.
+    `x.den is P_ONE` holds exactly when x is a polynomial.  Likewise
+    `x is ONE` holds exactly when x == 1.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=P_ONE):
+    def __new__(cls, num, den=P_ONE):
         if den.is_zero():
             raise DivisionByZero("zero polynomial denominator")
         if num.is_zero():
-            self.num, self.den = P_ZERO, P_ONE
-            return
+            return ZERO
         if den.is_const():
             c = den.const_value()
-            self.num = num if c == GR_ONE else num.scale(GR_ONE / c)
-            self.den = P_ONE
-            return
+            return _scalar(num if c == GR_ONE else num.scale(GR_ONE / c),
+                           P_ONE)
         g = poly_gcd(num, den)
         if not (g.is_const() and g.const_value() == GR_ONE):
             num = _exact_div(num, g)
@@ -721,8 +725,7 @@ class Scalar:
         den, lc = den.monic()
         if lc != GR_ONE:
             num = num.scale(GR_ONE / lc)
-        self.num = num
-        self.den = P_ONE if den.is_const() else den
+        return _scalar(num, P_ONE if den.is_const() else den)
 
     # -- predicates ---------------------------------------------------
 
@@ -877,7 +880,12 @@ _new_scalar = object.__new__
 
 def _scalar(num, den):
     """Scalar from num and den already in canonical form: the one
-    constructor of every reduced result, with no gcd and no check."""
+    constructor of every reduced result, with no gcd.  The value 1 is
+    the shared ONE."""
+    if den is P_ONE and len(num.terms) == 1:
+        c = num.terms.get(_ZERO_EXP)
+        if c is not None and c.a == 1 and c.d == 1 and not c.b:
+            return ONE
     s = _new_scalar(Scalar)
     s.num, s.den = num, den
     return s
@@ -938,7 +946,7 @@ def _coerce(x):
         x = GaussRat(x)
     elif not isinstance(x, GaussRat):
         return None
-    return Scalar(Poly.const(x))
+    return _scalar(Poly({_ZERO_EXP: x}), P_ONE) if x else ZERO
 
 
 def scalar(x) -> Scalar:
@@ -950,7 +958,9 @@ def scalar(x) -> Scalar:
 
 
 ZERO = _scalar(P_ZERO, P_ONE)
-ONE = _scalar(P_ONE, P_ONE)
+# built directly: _scalar hands back this object for every value 1
+ONE = _new_scalar(Scalar)
+ONE.num, ONE.den = P_ONE, P_ONE
 I = Scalar(Poly.const(GR_I))
 W = Scalar(Poly.var(0))
 M = Scalar(Poly.var(1))

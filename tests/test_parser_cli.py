@@ -369,6 +369,20 @@ def test_run_suite_refuses_a_setting_its_suite_does_not_read(name, config,
         run_suite(name, config)
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"windw": 3}, "windw"),
+    ({"output": "x.json"}, "output"),
+    ({"suites": "jform"}, "suites"),
+    ({"window": 2, 7: 1}, "7"),
+])
+def test_run_suite_refuses_a_key_that_is_no_setting(config, key):
+    # run_suite("jform", {"windw": 3}) returned a passing window-5 report;
+    # only verify's config file refused an unknown key
+    with pytest.raises(ConfigError, match=f"unknown setting '?{key}'?; "
+                                          "choose from preset, degree"):
+        run_suite("jform", config)
+
+
 def test_config_side_key_is_read_like_the_side_flag(tmp_path, capsys):
     # a side line was an unknown key
     cfg = tmp_path / "side.conf"

@@ -1,10 +1,14 @@
 """The package has no runtime dependencies: every import in src/hopfkit is
 hopfkit itself or the standard library.  sympy and hypothesis are for
 tests only.  Every import sits at module level, so a module's
-dependencies are read from its head and no call pays for an import."""
+dependencies are read from its head and no call pays for an import.
+Importing the package and its CLI loads neither dataclasses nor
+inspect."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -32,6 +36,21 @@ def test_imports_are_hopfkit_or_stdlib(path):
 def test_the_walk_sees_every_module():
     names = {p.name for p in SRC.glob("*.py")}
     assert {"__init__.py", "pairing.py", "scalars.py"} <= names
+
+
+# heavy standard-library modules the package does not need: dataclasses
+# pulls in inspect, which costs a cold process most of its import time
+UNWANTED = ("dataclasses", "inspect")
+
+
+def test_importing_the_package_loads_no_unwanted_module():
+    # -S: no site, so nothing but the package itself is imported
+    probe = ("import sys, hopfkit, hopfkit.cli\n"
+             f"print(sorted(set({UNWANTED!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]", f"hopfkit loads {out.strip()}"
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

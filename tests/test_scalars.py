@@ -251,6 +251,76 @@ def test_unit_denominator_is_shared():
     assert conjugate(I / (W + M)).den is not P_ONE
 
 
+# -- the unit is shared: every Scalar equal to 1 is ONE ----------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ONE.conjugate(),
+    lambda: conjugate(ONE),
+    lambda: scalar(1),
+    lambda: scalar(Fraction(3, 3)),
+    lambda: scalar(scalars.GR_ONE),
+    lambda: Scalar(P_ONE),
+    lambda: Scalar((2 * W).num, (2 * W).num),
+    lambda: I * (-I),
+    lambda: (-ONE) * (-ONE),
+    lambda: -(-ONE),
+    lambda: scalar(2) + scalar(-1),
+    lambda: (W + M) * (ONE / (W + M)),
+    lambda: (I / (2 * W)) * (ONE / (I / (2 * W))),
+    lambda: (W + I) / (W + I),
+    lambda: (ONE / (W - M)) / (ONE / (W - M)),
+    lambda: (-I) ** 4,
+    lambda: W ** 0,
+], ids=["ONE.conjugate()", "conjugate(ONE)", "scalar(1)", "scalar(3/3)",
+        "scalar(GR_ONE)", "Scalar(P_ONE)", "Scalar(2w, 2w)", "I*(-I)",
+        "(-ONE)*(-ONE)", "-(-ONE)", "2+(-1)", "x*(ONE/x)", "x*(ONE/x) one term",
+        "x/x", "x/x fraction", "(-I)**4", "W**0"])
+def test_a_unit_is_the_shared_one(make):
+    assert make() is ONE
+
+
+def unit_candidates(x, y, n):
+    """Results of +, -, *, /, conjugate and ** on x and y, some of them
+    equal to 1 by construction."""
+    out = [x + y, x - y, x * y, conjugate(x), x ** n,
+           (x + ONE) - x, x - (x - ONE), x * x ** 0, conjugate(x) ** 0]
+    if x:
+        inv = ONE / x
+        out += [x / x, x * inv, inv * x, conjugate(x) / conjugate(x),
+                conjugate(x * inv), (x / conjugate(x)) * (conjugate(x) / x),
+                x ** n / x ** n, inv ** n * x ** n, x / y if y else x]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_scalars(), small_scalars(), st.integers(0, 3))
+def test_every_result_equal_to_one_is_one(x, y, n):
+    for r in unit_candidates(x, y, n):
+        assert (r is ONE) == (r == ONE), r
+
+
+def test_the_star_of_a_real_monomial_makes_no_scalar_product(monkeypatch):
+    from hopfkit.hopf import builtin
+    uq = builtin("uq-g1")
+    window = [uq.pres.monomial(mon) for mon in uq.pres.monomials_up_to(3)]
+    for a in window:
+        uq.star.apply(a)  # fill the star's image cache
+    calls = []
+    real = Scalar.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    for a in window:
+        assert all(c is ONE for c in a.terms.values())
+        uq.star.apply(a)
+    assert not calls, f"{len(calls)} Scalar products"
+
+
 # -- printed form ------------------------------------------------------------
 
 HALF = scalar(Fraction(1, 2))
