@@ -38,6 +38,7 @@ from .quasiinv import (
     recurrence_report,
 )
 from .report import CheckEntry, CheckReport
+from .scalars import _shared_values
 
 # the settings a suite may read, in the order an unread one is reported:
 # verify's flags, and with suites and output the keys of a config file
@@ -57,9 +58,11 @@ def _merge(reports, suite_name, params):
 def _suite(run, **defaults):
     """A suite of the table: run takes the config keys named in defaults,
     each read from the config or else given its default.  These are the
-    keys the suite reads, kept on it as reads."""
+    keys the suite reads, kept on it as reads.  The suite runs inside the
+    scalar tables' scope, which ends with it."""
     def suite(cfg):
-        return run(**{k: cfg.get(k, d) for k, d in defaults.items()})
+        with _shared_values():
+            return run(**{k: cfg.get(k, d) for k, d in defaults.items()})
     suite.reads = frozenset(defaults)
     return suite
 

@@ -50,14 +50,31 @@ negative part of the sum is the denominator, so the result is reduced
 with no gcd and no division.  Multi-term operands keep the Henrici path.
 Values are never mutated after construction, so handing back an operand
 is safe.  Every reduced result is built by one private constructor,
-_scalar, which hands back ONE for the value 1; the public
-Scalar(num, den) always reduces and then builds through it.
+_scalar, which hands back ZERO for the value 0 and ONE for the value 1;
+the public Scalar(num, den) always reduces and then builds through it.
 
-Conjugation sends i to -i and fixes w, m, u.
+The scalar tables are live only inside the scope _shared_values, which
+the command line opens around each verification suite.  There _scalar
+hands back one shared object per one-term value (one term over P_ONE or
+a monic monomial), keyed by its numerator and denominator exponents and
+the fields a, b, d of its coefficient; and a product or sum of two
+one-term operands is looked up by the operands' identities,
+(id(x), id(y)).  Each entry holds its operands and its result, so no id
+in a key can be reused while the entry names it, and a miss runs the
+kernels above, so every result is the one computed outside the scope.
+Leaving the scope, by an exception too, empties the tables.  They do not
+live as long as the process: parser traffic and direct arithmetic would
+fill them with values that are never met again, so outside the scope an
+operation costs one flag test and adds no entry.  Equality and hashing
+stay structural.
+
+Conjugation sends i to -i and fixes w, m, u; a real one-term value is
+its own conjugate and is handed back itself.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -763,21 +780,32 @@ class Scalar:
             return self
         if not self.num.terms:
             return other
+        if _live:
+            hit = _sums.get((id(self), id(other)))
+            if hit is not None:
+                return hit[2]
         a, b, c, d = self.num, self.den, other.num, other.den
         if b is P_ONE and d is P_ONE:
-            return _scalar(a + c, P_ONE)
-        g = P_ONE if b is P_ONE or d is P_ONE else poly_gcd(b, d)
-        if g.is_const():
-            return _fraction(a * d + c * b, b * d)
-        d = _exact_div(d, g)
-        t = a * d + c * _exact_div(b, g)
-        if not t.terms:
-            return ZERO
-        # only a factor of g can divide both t and b*d/g
-        g = poly_gcd(t, g)
-        if not g.is_const():
-            t, b = _exact_div(t, g), _exact_div(b, g)
-        return _fraction(t, b * d)
+            s = _scalar(a + c, P_ONE)
+        else:
+            g = P_ONE if b is P_ONE or d is P_ONE else poly_gcd(b, d)
+            if g.is_const():
+                s = _fraction(a * d + c * b, b * d)
+            else:
+                d = _exact_div(d, g)
+                t = a * d + c * _exact_div(b, g)
+                if not t.terms:
+                    s = ZERO
+                else:
+                    # only a factor of g can divide both t and b*d/g
+                    g = poly_gcd(t, g)
+                    if not g.is_const():
+                        t, b = _exact_div(t, g), _exact_div(b, g)
+                    s = _fraction(t, b * d)
+        if _live and (len(a.terms) == len(c.terms) == len(self.den.terms)
+                      == len(other.den.terms) == 1):
+            _sums[id(self), id(other)] = (self, other, s)
+        return s
 
     __radd__ = __add__
 
@@ -805,6 +833,17 @@ class Scalar:
                 return NotImplemented
         if self is ONE:
             return other
+        if _live:
+            key = (id(self), id(other))
+            hit = _products.get(key)
+            if hit is not None:
+                return hit[2]
+            n1, d1 = self.num.terms, self.den.terms
+            n2, d2 = other.num.terms, other.den.terms
+            if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+                r = _one_term_product(n1, d1, n2, d2)
+                _products[key] = (self, other, r)
+                return r
         if not self.num.terms or not other.num.terms:
             return ZERO
         if self.den is P_ONE and other.den is P_ONE:
@@ -860,11 +899,16 @@ class Scalar:
         return ONE / self
 
     def conjugate(self):
-        den = self.den
+        num, den = self.num, self.den
+        if len(num.terms) == 1 and len(den.terms) == 1:
+            (c,) = num.terms.values()
+            if not c.b:
+                # a real term over a monic monomial is its own conjugate
+                return self
         if den is not P_ONE:
             # den stays monic: its leading coefficient 1 is real
             den = den.conjugate()
-        return _scalar(self.num.conjugate(), den)
+        return _scalar(num.conjugate(), den)
 
     def __str__(self):
         if self.den is P_ONE:
@@ -877,16 +921,54 @@ class Scalar:
 
 _new_scalar = object.__new__
 
+# The scalar tables (see the module docstring): one-term values by
+# (numerator exponent, denominator exponent, a, b, d), and the entries
+# (x, y, x op y) of products and sums by (id(x), id(y)).
+_live = False
+_values = {}
+_products = {}
+_sums = {}
+
+
+@contextmanager
+def _shared_values():
+    """Within this scope every one-term value built is one shared object,
+    and products and sums of one-term operands are looked up by operand
+    identity; on leaving it, by an exception too, the tables are emptied."""
+    global _live
+    _live = True
+    try:
+        yield
+    finally:
+        _live = False
+        _values.clear()
+        _products.clear()
+        _sums.clear()
+
 
 def _scalar(num, den):
     """Scalar from num and den already in canonical form: the one
-    constructor of every reduced result, with no gcd.  The value 1 is
-    the shared ONE."""
-    if den is P_ONE and len(num.terms) == 1:
-        c = num.terms.get(_ZERO_EXP)
-        if c is not None and c.a == 1 and c.d == 1 and not c.b:
-            return ONE
-    s = _new_scalar(Scalar)
+    constructor of every reduced result, with no gcd.  The values 0 and
+    1 are the shared ZERO and ONE; inside _shared_values every one-term
+    value is one shared object too."""
+    terms = num.terms
+    if den is P_ONE:
+        if len(terms) == 1:
+            c = terms.get(_ZERO_EXP)
+            if c is not None and c.a == 1 and c.d == 1 and not c.b:
+                return ONE
+        elif not terms:
+            return ZERO
+    if _live and len(terms) == 1 and len(den.terms) == 1:
+        (e, c), = terms.items()
+        f, = den.terms
+        key = (e, f, c.a, c.b, c.d)
+        s = _values.get(key)
+        if s is not None:
+            return s
+        s = _values[key] = _new_scalar(Scalar)
+    else:
+        s = _new_scalar(Scalar)
     s.num, s.den = num, den
     return s
 
@@ -957,8 +1039,9 @@ def scalar(x) -> Scalar:
     return s
 
 
-ZERO = _scalar(P_ZERO, P_ONE)
-# built directly: _scalar hands back this object for every value 1
+# built directly: _scalar hands back these objects for every value 0 and 1
+ZERO = _new_scalar(Scalar)
+ZERO.num, ZERO.den = P_ZERO, P_ONE
 ONE = _new_scalar(Scalar)
 ONE.num, ONE.den = P_ONE, P_ONE
 I = Scalar(Poly.const(GR_I))

@@ -32,3 +32,12 @@ def test_words_triple_identities_hold(item):
     assert associative
     assert round_trip
     assert concatenated
+
+
+def test_words_traffic_adds_no_scalar_table_entry():
+    # parser traffic runs outside every suite, so the scalar tables stay
+    # empty and cannot grow with the number of triples parsed
+    from hopfkit import scalars
+    workloads.call(hopfkit, workloads.WORKLOADS["words"], TRIPLES[0])
+    assert not scalars._live
+    assert not (scalars._values or scalars._products or scalars._sums)

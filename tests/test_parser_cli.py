@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfkit import cli, scalars
 from hopfkit.cli import (SUITES, _merge, build_arg_parser, load_config, main,
                          run_suite)
 from hopfkit.errors import (
@@ -600,3 +601,57 @@ def test_merge_leaves_its_inputs_alone():
     second = _merge([rep], "m", {})
     assert [c.id for c in rep.checks] == ["a"]
     assert [c.id for c in first.checks] == [c.id for c in second.checks] == ["p::a"]
+
+
+# -- every suite runs inside the scalar tables' scope --------------------------
+
+
+def scalar_tables():
+    return scalars._values, scalars._products, scalars._sums
+
+
+def probe_suite(monkeypatch, fail):
+    """Register a suite that does scalar work, notes whether the tables
+    are live and filled, and then returns a report or raises."""
+    seen = []
+
+    def run():
+        x = (W * M + U) * (W * M + U)
+        seen.append((scalars._live, all(scalar_tables()), x))
+        if fail:
+            raise ConfigError("the probe suite fails on purpose")
+        rep = CheckReport("probe")
+        rep.record("squared", x == W * W * M * M + 2 * W * M * U + U * U)
+        return rep.finalize()
+
+    monkeypatch.setitem(SUITES, "probe", cli._suite(run))
+    return seen
+
+
+def test_the_scalar_tables_are_empty_after_run_suite(monkeypatch):
+    seen = probe_suite(monkeypatch, fail=False)
+    assert run_suite("probe").passed
+    assert seen[0][:2] == (True, True)
+    assert not any(scalar_tables())
+    rep = run_suite("hopf-axioms", {"degree": 1})
+    assert rep.passed
+    assert not any(scalar_tables())
+
+
+def test_the_scalar_tables_are_empty_after_a_suite_raises(monkeypatch):
+    seen = probe_suite(monkeypatch, fail=True)
+    with pytest.raises(ConfigError):
+        run_suite("probe")
+    assert seen[0][:2] == (True, True)
+    assert not any(scalar_tables())
+    assert not scalars._live
+
+
+@pytest.mark.parametrize("name, config, direct", [
+    ("cocycle", None, lambda: cli._cocycle(2, "left")),
+    ("hopf-axioms", {"degree": 2}, lambda: cli._hopf_axioms(2, None)),
+], ids=["cocycle", "hopf-axioms-2"])
+def test_a_suite_in_the_scope_prints_the_unscoped_bytes(name, config, direct):
+    unscoped = direct().to_json()
+    assert not any(scalar_tables())
+    assert run_suite(name, config).to_json() == unscoped

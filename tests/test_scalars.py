@@ -1,5 +1,7 @@
+import gc
 import math
 import signal
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -764,3 +766,125 @@ def test_the_constructor_always_reduces():
     with pytest.raises(TypeError):
         Scalar(P_ONE, P_ONE, _reduced=True)
     assert Scalar((W * M).num, (W * U).num) == M / U
+
+
+# -- the shared zero: every Scalar equal to 0 is ZERO -------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: W + (-W),
+    lambda: W - W,
+    lambda: (W + M) - (W + M),
+    lambda: (ONE / W) - (ONE / W),
+    lambda: (ONE / (W + M)) - (ONE / (W + M)),
+    lambda: I * W + (-I) * W,
+    lambda: -ZERO,
+    lambda: ZERO.conjugate(),
+    lambda: conjugate(W - W),
+    lambda: ZERO * W,
+    lambda: ZERO / (W + M),
+    lambda: ZERO ** 3,
+    lambda: scalar(0),
+    lambda: Scalar(scalars.P_ZERO, (W + M).num),
+], ids=["x+(-x)", "x-x", "multi-term x-x", "fraction x-x",
+        "multi-term fraction x-x", "i*w+(-i)*w", "-ZERO", "ZERO.conjugate()",
+        "conjugate(x-x)", "ZERO*x", "ZERO/x", "ZERO**3", "scalar(0)",
+        "Scalar(0, den)"])
+def test_a_zero_is_the_shared_zero(make):
+    assert make() is ZERO
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_scalars(), small_scalars(), st.integers(0, 3))
+def test_every_result_equal_to_zero_is_zero(x, y, n):
+    results = unit_candidates(x, y, n) + [
+        x + (-x), x - x, (x - y) - (x - y), x * (y - y), (x - x) * y,
+        conjugate(x - x), (x - x) ** (n + 1), (x - x) / (y + W),
+        (ONE / (y + W)) - (ONE / (y + W)), x * (ONE / (y + W)) - x / (y + W)]
+    for r in results:
+        assert (r is ZERO) == (r == ZERO), r
+
+
+# -- conjugation fixes a real one-term value ---------------------------------
+
+
+@pytest.mark.parametrize("x", [
+    W, -W, ONE / W, scalar(Fraction(2, 3)) * W * M / U, W ** 3 / (M * U)],
+    ids=["w", "-w", "1/w", "2/3*w*m/u", "w^3/(m*u)"])
+def test_conjugate_of_a_real_one_term_value_is_itself(x):
+    assert x.conjugate() is x
+    assert conjugate(x) is x
+
+
+def test_conjugate_of_a_complex_or_multi_term_value():
+    assert (I * W).conjugate() == -I * W
+    assert ((ONE + I) / W).conjugate() == (ONE - I) / W
+    assert (I / (W + I * M)).conjugate() == -I / (W - I * M)
+    # multi-term real values are still rebuilt, equal to their argument
+    x = W + M
+    assert x.conjugate() == x
+
+
+# -- the scalar tables, live only inside _shared_values ----------------------
+
+
+def tables():
+    return scalars._values, scalars._products, scalars._sums
+
+
+def is_one_term(x):
+    return len(x.num.terms) == 1 and len(x.den.terms) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scalars(), small_scalars(), one_term_pairs())
+def test_shared_values_give_the_unscoped_results(x, y, pair):
+    operands = [x, y, *pair, (x + y) / (W + M), ONE / pair[0]]
+    pairs = [(p, q) for p in operands for q in operands]
+    want = [(p + q, p * q) for p, q in pairs]
+    with scalars._shared_values():
+        got = [(p + q, p * q) for p, q in pairs]
+        again = [(p + q, p * q) for p, q in pairs]
+    assert not any(tables())
+    assert got == want
+    for (s, m), (s2, m2), (p, q) in zip(got, again, pairs):
+        assert (s2, m2) == (s, m)
+        if is_one_term(p) and is_one_term(q):
+            assert s2 is s and m2 is m
+
+
+def test_one_term_values_are_shared_inside_the_scope_only():
+    with scalars._shared_values():
+        a, b = W * M, M * W
+        c, d = ONE / W - (ONE + ONE) / W, -ONE / W
+        assert a is b and c is d
+        assert (W + M) * U is not (W + M) * U
+    assert W * M is not M * W
+    assert not any(tables())
+
+
+def test_the_tables_are_emptied_when_the_scope_raises():
+    with pytest.raises(DivisionByZero):
+        with scalars._shared_values():
+            W * M + M * U
+            assert all(tables())
+            ONE / (W - W)
+    assert not any(tables())
+    assert not scalars._live
+
+
+class Weakrefable(Scalar):
+    __slots__ = ("__weakref__",)
+
+
+def test_a_table_entry_keeps_its_operands_alive():
+    with scalars._shared_values():
+        x = object.__new__(Weakrefable)
+        x.num, x.den = (2 * W).num, M.den
+        ref = weakref.ref(x)
+        assert x * U == 2 * W * U
+        del x
+        gc.collect()
+        assert ref() is not None
+    gc.collect()
+    assert ref() is None
