@@ -98,6 +98,8 @@ class Presentation:
                        in self.rules.items()
                        if rhs == ((ONE, ((gr, sr), (gl, sl))),)}
         self._prod_cache = {}
+        # elements are never mutated, so every zero() is this one element
+        self._zero = AlgebraElement(self, {})
         self._check_complete()
         self._check_termination()
         self._check_confluence()
@@ -232,7 +234,7 @@ class Presentation:
     # -- public element factory ----------------------------------------
 
     def zero(self):
-        return AlgebraElement(self, {})
+        return self._zero
 
     def one(self):
         return AlgebraElement(self, {self.one_mon: ONE})

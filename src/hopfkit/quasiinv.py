@@ -37,6 +37,17 @@ element is kept in a dict on the Weight, keyed by (module, side, umon,
 amon), for as long as the Weight lives.  A ChiFraction a has no basis
 terms and is summed directly.
 
+Zero work is skipped, and every skip is exact because each map is
+linear: a weight sums only its nonzero monomial values, the leg sum
+drops a coproduct leg whose weight value is zero before the module acts,
+a chi module gives its zero for a zero operator (the weight's action
+sends M and T to zero), and the cocycle rows form no twisted sum of a
+zero value.  The vector and the side are checked before any of these
+shortcuts, so a guard that raises on a nonzero input raises on a zero
+one too.  A chi module reads its hom on the right only when the hom is
+also an antihom, that is when its generator images commute pairwise: the
+weight's module serves both sides, the Galilei tables the left only.
+
 The check batteries work row by row.  The cocycle battery (both sides)
 and the d1 d0 rows weigh each window element once, read XY from the
 engine's product cache and compare the law's two sides with ==, where
@@ -48,12 +59,13 @@ cell value h(p1 a p2) once per distinct (p1, p2, a) in a report.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
-from .errors import (NotGroupLike, NotInvertible, NotTauReal,
-                     PresentationMismatch, StarUndefined, check_choice,
-                     check_element, check_sizes)
+from .errors import (SIDES, InvalidArgument, NotGroupLike, NotInvertible,
+                     NotTauReal, PresentationMismatch, StarUndefined,
+                     check_choice, check_element, check_sizes)
 from .hopf import algebra_presentation, builtin
 from .ncalg import (AlgebraElement, Morphism, Presentation, accumulate,
                     constraint_rows, linear_solve)
@@ -195,16 +207,30 @@ class ChiFraction:
 class ChiModule:
     """The chi algebra as the module *-algebra target of the checks.
 
-    A chi module is its action, a checked Morphism uq-g1 -> OPS used on
-    both sides (the right fixture mirrors the left one).  The default is
-    the weight's: K -> 1, B -> iwm chi E, T -> 0 and M -> 0, so B shifts
-    and scales, chi^l |-> iwm l chi^(l+1).  act_mono and act read the
-    operator off the action and hand it to _apply, which applies an OPS
+    A chi module is its action, a checked Morphism uq-g1 -> OPS.  The
+    default is the weight's: K -> 1, B -> iwm chi E, T -> 0 and M -> 0, so
+    B shifts and scales, chi^l |-> iwm l chi^(l+1).  act_mono and act read
+    the operator off the action and hand it to _apply, which applies an OPS
     element to a vector: act on LAURENT, the quotient rule on fractions.
+    A zero operator gives the module's zero at once, after _check_vector,
+    the vector guard that _apply shares.
+
+    The same hom serves the right side only when it is also an antihom,
+    that is when the generator images commute pairwise (the weight's do);
+    sides holds the sides the module accepts, and any other side raises
+    InvalidArgument.  Both Galilei tables act on the left only.
     """
 
     def __init__(self, action: Morphism | None = None):
         self.action = action or _chi_action()
+
+    @functools.cached_property
+    def sides(self):
+        """Worked out from the action when a side other than "left" first
+        asks, since a module is also built just to star a vector."""
+        commute = all(p * q == q * p for p, q in
+                      itertools.combinations(self.action.images, 2))
+        return SIDES if commute else ("left",)
 
     def one(self):
         return LAURENT.one()
@@ -218,14 +244,30 @@ class ChiModule:
         return AlgebraElement(LAURENT, {k: c.conjugate()
                                         for k, c in f.terms.items()})
 
+    def _check_side(self, side):
+        if side != "left" and side not in self.sides:
+            check_choice("side", side)
+            raise InvalidArgument(f"{self.action.name} is no right action: "
+                                  "its generator images do not commute")
+
+    def _check_vector(self, f):
+        check_element("act", f, LAURENT)
+
     def _apply(self, op, f):
         return act(op, f)
 
+    def _act_with(self, op, f, side):
+        self._check_side(side)
+        if op.terms:
+            return self._apply(op, f)
+        self._check_vector(f)
+        return self.zero()
+
     def act_mono(self, umon, f, side="left"):
-        return self._apply(self.action._mono_image(umon), f)
+        return self._act_with(self.action._mono_image(umon), f, side)
 
     def act(self, X: AlgebraElement, f, side="left"):
-        return self._apply(self.action.apply(X), f)
+        return self._act_with(self.action.apply(X), f, side)
 
     def basis(self, window):
         return [chi(l) for l in range(-window, window + 1)]
@@ -243,12 +285,16 @@ class ChiFractionModule(ChiModule):
     def star(self, f):
         raise StarUndefined("no involution on the fraction-field target")
 
+    def _check_vector(self, f):
+        if not isinstance(f, ChiFraction):
+            raise PresentationMismatch(f"expected a ChiFraction, got {f!r}")
+
     def _apply(self, op, f):
         """The quotient rule: E^b f = n_b / D^(b+1) for D = f.den, n_0 =
         f.num, n_b = E(n_(b-1)) D - b n_(b-1) E(D), so sum c chi^a E^b f is
-        sum_b (sum_a c chi^a) n_b D^(top-b) / D^(top+1), top the largest b."""
-        if not isinstance(f, ChiFraction):
-            raise PresentationMismatch(f"expected a ChiFraction, got {f!r}")
+        sum_b (sum_a c chi^a) n_b D^(top-b) / D^(top+1), top the largest b;
+        a b with no chi part adds nothing."""
+        self._check_vector(f)
         top = max((b for _, b in op.terms), default=0)
         n, num, den, out_den = f.num, LAURENT.zero(), f.den, f.den
         for b in range(top + 1):
@@ -257,7 +303,8 @@ class ChiFractionModule(ChiModule):
                 n = act(e, n) * den - (n * act(e, den)).scale(b)
                 num, out_den = num * den, out_den * den
             chi_part = {(a, 0): c for (a, k), c in op.terms.items() if k == b}
-            num = num + act(AlgebraElement(OPS, chi_part), n)
+            if chi_part:
+                num = num + act(AlgebraElement(OPS, chi_part), n)
         return ChiFraction(num, out_den)
 
 
@@ -267,6 +314,12 @@ class RegularModule:
     def __init__(self):
         self.fq = builtin("fq-g1")
         self.eng = pairing_engine()
+
+    def _check_side(self, side):
+        check_choice("side", side)
+
+    def _check_vector(self, f):
+        check_element("act", f, self.fq.pres)
 
     def one(self):
         return self.fq.pres.one()
@@ -314,9 +367,10 @@ class Weight:
 
     The defining function is linear, so evaluation decomposes over
     monomials and per-monomial values are cached by exponent tuple, which
-    is why a call checks X through errors.check_element.  twisted_action
-    keeps its per-basis-pair values in _twist_cache, keyed by (module,
-    side, umon, amon).
+    is why a call checks X through errors.check_element.  A call sums the
+    nonzero values only, and builds the module's zero only when every
+    value vanishes.  twisted_action keeps its per-basis-pair values in
+    _twist_cache, keyed by (module, side, umon, amon).
     """
 
     def __init__(self, name, module, fn):
@@ -335,10 +389,13 @@ class Weight:
 
     def __call__(self, X: AlgebraElement):
         check_element(f"the weight {self.name}", X, builtin("uq-g1").pres)
-        out = self.module.zero()
+        out = None
         for umon, c in X.terms.items():
-            out = out + self.of_mono(umon).scale(c)
-        return out
+            value = self.of_mono(umon)
+            if not value.is_zero():
+                value = value.scale(c)
+                out = value if out is None else out + value
+        return self.module.zero() if out is None else out
 
 
 def nu_w_functional() -> Functional:
@@ -390,20 +447,21 @@ def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
 
     X acts through module, phi's own module by default.  The one sum
     behind the cocycle law, the coboundary twist, the quasi-invariance
-    lemma and the unitarized induced representation.  An AlgebraElement
-    a is expanded over basis pairs whose values phi caches; a ChiFraction
-    a is summed by _leg_sum as it stands.
+    lemma and the unitarized induced representation.  The side and the
+    vector are checked against the module first, so no zero shortcut
+    skips a guard; a zero a gives the module's zero, as the sum is linear
+    in a.  An AlgebraElement a is expanded over basis pairs whose values
+    phi caches; a ChiFraction a is summed by _leg_sum as it stands.
     """
-    check_choice("side", side)
     m = module or phi.module
+    m._check_side(side)
     delta = builtin("uq-g1").delta
     check_element("twisted_action", X, delta.source)
+    m._check_vector(a)  # the cache keys hold bare exponent tuples
+    if a.is_zero():
+        return m.zero()
     if not isinstance(a, AlgebraElement):
         return _leg_sum(phi, m, side, delta.apply(X).terms, a)
-    zero = m.zero()  # the cache keys hold bare exponent tuples
-    check_element("twisted_action", a, zero.pres)
-    if a.is_zero():
-        return zero
     cache = phi._twist_cache
     out = {}
     for umon, cx in X.terms.items():
@@ -415,19 +473,24 @@ def twisted_action(phi: Weight, X: AlgebraElement, a, side: str = "left",
                                a.pres.monomial(amon))
                 cache[key] = hit
             accumulate(out, hit.terms, ca if cx is ONE else cx * ca)
-    return AlgebraElement(zero.pres, out)
+    return AlgebraElement(a.pres, out)
 
 
 def _leg_sum(phi: Weight, m, side: str, legs, a):
-    """The coproduct-leg sum of twisted_action over the terms of Delta X."""
-    out = m.zero()
+    """The coproduct-leg sum of twisted_action over the terms of Delta X;
+    a leg whose weight value is zero adds zero and is skipped before the
+    module acts (twisted_action has checked a and side already)."""
+    out = None
     for (m1, m2), c in legs.items():
+        value = phi.of_mono(m2 if side == "left" else m1)
+        if value.is_zero():
+            continue
         if side == "left":
-            piece = m.act_mono(m1, a) * phi.of_mono(m2)
+            piece = (m.act_mono(m1, a) * value).scale(c)
         else:
-            piece = phi.of_mono(m1) * m.act_mono(m2, a, side="right")
-        out = out + piece.scale(c)
-    return out
+            piece = (value * m.act_mono(m2, a, side="right")).scale(c)
+        out = piece if out is None else out + piece
+    return m.zero() if out is None else out
 
 
 def transform_weight(phi: Weight, xi) -> Weight:
@@ -456,16 +519,20 @@ def coboundary_weight(xi) -> Weight:
 def _d1_sides(phi: Weight, X, Y, XY, phi_x, phi_y, side: str):
     """The two sides of the cocycle law at X (x) Y, given the product XY
     and the values phi[X], phi[Y]: phi[XY] and sum X_(1).phi[Y] phi[X_(2)]
-    on the left, psi[XY] and sum psi[Y_(1)] (psi[X].Y_(2)) on the right."""
-    if side == "left":
-        return phi(XY), twisted_action(phi, X, phi_y)
-    return phi(XY), twisted_action(phi, Y, phi_x, side)
+    on the left, psi[XY] and sum psi[Y_(1)] (psi[X].Y_(2)) on the right.
+    The sum is linear in the weight value it acts on, so a zero value
+    gives the module's zero with no sum formed."""
+    Z, value = (X, phi_y) if side == "left" else (Y, phi_x)
+    if value.is_zero():
+        return phi(XY), phi.module.zero()
+    return phi(XY), twisted_action(phi, Z, value, side)
 
 
 def d1_defect(phi: Weight, X: AlgebraElement, Y: AlgebraElement,
               side: str = "left"):
     """d1(phi)[X (x) Y] = phi[XY] - sum X_(1).phi[Y] phi[X_(2)]; its right
     mirror is psi[XY] - sum psi[Y_(1)] (psi[X].Y_(2))."""
+    phi.module._check_side(side)  # _d1_sides may skip twisted_action
     lhs, rhs = _d1_sides(phi, X, Y, X * Y, phi(X), phi(Y), side)
     return lhs - rhs
 
@@ -492,7 +559,7 @@ def cocycle_check(phi: Weight, degree: int, side: str = "left") -> CheckReport:
     """d1(phi) = 0 on all window monomial pairs, plus phi[1] = 1.  A
     negative degree, which would leave only the unit row, raises
     ConfigError."""
-    check_choice("side", side)
+    phi.module._check_side(side)
     check_sizes(degree=degree)
     uq = builtin("uq-g1")
     rep = CheckReport("cocycle", preset=phi.name,
@@ -536,10 +603,10 @@ def quasi_invariance_check(h: Functional, phi: Weight, degree: int,
     ConfigError.
     """
     check_choice("form", form, FORMS)
-    check_choice("side", side)
+    m = phi.module
+    m._check_side(side)
     check_sizes(degree=degree, window=window)
     uq = builtin("uq-g1")
-    m = phi.module
     star_u, S = uq.star, uq.antipode
     rep = CheckReport(f"functional-{form}", preset=h.name,
                       params={"degree": degree, "window": window, "side": side})

@@ -27,6 +27,7 @@ from hopfkit.errors import (
 from hopfkit.hopf import builtin
 from hopfkit.induce import (
     Corepresentation,
+    _galilei_module,
     galilei_label,
     galilei_rep,
     j_structure,
@@ -42,10 +43,14 @@ from hopfkit.quasiinv import (
     ChiFraction,
     ChiFractionModule,
     ChiModule,
+    Weight,
     act,
     chi,
+    coboundary_weight,
     cocycle_check,
+    d1_defect,
     galilei_weight,
+    galilei_weight_of,
     nu_w,
     nu_w_functional,
     quasi_invariance_check,
@@ -58,6 +63,8 @@ FQ = builtin("fq-g1")
 FJ = builtin("fq-j")
 SUB = galilei_subgroup()
 B = UQ.pres.gen("B")
+M, T = UQ.pres.gen("M"), UQ.pres.gen("T")
+(T_MON,) = T.terms
 PI_TABLE = {"mu": FJ.pres.gen("muh"), "x": FJ.pres.gen("xh"),
             "t": FJ.pres.gen("th"), "v": FJ.pres.zero()}
 # t -> th + th^2 keeps the defining relations but not Delta(t)
@@ -116,6 +123,33 @@ CASES = {
     "fraction_module_act_mono-laurent-vector": (
         lambda: ChiFractionModule().act_mono((0, 0, 0, 1), chi(1)),
         PresentationMismatch, None),
+    # the same with a zero operator (M and T act as zero in the weight's
+    # module), or with every leg's weight value zero (phi[M] = phi[T] = 0):
+    # the vector is checked before any zero shortcut
+    "fraction_module_act-zero-operator-laurent-vector": (
+        lambda: ChiFractionModule().act(M, chi(1)),
+        PresentationMismatch, None),
+    "fraction_module_act_mono-zero-operator-laurent-vector": (
+        lambda: ChiFractionModule().act_mono(T_MON, chi(1)),
+        PresentationMismatch, None),
+    "chi_module_act_mono-zero-operator-fraction-vector": (
+        lambda: ChiModule().act_mono(T_MON, ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "twisted_action-fraction-on-chi-module-zero-weight-t": (
+        lambda: twisted_action(galilei_weight(), T, ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "twisted_action-fraction-on-chi-module-zero-weight-m": (
+        lambda: twisted_action(galilei_weight(), M, ChiFraction(chi(1))),
+        PresentationMismatch, None),
+    "twisted_action-zero-fraction-on-chi-module": (
+        lambda: twisted_action(galilei_weight(), B,
+                               ChiFraction(chi(0).scale(0))),
+        PresentationMismatch, None),
+    # a zero Laurent element on the fraction field raised a bare
+    # AttributeError
+    "twisted_action-zero-laurent-on-fraction-module": (
+        lambda: twisted_action(coboundary_weight(chi(1)), B, chi(0).scale(0)),
+        PresentationMismatch, None),
     # a non-element where a map reads exponent tuples, never an
     # AttributeError: errors.check_element guards every such map
     "chi_module_act-int-operator": (
@@ -150,6 +184,28 @@ CASES = {
     # a side or form that is not spelled exactly never runs another branch
     "twisted_action-bad-side": (
         lambda: twisted_action(galilei_weight(), B, chi(0), side="Left"),
+        InvalidArgument, ValueError),
+    # the Galilei tables are homs whose images do not commute, so no
+    # right action; refused before any zero shortcut
+    "galilei_module_act-right": (
+        lambda: _galilei_module(False).act(B, chi(1), side="right"),
+        InvalidArgument, ValueError),
+    "twisted_action-right-on-galilei-module-zero-vector": (
+        lambda: twisted_action(galilei_weight(), B, chi(0).scale(0),
+                               side="right", module=_galilei_module(False)),
+        InvalidArgument, ValueError),
+    # phi[M] = 0, so the cocycle defect forms no twisted sum at (B, M) on
+    # the left or at (M, B) on the right; its side is still checked
+    "d1_defect-bad-side-zero-weight-value": (
+        lambda: d1_defect(galilei_weight(), B, M, side="Left"),
+        InvalidArgument, ValueError),
+    "d1_defect-right-on-galilei-module-zero-weight-value": (
+        lambda: d1_defect(Weight("galilei", _galilei_module(False),
+                                 galilei_weight_of), M, B, side="right"),
+        InvalidArgument, ValueError),
+    "cocycle_check-right-on-galilei-module": (
+        lambda: cocycle_check(Weight("galilei", _galilei_module(False),
+                                     galilei_weight_of), 0, side="right"),
         InvalidArgument, ValueError),
     "cocycle_check-bad-side": (
         lambda: cocycle_check(galilei_weight(), 1, side="Left"),

@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.cli import run_suite
-from hopfkit.errors import (ConfigError, NotGroupLike, NotInvertible,
-                            NotTauReal, PresentationMismatch, StarUndefined)
-from hopfkit.hopf import algebra_presentation, builtin
+import hopfkit.quasiinv as quasiinv
+from hopfkit.cli import SUITES, run_suite
+from hopfkit.errors import (ConfigError, InvalidArgument, NotGroupLike,
+                            NotInvertible, NotTauReal, PresentationMismatch,
+                            StarUndefined)
+from hopfkit.hopf import (BUILTIN_NAMES, HOPF_NAMES, algebra_presentation,
+                          builtin)
 from hopfkit.induce import _galilei_module, galilei_basis
 from hopfkit.ncalg import AlgebraElement, Presentation
 from hopfkit.pairing import engine as pairing_engine, pairing_report
@@ -17,6 +20,7 @@ from hopfkit.quasiinv import (
     ChiFractionModule,
     ChiModule,
     Functional,
+    RegularModule,
     Weight,
     act,
     chi,
@@ -512,6 +516,106 @@ def leg_sum_reference(phi, X, a, side, module=None):
     return out
 
 
+# -- naive sums: every coproduct leg and every term, zero or not, with the
+# chi modules' operators built and applied here, not by the module
+
+E_OP = OPS.gen("E")
+
+
+def naive_operator(action, umon):
+    """The image of a uq-g1 monomial, its letters' images multiplied in
+    order (K is the only invertible letter)."""
+    op = OPS.one()
+    for g, e in enumerate(umon):
+        img = action.images[g] if e >= 0 else action.images[g].inverse()
+        for _ in range(abs(e)):
+            op = op * img
+    return op
+
+
+def naive_act_on_laurent(op, f):
+    """chi^a E^b chi^l = l^b chi^(a+l), term by term."""
+    out = LAURENT.zero()
+    for (a, b), c in op.terms.items():
+        for (l,), k in f.terms.items():
+            out = out + chi(a + l, c * k * scalar(l ** b))
+    return out
+
+
+def naive_act_on_fraction(op, f):
+    """E is a derivation, E(n/d) = (E(n) d - n E(d))/d^2, applied b times
+    for each term chi^a E^b, with no common denominator."""
+    out = ChiFraction(LAURENT.zero())
+    for (a, b), c in op.terms.items():
+        g = f
+        for _ in range(b):
+            g = ChiFraction(naive_act_on_laurent(E_OP, g.num) * g.den
+                            - g.num * naive_act_on_laurent(E_OP, g.den),
+                            g.den * g.den)
+        out = out + ChiFraction(chi(a, c)) * g
+    return out
+
+
+def naive_act_mono(module, umon, f, side):
+    if isinstance(module, RegularModule):
+        # the regular action is the pairing layer's, tested there
+        return module.act_mono(umon, f, side)
+    op = naive_operator(module.action, umon)
+    if isinstance(module, ChiFractionModule):
+        return naive_act_on_fraction(op, f)
+    return naive_act_on_laurent(op, f)
+
+
+def naive_act(module, X, f, side="left"):
+    out = module.zero()
+    for umon, c in X.terms.items():
+        out = out + naive_act_mono(module, umon, f, side).scale(c)
+    return out
+
+
+def naive_weight(fn, module, X):
+    """The weight with defining function fn, summed over every term of X."""
+    out = module.zero()
+    for umon, c in X.terms.items():
+        out = out + fn(UQ.pres.monomial(umon)).scale(c)
+    return out
+
+
+def naive_twisted(fn, module, X, a, side):
+    """sum X_(1).a phi[X_(2)] or sum phi[X_(1)] a.X_(2) over every leg."""
+    out = module.zero()
+    for (m1, m2), c in UQ.delta.apply(X).terms.items():
+        if side == "left":
+            piece = naive_act_mono(module, m1, a, side) * \
+                fn(UQ.pres.monomial(m2))
+        else:
+            piece = fn(UQ.pres.monomial(m1)) * \
+                naive_act_mono(module, m2, a, side)
+        out = out + piece.scale(c)
+    return out
+
+
+def naive_d1(fn, module, X, Y, side):
+    lhs = naive_weight(fn, module, X * Y)
+    if side == "left":
+        return lhs - naive_twisted(fn, module, X,
+                                   naive_weight(fn, module, Y), side)
+    return lhs - naive_twisted(fn, module, Y, naive_weight(fn, module, X),
+                               side)
+
+
+def pair_x_weight(mod):
+    """psi(X) = <X, x> 1 on fq-g1, the weight of
+    tests/test_induce.py::test_twisted_action_leg_order: not the counit,
+    so its left and right sums differ."""
+    return Weight("pair-x", mod, pair_x_fn(mod))
+
+
+def pair_x_fn(mod):
+    x = mod.fq.pres.gen("x")
+    return lambda X: mod.one().scale(pairing_engine().pair(X, x))
+
+
 # one weight for every example, so left and right, and both modules, meet
 # on the same basis pairs in one cache
 SHARED_PHI = galilei_weight()
@@ -530,6 +634,11 @@ def uq_elements(max_terms=3):
        st.sampled_from(["left", "right"]), st.booleans())
 def test_twisted_action_matches_leg_sum(X, a, side, galilei):
     module = _galilei_module(False) if galilei else None
+    if galilei and side == "right":
+        # the Galilei module acts on the left only
+        with pytest.raises(InvalidArgument):
+            twisted_action(SHARED_PHI, X, a, side, module)
+        return
     got = twisted_action(SHARED_PHI, X, a, side, module)
     assert got == leg_sum_reference(SHARED_PHI, X, a, side, module), \
         (X, a, side, galilei)
@@ -549,7 +658,13 @@ def test_twisted_action_on_zero_and_cancelling_terms(side):
         assert got.is_zero() and got.terms == {}
         assert got == leg_sum_reference(SHARED_PHI, X, a, side)
     X = uq("B") * uq("K") + uq("T", 2).scale(I)
-    for module in (None, _galilei_module(False)):
+    gal = _galilei_module(False)
+    if side == "right":
+        # refused before the zero shortcuts, whatever the vector
+        for vector in (a, LAURENT.zero()):
+            with pytest.raises(InvalidArgument):
+                twisted_action(SHARED_PHI, X, vector, side, gal)
+    for module in (None, gal) if side == "left" else (None,):
         zero = twisted_action(SHARED_PHI, X, LAURENT.zero(), side, module)
         assert zero.is_zero()
         assert zero == leg_sum_reference(SHARED_PHI, X, LAURENT.zero(), side,
@@ -560,43 +675,59 @@ def test_twisted_action_on_zero_and_cancelling_terms(side):
 
 
 def test_twisted_action_memo_keeps_sides_and_modules_apart():
-    # one weight, one basis pair, met in this order: on the Galilei module
-    # the left and right sums differ, and its left sum differs from the
-    # default chi module's (where left and right agree)
+    # one weight, one basis pair, met in this order: the Galilei module's
+    # left sum differs from the default chi module's (where left and right
+    # agree), and the Galilei module refuses the right side; on the
+    # regular module one weight's left and right sums differ
     phi = galilei_weight()
     gal = _galilei_module(False)
     X, a = uq("B") * uq("B"), chi(1)
     seen = {}
-    for module in (None, gal):
-        for side in ("left", "right"):
+    for module, sides in ((None, ("left", "right")), (gal, ("left",))):
+        for side in sides:
             got = twisted_action(phi, X, a, side, module)
             assert got == leg_sum_reference(phi, X, a, side, module), \
                 (module, side)
             seen[(module, side)] = got
-    assert seen[(gal, "left")] != seen[(gal, "right")]
+    with pytest.raises(InvalidArgument):
+        twisted_action(phi, X, a, "right", gal)
     assert seen[(gal, "left")] != seen[(None, "left")]
+    assert seen[(None, "left")] == seen[(None, "right")]
+    mod = RegularModule()
+    psi = pair_x_weight(mod)
+    v = mod.fq.pres.gen("v")
+    got = {side: twisted_action(psi, uq("B"), v, side)
+           for side in ("left", "right")}
+    for side in ("left", "right"):
+        assert got[side] == naive_twisted(pair_x_fn(mod), mod, uq("B"), v,
+                                          side), side
+    assert got["left"] != got["right"]
 
 
-def test_shared_weight_keeps_the_sides_apart_on_the_galilei_module():
-    # the one galilei_weight() serves both sides: on the Galilei module
-    # the left and right sums differ on 100 of these 250 basis pairs, so
-    # a memo key without side would hand the right sum the left one; each
-    # side's reference comes from a fresh weight that sees that side only
-    phi, gal = galilei_weight(), _galilei_module(False)
-    fresh = {side: Weight("galilei", ChiModule(), galilei_weight_of)
-             for side in ("left", "right")}
-    differ = 0
+def test_shared_weight_keeps_the_sides_apart_on_the_regular_module():
+    # one pair-x weight serves both sides of the regular module, whose left
+    # and right sums differ on some of these 250 basis pairs (counted with
+    # the naive sums), so a memo key without side would hand the right sum
+    # the left one; each side's reference comes from a fresh weight that
+    # sees that side only
+    mod = RegularModule()
+    phi, fn = pair_x_weight(mod), pair_x_fn(mod)
+    fresh = {side: pair_x_weight(mod) for side in ("left", "right")}
+    vectors = [mod.fq.pres.monomial(m) for m in mod.fq.pres.monomials_up_to(1)]
+    differ = naive_differ = 0
     for umon in UQ.pres.monomials_up_to(2):
         X = UQ.pres.monomial(umon)
-        for l in range(-2, 3):
+        for a in vectors:
             got = {}
             for side in ("left", "right"):
-                got[side] = twisted_action(phi, X, chi(l), side, module=gal)
-                assert got[side] == twisted_action(fresh[side], X, chi(l),
-                                                   side, gal), (umon, l, side)
+                got[side] = twisted_action(phi, X, a, side)
+                assert got[side] == twisted_action(fresh[side], X, a,
+                                                   side), (umon, a, side)
             differ += got["left"] != got["right"]
-    assert len(UQ.pres.monomials_up_to(2)) == 50
-    assert differ == 100
+            naive_differ += (naive_twisted(fn, mod, X, a, "left")
+                             != naive_twisted(fn, mod, X, a, "right"))
+    assert (len(UQ.pres.monomials_up_to(2)), len(vectors)) == (50, 5)
+    assert differ == naive_differ > 0
 
 
 def test_twisted_action_rejects_an_element_of_another_algebra():
@@ -667,6 +798,162 @@ def test_repeated_twisted_action_makes_no_module_actions(monkeypatch):
         assert twisted_action(phi, X.scale(I), a.scale(3), side) == \
             first.scale(3 * I)
         assert calls == []
+
+
+# -- zero values and the right side -------------------------------------------
+
+
+# pairs of Galilei generators whose images do not commute
+NONCOMMUTING = [("K", "B"), ("B", "K"), ("T", "B"), ("B", "T")]
+
+
+def test_a_chi_module_refuses_a_right_action_that_is_not_one():
+    # read on the right, a hom needs a.(XY) = (a.X).Y, that is X Y and
+    # Y X acting alike; both Galilei tables break that on these pairs, so
+    # they refuse the right side, before any zero shortcut; the weight's
+    # images commute, so its hom is an antihom and serves both sides
+    phi = galilei_weight()
+    for half in (True, False):
+        gal = _galilei_module(half)
+        assert gal.sides == ("left",)
+        for x, y in NONCOMMUTING:
+            X, Y = uq(x), uq(y)
+            assert gal.act(Y, gal.act(X, chi(1))) != gal.act(X * Y, chi(1))
+            (umon,) = X.terms
+            for call in (lambda: gal.act(X, chi(1), side="right"),
+                         lambda: gal.act_mono(umon, chi(1), side="right"),
+                         lambda: twisted_action(phi, X, chi(1), "right", gal),
+                         lambda: twisted_action(phi, X, LAURENT.zero(),
+                                                "right", gal)):
+                with pytest.raises(InvalidArgument, match="no right action"):
+                    call()
+        with pytest.raises(InvalidArgument, match="side must be one of"):
+            gal.act(uq("B"), chi(1), side="up")
+    for mod in (ChiModule(), ChiFractionModule()):
+        assert mod.sides == ("left", "right")
+    mod = ChiModule()
+    for x, y in NONCOMMUTING:
+        for l in range(-2, 3):
+            a = mod.act(uq(y), mod.act(uq(x), chi(l), "right"), "right")
+            assert a == mod.act(uq(x) * uq(y), chi(l), "right")
+    with pytest.raises(InvalidArgument, match="side must be one of"):
+        mod.act(uq("M"), chi(1), side="Right")
+
+
+XI = LAURENT.one() + chi(1)
+
+
+def naive_coboundary(X):
+    """d0(xi)[X] = X.xi xi^-1 with the naive fraction action."""
+    xi = ChiFraction(XI)
+    return naive_act(ChiFractionModule(), X, xi) * xi.inverse()
+
+
+def fq_elements():
+    fq = builtin("fq-g1").pres
+    return st.dictionaries(st.sampled_from(fq.monomials_up_to(2)),
+                           st.sampled_from(COEFFS[:5]), max_size=2).map(
+        lambda d: AlgebraElement(fq, d))
+
+
+def fractions():
+    return st.tuples(laurent_elements(2, COEFFS[:5]),
+                     nonzero_small_laurent).map(lambda p: ChiFraction(*p))
+
+
+# (weight, its defining function written here, vectors): the Galilei
+# weight on the chi module, a coboundary on the fraction field and the
+# pair-x weight on the regular module
+ORACLE_CASES = {
+    "galilei-chi": (galilei_weight, lambda mod: galilei_weight_of,
+                    lambda: laurent_elements(3, TWIST_COEFFS)),
+    "coboundary-fraction": (lambda: coboundary_weight(XI),
+                            lambda mod: naive_coboundary, fractions),
+    "pair-x-regular": (lambda: pair_x_weight(RegularModule()), pair_x_fn,
+                       fq_elements),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_shortcuts_match_the_naive_sums(case, data):
+    # the weight, the twisted sum and the cocycle defect skip zero values,
+    # zero legs and zero operators; the naive sums here skip nothing
+    make, fn_of, vectors = ORACLE_CASES[case]
+    phi = make()
+    m = phi.module
+    fn = fn_of(m)
+    X = data.draw(uq_elements(), "X")
+    Y = data.draw(uq_elements(2), "Y")
+    a = data.draw(vectors(), "a")
+    side = data.draw(st.sampled_from(["left", "right"]), "side")
+    assert phi(X) == naive_weight(fn, m, X)
+    assert twisted_action(phi, X, a, side) == naive_twisted(fn, m, X, a, side)
+    assert d1_defect(phi, X, Y, side) == naive_d1(fn, m, X, Y, side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(uq_elements(), st.one_of(laurent_elements(3, TWIST_COEFFS),
+                                fractions()),
+       st.sampled_from(["weight", "galilei", "galilei-closed"]),
+       st.sampled_from(["left", "right"]))
+def test_chi_module_act_matches_the_naive_operator(X, f, action, side):
+    # act and act_mono against operators built letter by letter and
+    # applied term by term (E as a derivation on fractions), zero
+    # operators included: M and T act as zero in the weight's module
+    action = {"weight": None, "galilei": _galilei_module(False).action,
+              "galilei-closed": _galilei_module(True).action}[action]
+    mod = (ChiFractionModule if isinstance(f, ChiFraction) else ChiModule)(
+        action)
+    if side not in mod.sides:
+        side = "left"
+    assert mod.act(X, f, side) == naive_act(mod, X, f, side)
+    for umon in X.terms:
+        assert mod.act_mono(umon, f, side) == \
+            naive_act_mono(mod, umon, f, side)
+
+
+def test_cocycle_suite_applies_no_zero_operator(monkeypatch):
+    # run cold, the suite once applied the zero operator 669 times through
+    # act and 321 times through the quotient rule; a zero operator now
+    # gives the module's zero at once, and a b with no chi part is skipped
+    zero = []
+    real_act, real_apply = quasiinv.act, ChiFractionModule._apply
+
+    def counting_act(op, f):
+        zero.append(op.is_zero())
+        return real_act(op, f)
+
+    def counting_apply(self, op, f):
+        zero.append(op.is_zero())
+        return real_apply(self, op, f)
+
+    monkeypatch.setattr(quasiinv, "act", counting_act)
+    monkeypatch.setattr(ChiFractionModule, "_apply", counting_apply)
+    assert run_suite("cocycle").passed
+    assert zero and not any(zero)
+
+
+def test_every_presentation_has_one_zero_that_stays_empty():
+    # elements are never mutated, so zero() hands out one shared element;
+    # no suite may add a term to it
+    def presentations():
+        for name in BUILTIN_NAMES:
+            yield (builtin(name).pres if name in HOPF_NAMES
+                   else algebra_presentation(name))
+        yield LAURENT
+        yield OPS
+
+    zeros = [p.zero() for p in presentations()]
+    assert len(zeros) == 6
+    for p, z in zip(presentations(), zeros):
+        assert p.zero() is z and z.terms == {} and z.pres is p
+    for name in SUITES:
+        assert run_suite(name, {"degree": 2} if name == "hopf-axioms"
+                         else None).passed, name
+    for p, z in zip(presentations(), zeros):
+        assert p.zero() is z and z.terms == {}, p.name
 
 
 # -- the row-wise batteries ---------------------------------------------------
