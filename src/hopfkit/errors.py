@@ -42,6 +42,13 @@ def check_sizes(**sizes):
             raise ConfigError(f"{what} must be >= 0, got {value}")
 
 
+def check_exponent(n):
+    """Raise InvalidArgument unless n is an int (a bool is one); the one
+    guard in front of every power of a scalar or an element."""
+    if not isinstance(n, int):
+        raise InvalidArgument(f"exponent must be an int, not {n!r}")
+
+
 def check_element(what, e, pres):
     """Raise PresentationMismatch unless e is an element of pres; the one
     guard in front of every map that reads terms as bare exponent tuples."""

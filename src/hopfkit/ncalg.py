@@ -52,6 +52,7 @@ from .errors import (
     UnknownGenerator,
     WindowOverflow,
     check_element,
+    check_exponent,
 )
 from .scalars import (ONE, Scalar, ZERO, format_monomial, format_terms,
                       scalar)
@@ -471,6 +472,7 @@ class AlgebraElement(_Combination):
         return AlgebraElement(self.pres, out)
 
     def __pow__(self, n):
+        check_exponent(n)
         if n < 0:
             return self.inverse() ** (-n)
         out = self.pres.one()

@@ -18,14 +18,17 @@ the engine above skips every unit factor.
 
 Sums, products and quotients follow Henrici (JACM 3(1), 1956; Knuth,
 TAOCP vol. 2, 4.5.1): the gcds run on the operands' factors, never on
-the full product.  For a/b + c/d with g = gcd(b, d), the result is
-(a*d + c*b)/(b*d) when g == 1; otherwise t = a*(d/g) + c*(b/g) can share
-a factor with g only, so only gcd(t, g) is cancelled.  A product
-(a/b)(c/d) cancels gcd(a, d) and gcd(c, b) first; a quotient is the
-product with the divisor's reciprocal.  The operands are reduced with
-monic denominators, so each result is already canonical and needs no
-final gcd of its numerator and denominator.  The constructor
-Scalar(num, den) keeps that general gcd for its callers.
+the full product.  A sum over one denominator, a/b + c/b (the same
+object or equal terms, one term or many), cancels only g = gcd(a + c, b)
+and divides by it only when g is not 1; b/g stays monic, as b and g are.
+For a/b + c/d with g = gcd(b, d), the result is (a*d + c*b)/(b*d) when
+g == 1; otherwise t = a*(d/g) + c*(b/g) can share a factor with g only,
+so only gcd(t, g) is cancelled.  A product (a/b)(c/d) cancels
+gcd(a, d) and gcd(c, b) first; a quotient is the product with the
+divisor's reciprocal.  The operands are reduced with monic denominators,
+so each result is already canonical and needs no final gcd of its
+numerator and denominator.  The constructor Scalar(num, den) keeps that
+general gcd for its callers.
 
 Gcds (poly_gcd) split off the common monomial content first, and a
 one-term operand makes that monomial the answer.  Two operands of two or
@@ -41,10 +44,12 @@ the reference.
 
 Multiplication skips work whose answer is known: x * ONE and ONE * x
 return x itself (after coercing an int, Fraction or GaussRat operand),
-a product with a zero numerator returns the shared ZERO, and a product
-of two single-term polynomials is one exponent add and one coefficient
-product (the GaussRat arithmetic is inlined there and in a sum's loop
-over shared exponents).  Two one-term scalars over monic monomial
+and so do p * P_ONE and P_ONE * p for a Poly p (the Henrici kernels
+multiply by P_ONE denominators and cofactors often); a product with a
+zero numerator returns the shared ZERO, and a product of two
+single-term polynomials is one exponent add and one coefficient product
+(the GaussRat arithmetic is inlined there and in a sum's loop over
+shared exponents).  Two one-term scalars over monic monomial
 denominators (P_ONE among them) multiply by adding exponent vectors: the
 negative part of the sum is the denominator, so the result is reduced
 with no gcd and no division.  Multi-term operands keep the Henrici path.
@@ -78,7 +83,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DivisionByZero, InvalidArgument, NotAScalar
+from .errors import DivisionByZero, InvalidArgument, NotAScalar, check_exponent
 
 NVARS = 3
 VAR_NAMES = ("w", "m", "u")
@@ -178,7 +183,11 @@ class GaussRat:
                        self.d * (c * c + e * e))
 
     def __pow__(self, n):
-        """Power by an int n >= 0: one Gaussian-integer power, one gcd."""
+        """Power by an int n: one Gaussian-integer power, one gcd.  A
+        negative power is the power of the reciprocal."""
+        check_exponent(n)
+        if n < 0:
+            return (GR_ONE / self) ** -n
         a, b, x, y, k = 1, 0, self.a, self.b, n
         while k:
             if k & 1:
@@ -299,6 +308,11 @@ class Poly:
         return Poly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        # polys are never mutated, so a unit factor returns the other
+        if other is P_ONE:
+            return self
+        if self is P_ONE:
+            return other
         if not self.terms or not other.terms:
             return Poly({})
         if len(self.terms) == 1 and len(other.terms) == 1:
@@ -787,21 +801,28 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b is P_ONE and d is P_ONE:
             s = _scalar(a + c, P_ONE)
+        elif b is d or b.terms == d.terms:
+            # a common denominator: only a factor of b can divide a + c
+            t = a + c
+            if t.terms:
+                g = poly_gcd(t, b)
+                if not g.is_const():
+                    t, b = _exact_div(t, g), _exact_div(b, g)
+            s = _fraction(t, b)
         else:
             g = P_ONE if b is P_ONE or d is P_ONE else poly_gcd(b, d)
             if g.is_const():
                 s = _fraction(a * d + c * b, b * d)
             else:
                 d = _exact_div(d, g)
+                # t is not 0: reduced operands with monic denominators
+                # cancel only over one denominator, the branch above
                 t = a * d + c * _exact_div(b, g)
-                if not t.terms:
-                    s = ZERO
-                else:
-                    # only a factor of g can divide both t and b*d/g
-                    g = poly_gcd(t, g)
-                    if not g.is_const():
-                        t, b = _exact_div(t, g), _exact_div(b, g)
-                    s = _fraction(t, b * d)
+                # only a factor of g can divide both t and b*d/g
+                g = poly_gcd(t, g)
+                if not g.is_const():
+                    t, b = _exact_div(t, g), _exact_div(b, g)
+                s = _fraction(t, b * d)
         if _live and (len(a.terms) == len(c.terms) == len(self.den.terms)
                       == len(other.den.terms) == 1):
             _sums[id(self), id(other)] = (self, other, s)
@@ -877,6 +898,7 @@ class Scalar:
         return other / self
 
     def __pow__(self, n):
+        check_exponent(n)
         if n < 0:
             return (ONE / self) ** (-n)
         if n == 1:

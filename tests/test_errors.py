@@ -2,6 +2,8 @@
 builtin KeyError or ValueError, its class still derives from that type,
 so callers that catch the builtin keep working."""
 
+from fractions import Fraction
+
 import pytest
 
 from hopfkit.coiso import (
@@ -56,14 +58,14 @@ from hopfkit.quasiinv import (
     quasi_invariance_check,
     twisted_action,
 )
-from hopfkit.scalars import ONE, arith, conjugate, scalar
+from hopfkit.scalars import GaussRat, ONE, W, arith, conjugate, scalar
 
 UQ = builtin("uq-g1")
 FQ = builtin("fq-g1")
 FJ = builtin("fq-j")
 SUB = galilei_subgroup()
 B = UQ.pres.gen("B")
-M, T = UQ.pres.gen("M"), UQ.pres.gen("T")
+M, T, K = UQ.pres.gen("M"), UQ.pres.gen("T"), UQ.pres.gen("K")
 (T_MON,) = T.terms
 PI_TABLE = {"mu": FJ.pres.gen("muh"), "x": FJ.pres.gen("xh"),
             "t": FJ.pres.gen("th"), "v": FJ.pres.zero()}
@@ -273,6 +275,20 @@ CASES = {
     "arith-float-operand": (
         lambda: arith(1.5, ONE, "add"), NotAScalar, TypeError),
     "conjugate-of-a-float": (lambda: conjugate(1.5), NotAScalar, TypeError),
+    # errors.check_exponent guards every power: these raised a bare
+    # TypeError, returned w or 1/w, or raised NotInvertible
+    "scalar-to-a-float": (lambda: W ** 2.0, InvalidArgument, ValueError),
+    "scalar-to-a-fraction": (
+        lambda: W ** Fraction(3, 2), InvalidArgument, ValueError),
+    "scalar-to-the-float-one": (lambda: W ** 1.0, InvalidArgument, ValueError),
+    "scalar-to-a-negative-float": (
+        lambda: W ** -1.0, InvalidArgument, ValueError),
+    "element-to-a-negative-float": (
+        lambda: M ** -1.0, InvalidArgument, ValueError),
+    "invertible-element-to-a-float": (
+        lambda: K ** 1.0, InvalidArgument, ValueError),
+    "gauss_rat-to-a-float": (
+        lambda: GaussRat(2) ** 0.5, InvalidArgument, ValueError),
 }
 
 
@@ -284,6 +300,14 @@ def test_intended_error_is_a_hopfkit_error(name):
     assert isinstance(exc.value, HopfkitError)
     if builtin_type is not None:
         assert isinstance(exc.value, builtin_type)
+
+
+def test_an_int_or_bool_exponent_is_a_power():
+    assert W ** True is W and W ** False is ONE
+    assert W ** -1 == ONE / W
+    assert K ** True == K and K ** -1 == K.inverse()
+    assert M ** 2 == M * M
+    assert GaussRat(2) ** True == GaussRat(2)
 
 
 @pytest.mark.parametrize("call", [lambda: ONE * "x", lambda: "x" * ONE,

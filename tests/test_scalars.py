@@ -240,6 +240,29 @@ def test_gauss_rat_zero_and_integer_forms():
     assert repr(half_i) == "GaussRat(Fraction(1, 2), Fraction(-1, 2))"
 
 
+def test_gauss_rat_negative_power_is_the_reciprocal_power():
+    # k >>= 1 keeps -1 at -1, so a negative exponent used to loop forever
+    with time_limit(5):
+        assert_matches(GaussRat(2) ** -1, Fraction(1, 2), 0)
+        # (1 + i)^2 = 2i
+        assert_matches(GaussRat(1, 1) ** -2, 0, Fraction(-1, 2))
+        assert_matches(GaussRat(Fraction(2, 3)) ** -3, Fraction(27, 8), 0)
+        with pytest.raises(DivisionByZero):
+            GaussRat(0) ** -1
+    assert_matches(GaussRat(0) ** 0, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_parts, gauss_parts, st.integers(-4, 4))
+def test_gauss_rat_power_times_its_opposite_is_one(p, q, n):
+    assume(p or q)
+    x = GaussRat(p, q)
+    with time_limit(5):
+        got, opposite = x ** n, x ** -n
+    assert_canonical(got)
+    assert got * opposite == scalars.GR_ONE
+
+
 # -- the shared unit denominator -------------------------------------------
 
 
@@ -503,6 +526,106 @@ def test_general_constructor_on_the_unreduced_found_sum():
         s = Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
     assert str(s) == FOUND_SUM
     assert_same_form(x + y, s)
+
+
+# -- sums over one denominator ---------------------------------------------
+
+
+@st.composite
+def shared_denominator_sums(draw):
+    """(p/q, r/q): q a monic monomial or a monic polynomial of two or more
+    terms, and r free, -p, or chosen so the sum is a polynomial or cancels
+    a factor f of q = f*h."""
+    if draw(st.booleans()):
+        exps = draw(st.tuples(*[st.integers(0, 2)] * 3))
+        assume(any(exps))
+        q = Poly({exps: scalars.GR_ONE})
+    else:
+        q = draw(small_polys(2)).num
+        assume(len(q.terms) >= 2)
+        q = q.monic()[0]
+    p = draw(small_polys(1)).num
+    kind = draw(st.sampled_from(["free", "zero", "polynomial", "factor"]))
+    if kind == "free":
+        r = draw(small_polys(1)).num
+    elif kind == "zero":
+        r = -p
+    elif kind == "polynomial":
+        r = draw(small_polys(1)).num * q - p
+    else:
+        f = draw(small_polys(2, max_exp=1)).num
+        assume(len(f.terms) >= 2)
+        q = f.monic()[0] * q
+        r = draw(small_polys(1, max_exp=1)).num * f - p
+    x, y = Scalar(p, q), Scalar(r, q)
+    # both reduced over the same q: the common-denominator sum
+    assume(x.den.terms == y.den.terms == q.terms)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_denominator_sums())
+def test_sum_over_one_denominator_matches_general_constructor(pair):
+    x, y = pair
+    q = x.den
+    with time_limit():
+        s = x + y
+        assert_same_form(s, Scalar(x.num * q + y.num * q, q * q))
+    assert (s is ZERO) == (s == ZERO) and (s is ONE) == (s == ONE)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shared_denominator_sums())
+def test_sum_over_one_denominator_matches_sympy_cancel(pair):
+    sympy = pytest.importorskip("sympy")
+    x, y = pair
+    assert sympy.cancel(_to_sympy(x + y, sympy)
+                        - (_to_sympy(x, sympy) + _to_sympy(y, sympy))) == 0
+
+
+@pytest.mark.parametrize("x, y, want", [
+    (ONE / (M + 1), M / (M + 1), ONE),
+    ((W - I * U) / (M + 1), (I * U - W) / (M + 1), ZERO),
+    ((W * M + 1) / (W + M), (W * W - 1) / (W + M), W),
+    (ONE / W, (W - 1) / W, ONE),
+    (M / W, M / W, 2 * M / W),
+    ((M + U) / (W * W), (W - U) / (W * W), (W + M) / (W * W)),
+    (W / (W + M), M / (W + M), ONE),
+    (ONE / ((W + M) * (M + 1)), M / ((W + M) * (M + 1)), ONE / (W + M)),
+], ids=["1/(m+1)+m/(m+1)", "p/q+(-p)/q", "to-a-polynomial",
+        "monomial-to-one", "monomial-stays", "monomial-to-polynomial-num",
+        "multi-term-to-one", "cancels-one-factor"])
+def test_sum_over_one_denominator(x, y, want):
+    assert x.den.terms == y.den.terms
+    s = x + y
+    assert_same_form(s, want)
+    if want is ONE or want is ZERO:
+        assert s is want and s.den is P_ONE
+
+
+def test_unit_poly_factor_returns_the_other_factor():
+    for p in ((W + M).num, (I * W).num, scalars.P_ZERO, P_ONE):
+        assert p * P_ONE is p
+        assert P_ONE * p is p
+
+
+@pytest.mark.parametrize("x, y", [
+    (ONE / (W + M), U / (W + M)),
+    # a shared variable: the univariate images prove the gcd is 1
+    (ONE / (W * W + M), W / (W * W + M)),
+    # one denominator object
+    (I / (W * W + M), None),
+], ids=["no-shared-variable", "shared-variable", "one-object"])
+def test_a_sum_over_one_multi_term_denominator_takes_one_gcd(monkeypatch,
+                                                             x, y):
+    y = x if y is None else y
+    assert x.den.terms == y.den.terms and len(x.den.terms) >= 2
+    want = Scalar(x.num + y.num, x.den)
+    gcds = _counting(monkeypatch, "poly_gcd")
+    divisions = _counting(monkeypatch, "_exact_div")
+    s = x + y
+    assert len(gcds) == 1 and not divisions
+    assert_same_form(s, want)
 
 
 # -- the modular gcd against primitive PRS ----------------------------------
